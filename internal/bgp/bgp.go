@@ -4,15 +4,22 @@
 // EQL evaluation strategy (Section 3), the part the paper delegates to a
 // conjunctive query engine (PostgreSQL in their setup).
 //
-// Evaluation is index-backed: each edge pattern picks its cheapest access
-// path (edge-label index, node-label or type index plus adjacency, or a
-// full edge scan), patterns are joined with hash joins in ascending
-// cardinality order, and anonymous positions are projected away eagerly.
+// Evaluation is planned, then pipelined. The planner (plan.go) compiles
+// each pattern's label and type constants to LabelIDs and orders the
+// patterns greedily by estimated cardinality, keeping each next pattern
+// connected to the variables already bound. The executor (exec.go) reads
+// the leading pattern through its cheapest index (edge-label index,
+// node-label or type index plus adjacency, or a full edge scan) and every
+// later pattern as a bind join — through the adjacency of the nodes, or
+// the identity of the edges, the rows so far bind — unless those bindings
+// would make it read more edges than the pattern's own index holds, in
+// which case the pattern is scanned and hash-joined. Anonymous positions
+// are projected away as rows are built.
 package bgp
 
 import (
+	"context"
 	"fmt"
-	"sort"
 
 	"ctpquery/internal/eql"
 	"ctpquery/internal/graph"
@@ -20,44 +27,34 @@ import (
 )
 
 // Evaluate computes the binding table of b over g. Columns are the BGP's
-// named variables; rows are deduplicated (set semantics, Definition 2.10).
-// A BGP with only constant patterns produces a zero-column table with one
-// row when the pattern is satisfiable and zero rows otherwise.
+// named variables; rows are deduplicated (set semantics, Definition 2.10)
+// and in no particular order. A BGP with only constant patterns produces a
+// zero-column table with one row when the pattern is satisfiable and zero
+// rows otherwise.
 func Evaluate(g *graph.Graph, b eql.BGP) (*storage.Table, error) {
-	if len(b.Patterns) == 0 {
-		return nil, fmt.Errorf("bgp: empty pattern set")
-	}
-	if err := checkRoles(b); err != nil {
-		return nil, err
-	}
+	t, _, err := EvaluateContext(context.Background(), g, b)
+	return t, err
+}
 
-	tables := make([]*storage.Table, 0, len(b.Patterns))
-	for _, ep := range b.Patterns {
-		t := scanPattern(g, ep)
-		tables = append(tables, t.Distinct())
+// EvaluateContext is Evaluate under ctx, reporting the work done. A
+// cancelled context aborts the evaluation with context.Canceled within a
+// few thousand edges or rows; an expired deadline does not (see
+// engine.ExecuteContext for the contract this serves). The Stats are
+// meaningful on error too: they count the work done until then.
+func EvaluateContext(ctx context.Context, g *graph.Graph, b eql.BGP) (*storage.Table, Stats, error) {
+	ps, err := prepare(g, b)
+	if err != nil {
+		return nil, Stats{}, err
 	}
-	// Join in ascending-cardinality order, preferring join partners that
-	// share a column with what has been joined so far (to avoid needless
-	// cross products; within one BGP, connectivity guarantees a shared
-	// variable exists eventually).
-	sort.SliceStable(tables, func(i, j int) bool { return tables[i].NumRows() < tables[j].NumRows() })
-	acc := tables[0]
-	rest := tables[1:]
-	for len(rest) > 0 {
-		picked := -1
-		for i, t := range rest {
-			if sharesColumn(acc, t) {
-				picked = i
-				break
-			}
-		}
-		if picked == -1 {
-			picked = 0 // no shared column yet: cross product, as SQL would
-		}
-		acc = storage.NaturalJoin(acc, rest[picked])
-		rest = append(rest[:picked], rest[picked+1:]...)
+	x := &executor{ctx: ctx, g: g}
+	acc, err := x.scan(ps[0])
+	for i := 1; err == nil && i < len(ps); i++ {
+		acc, err = x.join(acc, ps[i])
 	}
-	return acc.Distinct(), nil
+	if err != nil {
+		return nil, x.st, err
+	}
+	return acc, x.st, nil
 }
 
 // checkRoles verifies that each variable is used consistently as a node
@@ -87,94 +84,4 @@ func checkRoles(b eql.BGP) error {
 		}
 	}
 	return nil
-}
-
-func sharesColumn(a, b *storage.Table) bool {
-	for _, c := range b.Cols() {
-		if a.HasColumn(c) {
-			return true
-		}
-	}
-	return false
-}
-
-// scanPattern materializes the bindings of a single edge pattern, keeping
-// only named-variable columns.
-func scanPattern(g *graph.Graph, ep eql.EdgePattern) *storage.Table {
-	var cols []string
-	addCol := func(v string) {
-		if v == "" {
-			return
-		}
-		for _, c := range cols {
-			if c == v {
-				return
-			}
-		}
-		cols = append(cols, v)
-	}
-	addCol(ep.Src.Var)
-	addCol(ep.Edge.Var)
-	addCol(ep.Dst.Var)
-	out := storage.NewTable(cols...)
-	colIdx := map[string]int{}
-	for i, c := range cols {
-		colIdx[c] = i
-	}
-
-	emit := func(e graph.EdgeID) {
-		ed := g.Edge(e)
-		if !ep.Src.MatchNode(g, ed.Source) ||
-			!ep.Edge.MatchEdge(g, e) ||
-			!ep.Dst.MatchNode(g, ed.Target) {
-			return
-		}
-		// Repeated variables within the pattern must bind equal elements.
-		if ep.Src.Var != "" && ep.Src.Var == ep.Dst.Var && ed.Source != ed.Target {
-			return
-		}
-		row := make([]int32, len(cols))
-		if ep.Src.Var != "" {
-			row[colIdx[ep.Src.Var]] = int32(ed.Source)
-		}
-		if ep.Edge.Var != "" {
-			row[colIdx[ep.Edge.Var]] = int32(e)
-		}
-		if ep.Dst.Var != "" {
-			row[colIdx[ep.Dst.Var]] = int32(ed.Target)
-		}
-		out.AddRow(row...)
-	}
-
-	// Access path selection by estimated cardinality.
-	edgeSel := ep.Edge.Selectivity(g, false)
-	srcSel := ep.Src.Selectivity(g, true)
-	dstSel := ep.Dst.Selectivity(g, true)
-	switch {
-	case edgeSel <= srcSel && edgeSel <= dstSel && edgeSel < g.NumEdges():
-		for _, e := range ep.Edge.SelectEdges(g) {
-			emit(e)
-		}
-	case srcSel <= dstSel && srcSel < g.NumNodes():
-		for _, n := range ep.Src.SelectNodes(g) {
-			for _, e := range g.Out(n) {
-				emit(e)
-			}
-		}
-	case dstSel < g.NumNodes():
-		for _, n := range ep.Dst.SelectNodes(g) {
-			for _, e := range g.In(n) {
-				emit(e)
-			}
-		}
-	default:
-		// Full ID-space scan: on a live epoch view, skip deleted slots.
-		for i := 0; i < g.NumEdges(); i++ {
-			if !g.EdgeAlive(graph.EdgeID(i)) {
-				continue
-			}
-			emit(graph.EdgeID(i))
-		}
-	}
-	return out
 }

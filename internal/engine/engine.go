@@ -10,6 +10,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -111,6 +112,11 @@ type Result struct {
 	CTPTime  time.Duration
 	JoinTime time.Duration
 	CTPStats []*core.Stats // one per CTP, in query order
+
+	// BGPExamined and BGPRows sum, over the query's BGPs, the edges step
+	// (A) read and checked and the rows it materialized (bgp.Stats).
+	BGPExamined int
+	BGPRows     int
 }
 
 // Tree resolves a tree handle from the result table.
@@ -151,14 +157,15 @@ func (e *Engine) Execute(q *eql.Query) (*Result, error) {
 }
 
 // ExecuteContext runs q under ctx. Cancellation is checked between the
-// evaluation phases and, through core.Options.Done, inside every CTP
-// search: a cancelled context aborts with context.Canceled. A context
-// deadline never produces an error; it clamps each CTP's time budget
-// (the query's TIMEOUT filter and Options.DefaultTimeout both respect
-// it), so an expiring — or already expired — deadline returns the
-// partial results found so far, flagged via Result.TimedOut: the paper's
-// TIMEOUT semantics (Section 2). Only the CTP searches are interruptible;
-// BGP evaluation and the final join run to completion.
+// evaluation phases, inside BGP evaluation (bgp.EvaluateContext) and,
+// through core.Options.Done, inside every CTP search: a cancelled context
+// aborts with context.Canceled. A context deadline never produces an
+// error; it clamps each CTP's time budget (the query's TIMEOUT filter and
+// Options.DefaultTimeout both respect it), so an expiring — or already
+// expired — deadline returns the partial results found so far, flagged
+// via Result.TimedOut: the paper's TIMEOUT semantics (Section 2). A
+// deadline does not bound BGP evaluation, whose complete tables those
+// partial results are joined with; the final join runs to completion.
 func (e *Engine) ExecuteContext(ctx context.Context, q *eql.Query) (res *Result, err error) {
 	// Evaluation span (nil no-op without a tracer in ctx). Registered
 	// before the recovery defer so the LIFO unwind recovers first — the
@@ -190,15 +197,22 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *eql.Query) (res *Result,
 	startBGP := time.Now()
 	bgpTables := make([]*storage.Table, len(q.BGPs))
 	for i, b := range q.BGPs {
-		t, err := bgp.Evaluate(e.g, b)
+		t, st, err := bgp.EvaluateContext(ctx, e.g, b)
+		if errors.Is(err, context.Canceled) {
+			return nil, err
+		}
 		if err != nil {
 			return nil, fmt.Errorf("engine: BGP %d: %w", i, err)
 		}
 		bgpTables[i] = t
+		res.BGPExamined += st.Examined
+		res.BGPRows += st.Rows
 	}
 	res.BGPTime = time.Since(startBGP)
 	eval.ChildTimed("bgp", startBGP, res.BGPTime,
-		obs.Attr{Key: "bgps", Val: strconv.Itoa(len(q.BGPs))})
+		obs.Attr{Key: "bgps", Val: strconv.Itoa(len(q.BGPs))},
+		obs.Attr{Key: "examined", Val: strconv.Itoa(res.BGPExamined)},
+		obs.Attr{Key: "rows", Val: strconv.Itoa(res.BGPRows)})
 	if err := ctx.Err(); err == context.Canceled {
 		return nil, err
 	}

@@ -4,13 +4,15 @@ import (
 	"fmt"
 	"strings"
 
+	"ctpquery/internal/bgp"
 	"ctpquery/internal/core"
 	"ctpquery/internal/eql"
 )
 
 // Explain describes, without executing the query, the plan Execute would
-// follow: per-BGP pattern counts with estimated scan cardinalities, and
-// per-CTP the derived seed-set strategy (BGP-bound, predicate-selected,
+// follow: per BGP the order its patterns are evaluated in and each one's
+// access path with the estimates behind it (bgp.Plan), and per CTP the
+// derived seed-set strategy (BGP-bound, predicate-selected,
 // or universal), the algorithm, and whether multi-queue scheduling would
 // engage. It is the paper's "adaptive EQL optimization" hook (Section 6's
 // future work) in diagnostic form.
@@ -24,13 +26,18 @@ func (e *Engine) Explain(q *eql.Query) (string, error) {
 
 	boundVars := map[string]bool{}
 	for i, b := range q.BGPs {
-		fmt.Fprintf(&sb, "  BGP %d: %d edge pattern(s)\n", i, len(b.Patterns))
-		for _, ep := range b.Patterns {
-			fmt.Fprintf(&sb, "    scan (%s, %s, %s): est. <= %d edges\n",
-				describeTerm(ep.Src), describeTerm(ep.Edge), describeTerm(ep.Dst),
-				min3(ep.Edge.Selectivity(e.g, false),
-					ep.Src.Selectivity(e.g, true),
-					ep.Dst.Selectivity(e.g, true)))
+		steps, err := bgp.Plan(e.g, b)
+		if err != nil {
+			return "", fmt.Errorf("engine: BGP %d: %w", i, err)
+		}
+		fmt.Fprintf(&sb, "  BGP %d: %d edge pattern(s), in evaluation order\n", i, len(b.Patterns))
+		for n, st := range steps {
+			ep := b.Patterns[st.Pattern]
+			fmt.Fprintf(&sb, "    %d. (%s, %s, %s): %s\n", n+1,
+				describeTerm(ep.Src), describeTerm(ep.Edge), describeTerm(ep.Dst), describeStep(st))
+		}
+		if len(steps) > 1 {
+			sb.WriteString("    (bind or hash join is decided again at run time, from the sizes observed)\n")
 		}
 		for _, v := range b.Vars() {
 			boundVars[v] = true
@@ -88,6 +95,22 @@ func (e *Engine) Explain(q *eql.Query) (string, error) {
 	return sb.String(), nil
 }
 
+// describeStep renders one plan step: its access path and the estimates
+// the choice rests on.
+func describeStep(st bgp.Step) string {
+	switch st.Access {
+	case bgp.BindOut, bgp.BindIn, bgp.BindEdge:
+		return fmt.Sprintf("bind ?%s → %s: est. %d edges examined, against <= %d by %s",
+			st.Var, st.Access, st.BindCost, st.Est, st.Scan)
+	case bgp.HashJoin:
+		return fmt.Sprintf("%s over %s: est. <= %d edges, against %d examined by binding ?%s",
+			st.Access, st.Scan, st.Est, st.BindCost, st.Var)
+	case bgp.CrossProduct:
+		return fmt.Sprintf("%s over %s: est. <= %d edges", st.Access, st.Scan, st.Est)
+	}
+	return fmt.Sprintf("%s: est. <= %d edges", st.Access, st.Est)
+}
+
 func describeTerm(p eql.Predicate) string {
 	if p.Var != "" {
 		if len(p.Conds) > 0 {
@@ -142,14 +165,4 @@ func isGAMFamily(a core.Algorithm) bool {
 		}
 	}
 	return false
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
 }

@@ -21,11 +21,44 @@ SELECT ?x ?w WHERE {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"1 BGP(s), 1 CTP(s)", "MoLESP", "scan", "bound by BGP",
+		"1 BGP(s), 1 CTP(s)", "MoLESP", `1. (?x, "citizenOf", "USA"): scan via dst node index`, "bound by BGP",
 		"universal (N)", "multi-queue: true", "MAX 3", "LIMIT 10",
 	} {
 		if !strings.Contains(plan, want) {
 			t.Fatalf("plan missing %q:\n%s", want, plan)
+		}
+	}
+}
+
+// Explain prints the planner's order, not the source order, and each
+// step's access path with the estimates that chose it.
+func TestExplainBGPPlan(t *testing.T) {
+	kg := gen.YAGOLike(500, 1)
+	for _, tc := range []struct {
+		src  string
+		want []string
+	}{
+		{`SELECT ?p ?q WHERE { ?p knows ?q . ?p memberOf org3 . }`, []string{
+			`1. (?p, "memberOf", "org3"): scan via dst node index: est. <= 1 edges`,
+			`2. (?p, "knows", ?q): bind ?p → out-adjacency: est. `,
+			"by scan edge-label index",
+			"decided again at run time",
+		}},
+		{`SELECT ?x ?y WHERE { ?x livesIn ?c . ?x bornIn ?y . }`, []string{
+			"hash join (bound set too large) over scan edge-label index",
+		}},
+		{`SELECT ?y ?z WHERE { person3 ?e ?y . ?x ?e ?z . }`, []string{
+			"bind ?e → edge lookup",
+		}},
+	} {
+		plan, err := NewDefault(kg.Graph).Explain(mustParse(t, tc.src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(plan, want) {
+				t.Errorf("plan of %s missing %q:\n%s", tc.src, want, plan)
+			}
 		}
 	}
 }

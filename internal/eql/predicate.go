@@ -245,3 +245,106 @@ func (p Predicate) Selectivity(g *graph.Graph, node bool) int {
 	}
 	return best
 }
+
+// Compiled is a predicate resolved against one graph: its `label =` and
+// `type =` constants are interned to LabelIDs once, so matching an
+// element against them is an integer compare instead of a string compare
+// per element. Every other condition is kept and evaluated as MatchNode /
+// MatchEdge would. The zero Compiled matches everything.
+type Compiled struct {
+	// Card is the predicate's Selectivity on the graph it was compiled
+	// for: an estimate of how many elements match, lower is more selective.
+	Card int
+
+	unsat    bool // no element of this graph can match
+	hasLabel bool
+	label    graph.LabelID
+	types    []graph.LabelID
+	rest     Predicate // conditions other than label = / type =
+}
+
+// Compile resolves p against g, as a node predicate or an edge predicate.
+// An equality on a string the graph never interned — or two different
+// label constants, or any type condition on an edge — makes the result
+// unsatisfiable.
+func (p Predicate) Compile(g *graph.Graph, node bool) Compiled {
+	c := Compiled{Card: p.Selectivity(g, node)}
+	for _, cond := range p.Conds {
+		switch {
+		case cond.Prop == "type" && !node:
+			c.unsat = true
+		case cond.Op == OpEq && (cond.Prop == "label" || cond.Prop == "type"):
+			id, ok := g.LabelIDOf(cond.Value)
+			switch {
+			case !ok:
+				c.unsat = true
+			case cond.Prop == "type":
+				c.types = append(c.types, id)
+			case c.hasLabel && c.label != id:
+				c.unsat = true
+			default:
+				c.hasLabel, c.label = true, id
+			}
+		default:
+			c.rest.Conds = append(c.rest.Conds, cond)
+		}
+	}
+	if c.unsat {
+		c.Card = 0
+	}
+	return c
+}
+
+// Unsat reports whether no element of the graph can match.
+func (c Compiled) Unsat() bool { return c.unsat }
+
+// MatchNode reports whether node n satisfies the predicate.
+func (c Compiled) MatchNode(g *graph.Graph, n graph.NodeID) bool {
+	if c.unsat || c.hasLabel && g.NodeLabelID(n) != c.label {
+		return false
+	}
+	for _, t := range c.types {
+		if !g.HasType(n, t) {
+			return false
+		}
+	}
+	return c.rest.MatchNode(g, n)
+}
+
+// MatchEdge reports whether edge e, whose label is l, satisfies the
+// predicate.
+func (c Compiled) MatchEdge(g *graph.Graph, e graph.EdgeID, l graph.LabelID) bool {
+	if c.unsat || c.hasLabel && l != c.label {
+		return false
+	}
+	return c.rest.MatchEdge(g, e)
+}
+
+// IndexNodes returns the smallest label- or type-index list that contains
+// every matching node, nil when no equality condition pins one (a caller
+// that takes Card below the node count as its cue never sees that case).
+// Listed nodes still have to pass MatchNode.
+func (c Compiled) IndexNodes(g *graph.Graph) []graph.NodeID {
+	if c.unsat {
+		return nil
+	}
+	var nodes []graph.NodeID
+	if c.hasLabel {
+		nodes = g.NodesWithLabel(c.label)
+	}
+	for i, t := range c.types {
+		if l := g.NodesWithType(t); !c.hasLabel && i == 0 || len(l) < len(nodes) {
+			nodes = l
+		}
+	}
+	return nodes
+}
+
+// IndexEdges is IndexNodes for an edge predicate: the edge-label index
+// list of its label constant.
+func (c Compiled) IndexEdges(g *graph.Graph) []graph.EdgeID {
+	if c.unsat || !c.hasLabel {
+		return nil
+	}
+	return g.EdgesWithLabel(c.label)
+}

@@ -422,3 +422,32 @@ func TestAdmissionCacheBypass(t *testing.T) {
 	relSlot()
 	<-queued
 }
+
+// The feedback the estimator learns from counts BGP work: a BGP-only
+// query that scans a label reports the scanned edges (at the static
+// model's 64 edges per unit), not the floor of 1 it reported when only
+// tree constructions counted; a query without a BGP reports its tree
+// constructions and nothing else, as before.
+func TestAdmissionActualUnitsCountBGPWork(t *testing.T) {
+	_, ts, release := newAdmissionServer(t, 30*time.Second)
+	release()
+
+	code, _, out, fail := postRaw(t, ts.URL, queryRequest{Query: "SELECT ?a ?b WHERE { ?a knows ?b . }", TimeoutMS: 20000})
+	if code != http.StatusOK {
+		t.Fatalf("BGP-only query: status %d: %+v", code, fail)
+	}
+	if out.Search.BGPExamined < 500 || out.Search.BGPRows < out.RowCount {
+		t.Fatalf("search = %+v; want the knows label's ~800 edges examined and at least %d rows", out.Search, out.RowCount)
+	}
+	if want := float64(out.Search.BGPExamined) / 64; out.Admission == nil || out.Admission.ActualUnits != want || want <= 1 {
+		t.Fatalf("BGP-only query: admission %+v, want actual_units %v (> 1)", out.Admission, want)
+	}
+
+	code, _, out, fail = postRaw(t, ts.URL, queryRequest{Query: "SELECT ?w WHERE { CONNECT n1 n2 AS ?w MAX 4 . }", TimeoutMS: 20000})
+	if code != http.StatusOK {
+		t.Fatalf("CONNECT-only query: status %d: %+v", code, fail)
+	}
+	if out.Search.BGPExamined != 0 || out.Admission == nil || out.Admission.ActualUnits != float64(out.Search.TreesGenerated) || out.Search.TreesGenerated < 1 {
+		t.Fatalf("CONNECT-only query: search %+v, admission %+v; want actual_units = trees_generated", out.Search, out.Admission)
+	}
+}

@@ -463,6 +463,10 @@ type searchJSON struct {
 	PeakTrees      int    `json:"peak_trees"`
 	PeakQueueLen   int    `json:"peak_queue_len"`
 	Allocations    uint64 `json:"allocations"`
+	// BGPExamined and BGPRows are the edges BGP evaluation examined and
+	// the rows it materialized (absent for queries without a BGP).
+	BGPExamined int `json:"bgp_examined,omitempty"`
+	BGPRows     int `json:"bgp_rows,omitempty"`
 	// Parallelism is the worker count the query's searches ran with (0 =
 	// sequential kernel); Workers breaks the effort down per worker.
 	Parallelism int          `json:"parallelism,omitempty"`
@@ -789,6 +793,8 @@ func (s *Server) encodeResults(res *ctpquery.Results, algorithm string, maxRows 
 		PeakTrees:      st.PeakTrees,
 		PeakQueueLen:   st.PeakQueueLen,
 		Allocations:    st.Allocations,
+		BGPExamined:    st.BGPExamined,
+		BGPRows:        st.BGPRows,
 		Parallelism:    st.Parallelism,
 	}
 	for _, ws := range st.Workers {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -159,6 +160,36 @@ func TestNaturalJoinCross(t *testing.T) {
 	j := NaturalJoin(a, b)
 	if j.NumRows() != 4 {
 		t.Fatalf("cross product = %d rows", j.NumRows())
+	}
+}
+
+// NaturalJoinTick reports every output row exactly once, for hash joins
+// and cross products alike, and a hook error abandons the join.
+func TestNaturalJoinTick(t *testing.T) {
+	a, shared, disjoint := NewTable("k", "x"), NewTable("k", "y"), NewTable("z")
+	for i := int32(0); i < 300; i++ {
+		a.AddRow(i%10, i)
+		shared.AddRow(i%10, -i)
+		disjoint.AddRow(i)
+	}
+	for name, b := range map[string]*Table{"hash join": shared, "cross product": disjoint} {
+		reported, calls := 0, 0
+		out, err := NaturalJoinTick(a, b, func(rows int) error {
+			reported += rows
+			calls++
+			return nil
+		})
+		if err != nil || out.NumRows() != NaturalJoin(a, b).NumRows() || reported != out.NumRows() {
+			t.Fatalf("%s: %d rows, %d reported, err %v; want %d", name, out.NumRows(), reported, err, NaturalJoin(a, b).NumRows())
+		}
+		if calls < 2 {
+			t.Fatalf("%s: %d rows reported in %d call(s), want progress along the way", name, reported, calls)
+		}
+		stop := errors.New("stop")
+		calls = 0
+		if _, err := NaturalJoinTick(a, b, func(int) error { calls++; return stop }); err != stop || calls != 1 {
+			t.Fatalf("%s: err %v after %d call(s), want the hook's error after 1", name, err, calls)
+		}
 	}
 }
 

@@ -8,7 +8,7 @@ package storage
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"ctpquery/internal/hash64"
@@ -66,8 +66,14 @@ func (t *Table) AddRow(vals ...int32) {
 	t.rows = append(t.rows, row)
 }
 
-// addRowNoCopy appends a tuple assuming ownership of the slice.
-func (t *Table) addRowNoCopy(row []int32) { t.rows = append(t.rows, row) }
+// AddRowOwned appends a tuple without copying it: the table takes
+// ownership of the slice, which the caller must not modify afterwards.
+func (t *Table) AddRowOwned(row []int32) {
+	if len(row) != len(t.cols) {
+		panic(fmt.Sprintf("storage: AddRowOwned with %d values into %d columns", len(row), len(t.cols)))
+	}
+	t.rows = append(t.rows, row)
+}
 
 // Project returns a new table with only the named columns, in the given
 // order. Duplicates rows are preserved; combine with Distinct if needed.
@@ -87,7 +93,7 @@ func (t *Table) Project(cols ...string) (*Table, error) {
 		for i, j := range srcIdx {
 			nr[i] = row[j]
 		}
-		out.addRowNoCopy(nr)
+		out.AddRowOwned(nr)
 	}
 	return out, nil
 }
@@ -152,7 +158,7 @@ func (t *Table) Distinct() *Table {
 		}
 		if !dup {
 			seen[sig] = append(seen[sig], len(out.rows))
-			out.addRowNoCopy(row)
+			out.AddRowOwned(row)
 		}
 	}
 	return out
@@ -164,7 +170,7 @@ func (t *Table) Select(pred func(row []int32) bool) *Table {
 	out := NewTable(t.cols...)
 	for _, row := range t.rows {
 		if pred(row) {
-			out.addRowNoCopy(row)
+			out.AddRowOwned(row)
 		}
 	}
 	return out
@@ -176,22 +182,32 @@ func (t *Table) ColumnValues(name string) ([]int32, error) {
 	if i < 0 {
 		return nil, fmt.Errorf("storage: unknown column %q", name)
 	}
-	seen := make(map[int32]bool)
-	var out []int32
-	for _, row := range t.rows {
-		if !seen[row[i]] {
-			seen[row[i]] = true
-			out = append(out, row[i])
-		}
+	out := make([]int32, len(t.rows))
+	for r, row := range t.rows {
+		out[r] = row[i]
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out, nil
+	slices.Sort(out)
+	return slices.Compact(out), nil
 }
 
 // NaturalJoin hash-joins a and b on all shared columns. With no shared
 // columns it degrades to a cross product, as SQL's NATURAL JOIN does. The
 // output columns are a's columns followed by b's non-shared columns.
 func NaturalJoin(a, b *Table) *Table {
+	out, _ := NaturalJoinTick(a, b, nil)
+	return out
+}
+
+// tickRows is how many output rows NaturalJoinTick lets pass between two
+// calls of its hook.
+const tickRows = 1024
+
+// NaturalJoinTick is NaturalJoin with a progress hook, for callers that
+// meter or may abandon a large join: tick, when non-nil, is called about
+// every thousand output rows with the number emitted since its last call
+// (every emitted row is reported exactly once), and a non-nil error from
+// it abandons the join and is returned.
+func NaturalJoinTick(a, b *Table, tick func(rows int) error) (*Table, error) {
 	var shared []string
 	for _, c := range a.cols {
 		if b.HasColumn(c) {
@@ -205,14 +221,25 @@ func NaturalJoin(a, b *Table) *Table {
 		}
 	}
 	out := NewTable(append(append([]string(nil), a.cols...), bExtra...)...)
+	reported := 0
+	progress := func(final bool) error {
+		if n := len(out.rows) - reported; tick != nil && n > 0 && (final || n >= tickRows) {
+			reported = len(out.rows)
+			return tick(n)
+		}
+		return nil
+	}
 
 	if len(shared) == 0 {
 		for _, ra := range a.rows {
 			for _, rb := range b.rows {
-				out.addRowNoCopy(joinRows(ra, rb, nil, b))
+				out.AddRowOwned(joinRows(ra, rb, nil, b))
+			}
+			if err := progress(false); err != nil {
+				return nil, err
 			}
 		}
-		return out
+		return out, progress(true)
 	}
 
 	// Build on the smaller side for memory locality; probe the larger.
@@ -257,10 +284,13 @@ func NaturalJoin(a, b *Table) *Table {
 			for _, j := range bExtraIdx {
 				nr = append(nr, rb[j])
 			}
-			out.addRowNoCopy(nr)
+			out.AddRowOwned(nr)
+		}
+		if err := progress(false); err != nil {
+			return nil, err
 		}
 	}
-	return out
+	return out, progress(true)
 }
 
 func joinRows(ra, rb []int32, bExtraIdx []int, b *Table) []int32 {

@@ -249,6 +249,12 @@ type SearchStats struct {
 	// 0). Empty for sequential queries.
 	Workers []WorkerSearchStats
 
+	// BGPExamined counts the edges BGP evaluation read from an index or an
+	// adjacency list and checked against a pattern; BGPRows the rows it
+	// materialized, intermediate join results included.
+	BGPExamined int
+	BGPRows     int
+
 	// BGPNS, CTPNS, and JoinNS are the per-stage evaluation times in
 	// nanoseconds — the Timings breakdown embedded here so one struct
 	// carries a query's full effort-and-latency report.
@@ -282,10 +288,12 @@ type WorkerSearchStats struct {
 // CostUnits collapses the report into one scalar effort number — the
 // feedback signal the admission estimator (internal/admission) learns
 // observed per-shape costs from. Units are provenance-tree
-// constructions, the paper's effort metric; a query that searched
-// nothing still reports 1 so downstream ratios stay finite.
+// constructions, the paper's effort metric, plus one unit per 64 edges
+// BGP evaluation examined — the rate the estimator's static model
+// charges a pattern scan at; a query that did neither still reports 1 so
+// downstream ratios stay finite.
 func (s SearchStats) CostUnits() float64 {
-	u := float64(s.TreesGenerated)
+	u := float64(s.TreesGenerated) + float64(s.BGPExamined)/64
 	if u < 1 {
 		u = 1
 	}
@@ -322,6 +330,8 @@ func (r *Results) SearchStats() SearchStats {
 			out.Workers[i].WallNS += ws.WallNS
 		}
 	}
+	out.BGPExamined = r.res.BGPExamined
+	out.BGPRows = r.res.BGPRows
 	out.BGPNS = int64(r.res.BGPTime)
 	out.CTPNS = int64(r.res.CTPTime)
 	out.JoinNS = int64(r.res.JoinTime)

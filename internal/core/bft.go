@@ -72,7 +72,7 @@ func (t *bftTree) identity() (sig uint64, root graph.NodeID, edges []graph.EdgeI
 	if len(t.edges) == 0 {
 		return tree.NodeSig(t.nodes[0]), t.nodes[0], nil
 	}
-	return t.sig, UnrootedRef, t.edges
+	return t.sig, unrootedRef, t.edges
 }
 
 func (t *bftTree) containsNode(n graph.NodeID) bool {
@@ -102,7 +102,7 @@ func (h *bftHeap) Pop() interface{} {
 
 type bftState struct {
 	g        *graph.Graph
-	si       *SeedIndex
+	si       *seedIndex
 	opts     Options
 	variant  Algorithm
 	allowed  map[graph.LabelID]bool
@@ -115,27 +115,27 @@ type bftState struct {
 
 	collector *ResultCollector
 	stats     *Stats
-	dl        *Deadline
+	dl        *deadline
 	stop      bool
 }
 
 // bftSearch runs BFT, BFT-M, or BFT-AM.
 func bftSearch(g *graph.Graph, seeds []SeedSet, opts Options) (*ResultSet, *Stats, error) {
 	start := time.Now()
-	si := BuildSeedIndex(seeds)
+	si := buildSeedIndex(seeds)
 	s := &bftState{
 		g:        g,
 		si:       si,
 		opts:     opts,
 		variant:  opts.Algorithm,
-		allowed:  LabelAllow(g, opts.Filters.Labels),
+		allowed:  labelAllow(g, opts.Filters.Labels),
 		maxEdges: opts.Filters.MaxEdges,
 		hist:     NewSigSet(),
 		byNode:   make(map[graph.NodeID][]*bftTree),
 		stats:    &Stats{},
-		dl:       NewDeadline(opts.Filters.Timeout, opts.Done),
+		dl:       newDeadline(opts.Filters.Timeout, opts.Done),
 	}
-	s.collector = NewResultCollector(g, si, opts)
+	s.collector = newResultCollector(g, si, opts)
 
 	// Generation T0: one-node trees for every seed.
 	inited := make(map[graph.NodeID]bool)
@@ -150,7 +150,7 @@ func bftSearch(g *graph.Graph, seeds []SeedSet, opts Options) (*ResultSet, *Stat
 			inited[n] = true
 			t := bftAcquire()
 			t.nodes = append(t.nodes, n)
-			t.satBuf = bitset.UnionInto(t.satBuf, si.Mask(n), nil)
+			t.satBuf = bitset.UnionInto(t.satBuf, si.mask(n), nil)
 			t.sat = t.satBuf
 			t.sig = tree.SetSigBasis
 			s.stats.created()
@@ -168,7 +168,7 @@ func bftSearch(g *graph.Graph, seeds []SeedSet, opts Options) (*ResultSet, *Stat
 		t := heap.Pop(&s.queue).(*bftTree)
 		probeBftPop.Hit()
 		s.stats.QueuePops++
-		if s.dl.Expired() {
+		if s.dl.expired() {
 			s.stats.TimedOut = true
 			break
 		}
@@ -200,7 +200,7 @@ func (s *bftState) admit(t *bftTree, kind tree.Kind) bool {
 	if s.stop {
 		return false
 	}
-	if s.dl.Expired() {
+	if s.dl.expired() {
 		s.stats.TimedOut = true
 		s.stop = true
 		return false
@@ -225,7 +225,7 @@ func (s *bftState) admit(t *bftTree, kind tree.Kind) bool {
 		return true
 	}
 
-	if s.si.Covers(t.sat) {
+	if s.si.covers(t.sat) {
 		s.reportMinimized(t)
 		if !s.si.hasUniversal {
 			return true
@@ -274,13 +274,13 @@ func (s *bftState) growAll(t *bftTree) {
 			if t.containsNode(other) {
 				continue // Grow1
 			}
-			if s.si.Mask(other).Intersects(t.sat) {
+			if s.si.mask(other).Intersects(t.sat) {
 				continue // Grow2
 			}
 			grown := bftAcquire()
 			grown.edges = tree.InsertEdgeInto(grown.edges, t.edges, e)
 			grown.nodes = tree.InsertNodeInto(grown.nodes, t.nodes, other)
-			if mask := s.si.Mask(other); mask.IsEmpty() {
+			if mask := s.si.mask(other); mask.IsEmpty() {
 				grown.sat = t.sat // alias: a non-seed adds no bits
 			} else {
 				grown.satBuf = bitset.UnionInto(grown.satBuf, t.sat, mask)
@@ -330,7 +330,7 @@ func (s *bftState) bftMergeable(a, b *bftTree, n graph.NodeID) bool {
 	if s.maxEdges > 0 && len(a.edges)+len(b.edges) > s.maxEdges {
 		return false
 	}
-	if a.sat.IntersectsOutside(b.sat, s.si.Mask(n)) {
+	if a.sat.IntersectsOutside(b.sat, s.si.mask(n)) {
 		return false
 	}
 	common := 0
@@ -356,20 +356,20 @@ func (s *bftState) bftMergeable(a, b *bftTree, n graph.NodeID) bool {
 // reportMinimized peels non-seed leaves (Section 4.1's minimization) and
 // reports the minimal tree.
 func (s *bftState) reportMinimized(t *bftTree) {
-	edges := tree.Minimize(s.g, t.edges, s.si.IsSeed)
+	edges := tree.Minimize(s.g, t.edges, s.si.isSeed)
 	var rt *tree.Tree
 	if len(edges) == 0 {
-		rt = tree.NewInit(t.nodes[0], s.si.Mask(t.nodes[0]))
-		if !s.si.Covers(rt.Sat) {
+		rt = tree.NewInit(t.nodes[0], s.si.mask(t.nodes[0]))
+		if !s.si.covers(rt.Sat) {
 			return
 		}
 	} else {
 		nodes := tree.NodesOfEdges(s.g, edges)
 		var sat bitset.Bits
 		for _, n := range nodes {
-			(&sat).UnionInPlace(s.si.Mask(n))
+			(&sat).UnionInPlace(s.si.mask(n))
 		}
-		if !s.si.Covers(sat) {
+		if !s.si.covers(sat) {
 			return
 		}
 		rt = &tree.Tree{Root: nodes[0], Edges: edges, Nodes: nodes, Sat: sat}

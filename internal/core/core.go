@@ -124,13 +124,13 @@ type Options struct {
 	// with the fewest entries.
 	MultiQueue bool
 
-	// Parallelism selects the number of search workers for the GAM-family
-	// algorithms (the internal/exec runtime): 0 keeps the sequential
-	// legacy kernel, 1 runs the parallel runtime with a single worker (its
-	// overhead baseline), and K > 1 shards the search across K workers by
-	// tree root. BFT-family algorithms and MultiQueue scheduling always
-	// run sequentially, as does any build that never linked the runtime
-	// (the engine links it; direct core users import internal/exec for its
+	// Parallelism selects how the GAM-family kernel is scheduled: 0 runs
+	// the kernel on the caller's goroutine with unsynchronised state; K ≥ 1
+	// runs K root-sharded workers (the internal/exec runtime; K = 1 is its
+	// overhead baseline). Both schedule the same Kernel. BFT-family
+	// algorithms and MultiQueue scheduling always run on the caller's
+	// goroutine, as does any build that never linked the runtime (the
+	// engine links it; direct core users import internal/exec for its
 	// side effect). With Parallelism > 1, Priority and Score callbacks may
 	// be invoked from several goroutines and must be pure; OnResult is
 	// serialized but its invocation order is schedule-dependent.
@@ -199,8 +199,8 @@ type Stats struct {
 	Duration  time.Duration
 
 	// Parallel-runtime observability (internal/exec). Parallelism is the
-	// worker count the search actually ran with (0 for the sequential
-	// kernels); Workers holds one entry per worker.
+	// worker count the search actually ran with (0 on the caller's
+	// goroutine); Workers holds one entry per worker.
 	Parallelism int
 	Workers     []WorkerStats
 }
@@ -247,15 +247,13 @@ func Search(g *graph.Graph, seeds []SeedSet, opts Options) (*ResultSet, *Stats, 
 		return nil, nil, fmt.Errorf("core: too many seed sets (%d)", len(seeds))
 	}
 	allUniversal := true
-	for i, s := range seeds {
+	for _, s := range seeds {
 		if !s.Universal {
 			allUniversal = false
 			if len(s.Nodes) == 0 {
 				// An empty seed set has no matches: the CTP result is empty.
 				return &ResultSet{}, &Stats{}, nil
 			}
-		} else {
-			_ = i
 		}
 	}
 	if allUniversal {
@@ -297,15 +295,15 @@ func Search(g *graph.Graph, seeds []SeedSet, opts Options) (*ResultSet, *Stats, 
 	return rs, st, err
 }
 
-// Sequential-kernel probe points (inert unless armed via internal/fault):
+// Caller-goroutine probe points (inert unless armed via internal/fault):
 // one per main loop, hit once per queue pop, so a chaos test can land a
-// panic on an exact iteration of either kernel.
+// panic on an exact iteration of either driver.
 var (
 	probeGamPop = fault.Register("core.gam.pop")
 	probeBftPop = fault.Register("core.bft.pop")
 )
 
-// contained runs a sequential kernel behind a panic containment
+// contained runs a caller-goroutine search behind a panic containment
 // boundary: a panic in the search (or in a caller-supplied callback it
 // invokes) becomes a structured *fault.PanicError instead of killing
 // the process — essential once searches run inside a server.
@@ -319,10 +317,10 @@ func contained(name string, kernel func() (*ResultSet, *Stats, error)) (rs *Resu
 	return kernel()
 }
 
-// parallelKernel is the GAM-family runtime internal/exec registers at
-// init. A function variable (rather than a direct call) breaks the import
-// cycle: exec builds on core's exported kernel toolkit, so core cannot
-// import it back.
+// parallelKernel is the GAM-family worker runtime internal/exec registers
+// at init. A function variable (rather than a direct call) breaks the
+// import cycle: exec schedules core's Kernel, so core cannot import it
+// back.
 var parallelKernel func(g *graph.Graph, seeds []SeedSet, opts Options) (*ResultSet, *Stats, error)
 
 // RegisterParallelKernel installs the Options.Parallelism runtime. It is
@@ -343,19 +341,18 @@ func heapAllocObjects() uint64 {
 	return sample[0].Value.Uint64()
 }
 
-// SeedIndex resolves node -> seed-set membership and tracks universal
-// sets. It is immutable after BuildSeedIndex and safe for concurrent
-// readers, which is what lets the parallel runtime share one index across
-// workers.
-type SeedIndex struct {
+// seedIndex resolves node -> seed-set membership and tracks universal
+// sets. It is immutable after buildSeedIndex and safe for concurrent
+// readers, which is what lets one Setup serve every worker's Kernel.
+type seedIndex struct {
 	masks        map[graph.NodeID]bitset.Bits
 	required     bitset.Bits // all non-universal set indices
 	numSets      int
 	hasUniversal bool
 }
 
-func BuildSeedIndex(seeds []SeedSet) *SeedIndex {
-	idx := &SeedIndex{
+func buildSeedIndex(seeds []SeedSet) *seedIndex {
+	idx := &seedIndex{
 		masks:   make(map[graph.NodeID]bitset.Bits),
 		numSets: len(seeds),
 	}
@@ -375,25 +372,19 @@ func BuildSeedIndex(seeds []SeedSet) *SeedIndex {
 }
 
 // mask returns the seed-set membership of n (nil for non-seeds).
-func (si *SeedIndex) Mask(n graph.NodeID) bitset.Bits { return si.masks[n] }
+func (si *seedIndex) mask(n graph.NodeID) bitset.Bits { return si.masks[n] }
 
 // isSeed reports whether n belongs to any non-universal seed set.
-func (si *SeedIndex) IsSeed(n graph.NodeID) bool {
+func (si *seedIndex) isSeed(n graph.NodeID) bool {
 	return len(si.masks[n]) > 0 && !si.masks[n].IsEmpty()
 }
 
 // covers reports whether sat covers every non-universal seed set.
-func (si *SeedIndex) Covers(sat bitset.Bits) bool { return sat.Contains(si.required) }
-
-// NumSets returns the number of seed sets, universal ones included.
-func (si *SeedIndex) NumSets() int { return si.numSets }
-
-// HasUniversal reports whether any seed set is universal (N).
-func (si *SeedIndex) HasUniversal() bool { return si.hasUniversal }
+func (si *seedIndex) covers(sat bitset.Bits) bool { return sat.Contains(si.required) }
 
 // seedTuple extracts, for each seed set, the tree's node belonging to it;
 // universal sets get the tree root.
-func (si *SeedIndex) SeedTuple(t *tree.Tree) []graph.NodeID {
+func (si *seedIndex) seedTuple(t *tree.Tree) []graph.NodeID {
 	out := make([]graph.NodeID, si.numSets)
 	for i := range out {
 		out[i] = t.Root // default for universal sets
@@ -408,9 +399,9 @@ func (si *SeedIndex) SeedTuple(t *tree.Tree) []graph.NodeID {
 	return out
 }
 
-// LabelAllow compiles the LABEL filter into a set of permitted label IDs;
+// labelAllow compiles the LABEL filter into a set of permitted label IDs;
 // nil means unrestricted. Labels absent from the graph simply never match.
-func LabelAllow(g *graph.Graph, labels []string) map[graph.LabelID]bool {
+func labelAllow(g *graph.Graph, labels []string) map[graph.LabelID]bool {
 	if len(labels) == 0 {
 		return nil
 	}
@@ -423,17 +414,17 @@ func LabelAllow(g *graph.Graph, labels []string) map[graph.LabelID]bool {
 	return out
 }
 
-// Deadline tracks the TIMEOUT filter and caller cancellation with cheap
+// deadline tracks the TIMEOUT filter and caller cancellation with cheap
 // periodic checks.
-type Deadline struct {
+type deadline struct {
 	at    time.Time
 	armed bool
 	done  <-chan struct{}
 	tick  int
 }
 
-func NewDeadline(timeout time.Duration, done <-chan struct{}) *Deadline {
-	d := &Deadline{done: done}
+func newDeadline(timeout time.Duration, done <-chan struct{}) *deadline {
+	d := &deadline{done: done}
 	if timeout > 0 {
 		d.at = time.Now().Add(timeout)
 		d.armed = true
@@ -443,7 +434,7 @@ func NewDeadline(timeout time.Duration, done <-chan struct{}) *Deadline {
 
 // expired polls the clock and the done channel every 64 calls to stay
 // cheap in the hot loop.
-func (d *Deadline) Expired() bool {
+func (d *deadline) expired() bool {
 	if !d.armed && d.done == nil {
 		return false
 	}

@@ -93,8 +93,8 @@ func TestFigure6LESPIncompleteness(t *testing.T) {
 	for i := range edges {
 		edges[i] = graph.EdgeID(i)
 	}
-	si := BuildSeedIndex(seeds)
-	if p := tree.PiecewiseSimple(g, edges, si.IsSeed); p != 4 {
+	si := buildSeedIndex(seeds)
+	if p := tree.PiecewiseSimple(g, edges, si.isSeed); p != 4 {
 		t.Fatalf("piecewise-simple degree = %d, want 4", p)
 	}
 }

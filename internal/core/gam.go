@@ -4,102 +4,83 @@ import (
 	"time"
 
 	"ctpquery/internal/bitset"
+	"ctpquery/internal/fault"
 	"ctpquery/internal/graph"
 	"ctpquery/internal/tree"
 )
 
-// Variant toggles the three orthogonal refinements that turn GAM into
-// ESP, MoESP, LESP, and MoLESP. It is exported so the parallel runtime
-// (internal/exec) resolves the same algorithm semantics as the sequential
-// kernel below.
-type Variant struct {
+// variant toggles the three orthogonal refinements that turn GAM into
+// ESP, MoESP, LESP, and MoLESP.
+type variant struct {
 	ESP  bool // prune on edge sets (Definition 4.3) instead of rooted trees
 	Mo   bool // inject seed-rooted Mo copies (Section 4.5)
 	LESP bool // exempt well-connected merge roots from pruning (Section 4.6)
 }
 
-// VariantOf resolves a GAM-family algorithm to its refinement toggles; it
-// panics on BFT-family algorithms.
-func VariantOf(a Algorithm) Variant {
+// variantOf resolves a GAM-family algorithm to its refinement toggles; it
+// panics on BFT-family algorithms, which Search never routes here.
+func variantOf(a Algorithm) variant {
 	switch a {
 	case GAM:
-		return Variant{}
+		return variant{}
 	case ESP:
-		return Variant{ESP: true}
+		return variant{ESP: true}
 	case MoESP:
-		return Variant{ESP: true, Mo: true}
+		return variant{ESP: true, Mo: true}
 	case LESP:
-		return Variant{ESP: true, LESP: true}
+		return variant{ESP: true, LESP: true}
 	case MoLESP:
-		return Variant{ESP: true, Mo: true, LESP: true}
+		return variant{ESP: true, Mo: true, LESP: true}
 	}
 	panic("core: not a GAM-family algorithm: " + a.String())
 }
 
-// gamState carries the shared globals of Algorithms 1–5: the priority
-// queue, the history, the TreesRootedIn index, the seed signatures ss_n,
-// and the result set.
-type gamState struct {
-	g       *graph.Graph
-	si      *SeedIndex
-	variant Variant
-	opts    Options
-
+// Setup is the immutable part of one GAM-family search — graph, seed
+// index, refinement toggles and the pushed-down filters — built once and
+// shared, read-only, by every Kernel of the run.
+type Setup struct {
+	g        *graph.Graph
+	seeds    []SeedSet
+	si       *seedIndex
+	variant  variant
+	opts     Options
 	allowed  map[graph.LabelID]bool // LABEL filter; nil = all
 	maxEdges int                    // MAX filter; 0 = unlimited
 	uni      bool
-
-	queue    opQueue
-	seq      uint64
 	priority PriorityFunc
-
-	histEdge   *SigSet                       // ESP history: edge-set signatures
-	rootedSeen *SigSet                       // kept rooted trees, by rooted signature
-	byRoot     map[graph.NodeID][]*tree.Tree // TreesRootedIn
-	ss         map[graph.NodeID]bitset.Bits  // seed signatures (Section 4.6)
-
-	collector *ResultCollector
-	stats     *Stats
-	dl        *Deadline
-	stop      bool
 }
 
-// gamSearch runs GAM or one of its pruning variants (Algorithm 1).
-func gamSearch(g *graph.Graph, seeds []SeedSet, opts Options) (*ResultSet, *Stats, error) {
-	start := time.Now()
-	si := BuildSeedIndex(seeds)
-	s := &gamState{
-		g:          g,
-		si:         si,
-		variant:    VariantOf(opts.Algorithm),
-		opts:       opts,
-		allowed:    LabelAllow(g, opts.Filters.Labels),
-		maxEdges:   opts.Filters.MaxEdges,
-		uni:        opts.Filters.Uni,
-		priority:   opts.Priority,
-		histEdge:   NewSigSet(),
-		rootedSeen: NewSigSet(),
-		byRoot:     make(map[graph.NodeID][]*tree.Tree),
-		ss:         make(map[graph.NodeID]bitset.Bits),
-		stats:      &Stats{},
-		dl:         NewDeadline(opts.Filters.Timeout, opts.Done),
+// NewSetup resolves a search's options. opts.Algorithm must be one of the
+// GAM family (Search validates it).
+func NewSetup(g *graph.Graph, seeds []SeedSet, opts Options) *Setup {
+	s := &Setup{
+		g:        g,
+		seeds:    seeds,
+		si:       buildSeedIndex(seeds),
+		variant:  variantOf(opts.Algorithm),
+		opts:     opts,
+		allowed:  labelAllow(g, opts.Filters.Labels),
+		maxEdges: opts.Filters.MaxEdges,
+		uni:      opts.Filters.Uni,
+		priority: opts.Priority,
 	}
 	if s.priority == nil {
 		// Default order: smallest trees first (the order used in all of
 		// the paper's experiments), FIFO among equals.
 		s.priority = func(t *tree.Tree, e graph.EdgeID) float64 { return float64(t.Size()) }
 	}
-	if opts.MultiQueue {
-		s.queue = newMultiQueue()
-	} else {
-		s.queue = newSingleQueue()
-	}
-	s.collector = NewResultCollector(g, si, opts)
+	return s
+}
 
-	// Init trees: one per distinct seed node, over all non-universal sets
-	// (universal sets spawn no Init trees, Section 4.9).
+// NewCollector returns the search's result sink.
+func (s *Setup) NewCollector() *ResultCollector { return newResultCollector(s.g, s.si, s.opts) }
+
+// Inits yields the Init trees: one per distinct seed node, over all
+// non-universal sets (universal sets spawn no Init trees, Section 4.9).
+// It stops early when yield returns false.
+func (s *Setup) Inits(yield func(*tree.Tree) bool) {
 	inited := make(map[graph.NodeID]bool)
-	for _, set := range seeds {
+	for _, set := range s.seeds {
 		if set.Universal {
 			continue
 		}
@@ -108,19 +89,128 @@ func gamSearch(g *graph.Graph, seeds []SeedSet, opts Options) (*ResultSet, *Stat
 				continue
 			}
 			inited[n] = true
-			mask := si.Mask(n)
-			t := tree.NewInit(n, mask)
-			s.stats.created()
-			s.updateSignature(t)
-			s.processTree(t)
-			if s.stop {
-				break
+			if !yield(tree.NewInit(n, s.si.mask(n))) {
+				return
 			}
 		}
-		if s.stop {
-			break
-		}
 	}
+}
+
+// Scheduler is the seam between the kernel and whatever drives it: all
+// that differs between running a search on the caller's goroutine
+// (callerSched below: plain fields, one queue) and across root-sharded
+// workers (internal/exec: atomics, a lock-striped history, mailboxes).
+// Every method is called from the goroutine that owns the Kernel.
+type Scheduler interface {
+	// Stopped reports whether the run has ended, by a filter, a failure
+	// or completion; the kernel then abandons the candidate in hand.
+	Stopped() bool
+	Timeout()  // stop the run, reported as Stats.TimedOut
+	Truncate() // stop the run, reported as Stats.Truncated
+	// Claim inserts an identity into the run-wide ESP edge-set history
+	// and reports whether it was absent: exactly one claimant wins.
+	Claim(sig uint64, root graph.NodeID, edges []graph.EdgeID) bool
+	// CountKept counts one kept tree against Options.MaxTrees (> 0) and
+	// reports whether the bound is reached.
+	CountKept() bool
+	// Result hands a covering tree to the collector; true means LIMIT (or
+	// a streaming callback) asks the search to stop.
+	Result(t *tree.Tree) bool
+	// PushGrow queues a Grow opportunity whose tree will be rooted at
+	// root: here, or on whichever shard owns root.
+	PushGrow(root graph.NodeID, op GrowOp)
+	QueueLen() int // of the queue PushGrow feeds here
+	// Mo takes a Mo copy to the Kernel owning mo.Root, for CommitMo.
+	Mo(mo *tree.Tree)
+}
+
+// Kernel is the GAM family itself — Algorithms 2–5 with the ESP/Mo/LESP
+// toggles — over one shard of the search: the state keyed by tree root
+// (TreesRootedIn, the rooted history, the seed signatures ss_n), the
+// effort counters and the deadline are private to it, and everything
+// run-wide goes through its Scheduler. A sequential search is one Kernel
+// owning every root. A Kernel is single-goroutine.
+type Kernel struct {
+	s     Setup // by value: the hot loops read it without an extra hop
+	sched Scheduler
+
+	rootedSeen *SigSet                       // kept rooted trees, by rooted signature
+	byRoot     map[graph.NodeID][]*tree.Tree // TreesRootedIn
+	ss         map[graph.NodeID]bitset.Bits  // seed signatures (Section 4.6)
+	dl         *deadline
+
+	probeTree, probeMo *fault.Point // the driver's, hit per candidate / Mo commit; nil for none
+
+	// Stats holds this kernel's counters. TimedOut, Truncated, Results,
+	// Duration and the parallel-runtime fields are the driver's to fill.
+	Stats Stats
+}
+
+// NewKernel returns an empty shard of the search driven by sched.
+func (s *Setup) NewKernel(sched Scheduler, probeTree, probeMo *fault.Point) *Kernel {
+	return &Kernel{
+		s:          *s,
+		sched:      sched,
+		rootedSeen: NewSigSet(),
+		byRoot:     make(map[graph.NodeID][]*tree.Tree),
+		ss:         make(map[graph.NodeID]bitset.Bits),
+		dl:         newDeadline(s.opts.Filters.Timeout, s.opts.Done),
+		probeTree:  probeTree,
+		probeMo:    probeMo,
+	}
+}
+
+func hit(p *fault.Point) {
+	if p != nil {
+		p.Hit()
+	}
+}
+
+// callerSched drives one Kernel on the caller's goroutine: no goroutine,
+// lock or atomic anywhere.
+type callerSched struct {
+	k         *Kernel
+	queue     opQueue
+	seq       uint64
+	histEdge  *SigSet // ESP history: edge-set signatures
+	collector *ResultCollector
+	stop      bool
+}
+
+func (s *callerSched) Stopped() bool { return s.stop }
+func (s *callerSched) Timeout()      { s.k.Stats.TimedOut, s.stop = true, true }
+func (s *callerSched) Truncate()     { s.k.Stats.Truncated, s.stop = true, true }
+func (s *callerSched) Claim(sig uint64, root graph.NodeID, edges []graph.EdgeID) bool {
+	return s.histEdge.Add(sig, root, edges)
+}
+func (s *callerSched) CountKept() bool          { return s.k.Stats.Kept() >= s.k.s.opts.MaxTrees }
+func (s *callerSched) Result(t *tree.Tree) bool { return s.collector.Add(t) }
+func (s *callerSched) PushGrow(_ graph.NodeID, op GrowOp) {
+	s.seq++
+	op.Seq = s.seq
+	s.queue.push(op)
+}
+func (s *callerSched) QueueLen() int    { return s.queue.len() }
+func (s *callerSched) Mo(mo *tree.Tree) { s.k.CommitMo(mo) }
+
+// gamSearch runs GAM or one of its pruning variants (Algorithm 1) on the
+// caller's goroutine.
+func gamSearch(g *graph.Graph, seeds []SeedSet, opts Options) (*ResultSet, *Stats, error) {
+	start := time.Now()
+	setup := NewSetup(g, seeds, opts)
+	s := &callerSched{histEdge: NewSigSet(), collector: setup.NewCollector()}
+	if opts.MultiQueue {
+		s.queue = newMultiQueue()
+	} else {
+		s.queue = newSingleQueue()
+	}
+	k := setup.NewKernel(s, nil, nil)
+	s.k = k
+
+	setup.Inits(func(t *tree.Tree) bool {
+		k.Admit(t)
+		return !s.stop
+	})
 
 	// Main loop (Algorithm 1 lines 8–11).
 	for !s.stop {
@@ -129,131 +219,146 @@ func gamSearch(g *graph.Graph, seeds []SeedSet, opts Options) (*ResultSet, *Stat
 			break
 		}
 		probeGamPop.Hit()
-		s.stats.QueuePops++
-		if s.dl.Expired() {
-			s.stats.TimedOut = true
-			break
+		if t := k.Construct(op); t != nil {
+			k.Admit(t)
 		}
-		newRoot := s.g.Other(op.e, op.t.Root)
-		t := tree.NewGrow(op.t, op.e, newRoot, s.si.Mask(newRoot))
-		s.stats.created()
-		s.updateSignature(t)
-		s.processTree(t)
 	}
 
-	s.stats.Duration = time.Since(start)
+	// A copy, so the caller's Stats do not pin the kernel's indexes.
+	st := k.Stats
+	st.Duration = time.Since(start)
 	rs := s.collector.finish()
-	s.stats.Results = len(rs.Results)
-	return rs, s.stats, nil
+	st.Results = len(rs.Results)
+	return rs, &st, nil
 }
+
+// Construct counts a queue pop and turns the popped Grow opportunity into
+// its candidate tree, for Admit on the Kernel owning the new root. It
+// returns nil after stopping the run when the deadline has passed.
+func (k *Kernel) Construct(op GrowOp) *tree.Tree {
+	k.Stats.QueuePops++
+	if k.dl.expired() {
+		k.sched.Timeout()
+		return nil
+	}
+	newRoot := k.s.g.Other(op.E, op.T.Root)
+	return tree.NewGrow(op.T, op.E, newRoot, k.s.si.mask(newRoot))
+}
+
+// Admit runs a freshly built Init or Grow tree rooted in this shard
+// through Algorithm 2.
+func (k *Kernel) Admit(t *tree.Tree) {
+	k.Stats.created()
+	k.updateSignature(t)
+	k.processTree(t)
+}
+
+// NoteQueueLen samples the local grow queue for Stats.PeakQueueLen; the
+// driver calls it after queueing ops the kernel did not push itself.
+func (k *Kernel) NoteQueueLen() { k.Stats.noteQueueLen(k.sched.QueueLen()) }
 
 // updateSignature maintains ss_n: when a new (n,s)-rooted path (Definition
 // 4.4) reaches n, the bits of its origin seed are set on n.
-func (s *gamState) updateSignature(t *tree.Tree) {
-	if !s.variant.LESP || !t.SeedPath {
+func (k *Kernel) updateSignature(t *tree.Tree) {
+	if !k.s.variant.LESP || !t.SeedPath {
 		return
 	}
-	m := s.ss[t.Root]
+	m := k.ss[t.Root]
 	(&m).UnionInPlace(t.Sat)
-	s.ss[t.Root] = m
+	k.ss[t.Root] = m
 }
 
 // isNew implements Algorithm 4 for the ESP family, plain rooted-tree
 // deduplication for GAM, and always-true for 0-edge (Init) trees, which
 // are deduplicated at creation. Identity checks run on 64-bit signatures
-// with collision-checked buckets — no string key is built.
-func (s *gamState) isNew(t *tree.Tree) bool {
-	if t.Size() == 0 || !s.variant.ESP {
+// with collision-checked buckets — no string key is built. The edge-set
+// check is a claim: a new edge set enters the history here, not in keep,
+// so that among concurrent shards exactly one keeps it.
+func (k *Kernel) isNew(t *tree.Tree) bool {
+	if t.Size() == 0 || !k.s.variant.ESP {
 		// GAM (and 0-edge trees): discard all but the first provenance of
 		// a rooted tree.
-		return !s.rootedSeen.Has(t.RootedSig(), t.Root, t.Edges)
+		return !k.rootedSeen.Has(t.RootedSig(), t.Root, t.Edges)
 	}
-	if !s.histEdge.Has(t.Sig(), UnrootedRef, t.Edges) {
+	if k.sched.Claim(t.Sig(), unrootedRef, t.Edges) {
 		return true
 	}
-	if s.variant.LESP {
+	if k.s.variant.LESP {
 		// The LESP exemption: roots already connected to >= 3 seed sets
 		// with graph degree >= 3 keep their (new) rooted trees.
-		if s.ss[t.Root].Count() >= 3 && s.g.Degree(t.Root) >= 3 &&
-			!s.rootedSeen.Has(t.RootedSig(), t.Root, t.Edges) {
-			s.stats.Spared++
+		if k.ss[t.Root].Count() >= 3 && k.s.g.Degree(t.Root) >= 3 &&
+			!k.rootedSeen.Has(t.RootedSig(), t.Root, t.Edges) {
+			k.Stats.Spared++
 			return true
 		}
 	}
 	return false
 }
 
-// keep records a tree in the history and statistics. The histories alias
-// the tree's edge slice, which is safe: kept trees are immutable and
-// never recycled.
-func (s *gamState) keep(t *tree.Tree) {
-	s.rootedSeen.Add(t.RootedSig(), t.Root, t.Edges)
-	if s.variant.ESP && t.Size() > 0 {
-		s.histEdge.Add(t.Sig(), UnrootedRef, t.Edges)
-	}
+// keep records a tree in the rooted history and statistics (its edge set
+// was claimed in isNew, or by the parent of a Mo copy). The history
+// aliases the tree's edge slice, which is safe: kept trees are immutable
+// and never recycled.
+func (k *Kernel) keep(t *tree.Tree) {
+	k.rootedSeen.Add(t.RootedSig(), t.Root, t.Edges)
 	switch t.Kind {
 	case tree.Init:
-		s.stats.Inits++
+		k.Stats.Inits++
 	case tree.Grow:
-		s.stats.Grows++
+		k.Stats.Grows++
 	case tree.Merge:
-		s.stats.Merges++
+		k.Stats.Merges++
 	case tree.Mo:
-		s.stats.MoTrees++
+		k.Stats.MoTrees++
 	}
-	if s.opts.MaxTrees > 0 && s.stats.Kept() >= s.opts.MaxTrees {
-		s.stats.Truncated = true
-		s.stop = true
+	if k.s.opts.MaxTrees > 0 && k.sched.CountKept() {
+		k.sched.Truncate()
 	}
 }
 
-// isResult reports whether the tree covers every (non-universal) seed set.
-func (s *gamState) isResult(t *tree.Tree) bool { return s.si.Covers(t.Sat) }
-
 // processTree implements Algorithm 2: deduplicate, report results, record
 // for merging (with Mo injection), feed the queue, and merge aggressively.
-func (s *gamState) processTree(t *tree.Tree) {
-	if s.stop {
+func (k *Kernel) processTree(t *tree.Tree) {
+	hit(k.probeTree)
+	if k.sched.Stopped() {
 		return
 	}
-	if s.dl.Expired() {
-		s.stats.TimedOut = true
-		s.stop = true
+	if k.dl.expired() {
+		k.sched.Timeout()
 		return
 	}
-	if !s.isNew(t) {
-		s.stats.Pruned++
-		s.recycle(t)
+	if !k.isNew(t) {
+		k.Stats.Pruned++
+		k.recycle(t)
 		return
 	}
-	s.keep(t)
-	if s.stop {
+	k.keep(t)
+	if k.sched.Stopped() {
 		return
 	}
-	if s.isResult(t) {
-		if s.collector.Add(t) {
-			s.stats.Truncated = true
-			s.stop = true
+	if k.s.si.covers(t.Sat) {
+		if k.sched.Result(t) {
+			k.sched.Truncate()
 			return
 		}
 		// With universal seed sets, larger results exist (Definition 2.8's
 		// adjustment for N seed sets): results keep growing and merging.
-		if !s.si.hasUniversal {
+		if !k.s.si.hasUniversal {
 			return
 		}
 	}
-	s.recordForMerging(t)
+	k.recordForMerging(t)
 	if !t.HasMo {
-		s.pushGrows(t)
+		k.pushGrows(t)
 	}
-	s.mergeAll(t)
+	k.mergeAll(t)
 }
 
 // recycle returns a rejected candidate's buffers to the pool. Only called
 // on trees no history, index, queue, or result references.
-func (s *gamState) recycle(t *tree.Tree) {
+func (k *Kernel) recycle(t *tree.Tree) {
 	if tree.Recycle(t) {
-		s.stats.Recycled++
+		k.Stats.Recycled++
 	}
 }
 
@@ -262,37 +367,49 @@ func (s *gamState) recycle(t *tree.Tree) {
 // whenever the provenance gained seeds over its children (Section 4.5).
 // Mo trees are skipped under UNI: re-rooting breaks the directed-tree
 // invariant the UNI filter requires.
-func (s *gamState) recordForMerging(t *tree.Tree) {
-	s.byRoot[t.Root] = append(s.byRoot[t.Root], t)
-	if !s.variant.Mo || s.uni || !s.gainedSeeds(t) {
+func (k *Kernel) recordForMerging(t *tree.Tree) {
+	k.byRoot[t.Root] = append(k.byRoot[t.Root], t)
+	if !k.s.variant.Mo || k.s.uni || !gainedSeeds(t) {
 		return
 	}
 	for _, n := range t.Nodes {
-		if n == t.Root || !s.si.IsSeed(n) {
+		if n == t.Root || !k.s.si.isSeed(n) {
 			continue
 		}
-		mo := tree.NewMo(t, n)
-		s.stats.created()
-		if s.rootedSeen.Has(mo.RootedSig(), mo.Root, mo.Edges) {
-			s.stats.Pruned++
-			s.recycle(mo)
-			continue
-		}
-		s.keep(mo)
-		if s.stop {
-			return
-		}
-		s.byRoot[n] = append(s.byRoot[n], mo)
-		s.mergeAll(mo)
-		if s.stop {
+		k.sched.Mo(tree.NewMo(t, n))
+		if k.sched.Stopped() {
 			return
 		}
 	}
 }
 
+// CommitMo is the tail of Algorithm 3 on the shard owning the copy's
+// root: Mo trees bypass the edge-set history — their edge set is the
+// (already claimed) parent's — and deduplicate on the rooted identity
+// only. Created is counted here, where a rejected copy is also recycled,
+// so live-tree accounting balances per Kernel.
+func (k *Kernel) CommitMo(mo *tree.Tree) {
+	hit(k.probeMo)
+	if k.sched.Stopped() {
+		return
+	}
+	k.Stats.created()
+	if k.rootedSeen.Has(mo.RootedSig(), mo.Root, mo.Edges) {
+		k.Stats.Pruned++
+		k.recycle(mo)
+		return
+	}
+	k.keep(mo)
+	if k.sched.Stopped() {
+		return
+	}
+	k.byRoot[mo.Root] = append(k.byRoot[mo.Root], mo)
+	k.mergeAll(mo)
+}
+
 // gainedSeeds reports whether t has strictly more seeds than each of its
 // provenance children — the Section 4.5 trigger for Mo injection.
-func (s *gamState) gainedSeeds(t *tree.Tree) bool {
+func gainedSeeds(t *tree.Tree) bool {
 	switch t.Kind {
 	case tree.Init:
 		return false // single node: no other seed to re-root at
@@ -304,32 +421,32 @@ func (s *gamState) gainedSeeds(t *tree.Tree) bool {
 	return false
 }
 
-// pushGrows feeds the queue with the (t, e) pairs satisfying Grow1, Grow2,
-// and the pushed-down filters (Section 4.8).
-func (s *gamState) pushGrows(t *tree.Tree) {
-	if s.maxEdges > 0 && t.Size() >= s.maxEdges {
+// pushGrows feeds the scheduler with the (t, e) pairs satisfying Grow1,
+// Grow2, and the pushed-down filters (Section 4.8).
+func (k *Kernel) pushGrows(t *tree.Tree) {
+	if k.s.maxEdges > 0 && t.Size() >= k.s.maxEdges {
 		return
 	}
-	for _, e := range s.g.IncidentEdges(t.Root) {
-		if s.allowed != nil && !s.allowed[s.g.EdgeLabelID(e)] {
+	g := k.s.g
+	for _, e := range g.IncidentEdges(t.Root) {
+		if k.s.allowed != nil && !k.s.allowed[g.EdgeLabelID(e)] {
 			continue
 		}
-		other := s.g.Other(e, t.Root)
+		other := g.Other(e, t.Root)
 		if t.ContainsNode(other) {
 			continue // Grow1
 		}
-		if s.si.Mask(other).Intersects(t.Sat) {
+		if k.s.si.mask(other).Intersects(t.Sat) {
 			continue // Grow2
 		}
-		if s.uni && s.g.Source(e) != other {
+		if k.s.uni && g.Source(e) != other {
 			// UNI: grow backward over the edge so the eventual root
 			// reaches every seed along directed paths.
 			continue
 		}
-		s.seq++
-		s.queue.push(growOp{t: t, e: e, prio: s.priority(t, e), seq: s.seq})
+		k.sched.PushGrow(other, GrowOp{T: t, E: e, Prio: k.s.priority(t, e)})
 	}
-	s.stats.noteQueueLen(s.queue.len())
+	k.NoteQueueLen()
 }
 
 // mergeable checks Merge1/Merge2 (Section 4.2) plus the MAX filter. The
@@ -337,38 +454,44 @@ func (s *gamState) pushGrows(t *tree.Tree) {
 // is represented in both trees except through the shared root": trees
 // rooted at a seed node legitimately share that seed's sets (e.g. the
 // Figure 3 merge of A-1-2-B with B-3-C at root B).
-func (s *gamState) mergeable(a, b *tree.Tree) bool {
+func (k *Kernel) mergeable(a, b *tree.Tree) bool {
 	if a.Size() == 0 || b.Size() == 0 {
 		return false // merging with a single-node tree recreates the partner
 	}
-	if s.maxEdges > 0 && a.Size()+b.Size() > s.maxEdges {
+	if k.s.maxEdges > 0 && a.Size()+b.Size() > k.s.maxEdges {
 		return false
 	}
-	if a.Sat.IntersectsOutside(b.Sat, s.si.Mask(a.Root)) {
+	if a.Sat.IntersectsOutside(b.Sat, k.s.si.mask(a.Root)) {
 		return false // Merge2
 	}
 	return tree.OverlapOnlyRoot(a, b) // Merge1
 }
 
 // mergeAll implements Algorithm 5: aggressively merge t with every
-// compatible tree sharing its root. New merges recurse through
-// processTree, which records them before merging further, so every
-// compatible pair is eventually examined from its later member.
-func (s *gamState) mergeAll(t *tree.Tree) {
-	partners := s.byRoot[t.Root]
+// compatible tree sharing its root — all of which live in this shard.
+// New merges recurse through processTree, which records them before
+// merging further, so every compatible pair is eventually examined from
+// its later member.
+func (k *Kernel) mergeAll(t *tree.Tree) {
+	if k.sched.Stopped() {
+		return
+	}
+	partners := k.byRoot[t.Root]
 	// Snapshot: processTree below may append to byRoot[t.Root]; new
 	// entries merge with t from their own mergeAll.
 	n := len(partners)
 	for i := 0; i < n; i++ {
-		if s.stop {
-			return
-		}
 		tp := partners[i]
-		if tp == t || !s.mergeable(t, tp) {
+		if tp == t || !k.mergeable(t, tp) {
 			continue
 		}
 		merged := tree.NewMerge(t, tp)
-		s.stats.created()
-		s.processTree(merged)
+		k.Stats.created()
+		k.processTree(merged)
+		// Only a candidate's processing (or, across shards, a peer) stops
+		// the run, so partners that do not merge need no re-check.
+		if k.sched.Stopped() {
+			return
+		}
 	}
 }

@@ -175,13 +175,13 @@ func TestGAMResultsMinimal(t *testing.T) {
 	france, _ := g.NodeByLabel("France")
 	seeds := singletons(bob, alice, france)
 	rs, _ := run(t, g, seeds, Options{Algorithm: GAM, Filters: eql.Filters{MaxEdges: 5}})
-	si := BuildSeedIndex(seeds)
+	si := buildSeedIndex(seeds)
 	for _, r := range rs.Results {
 		if r.Tree.Size() == 0 {
 			continue
 		}
 		for _, l := range tree.Leaves(g, r.Tree.Edges) {
-			if !si.IsSeed(l) {
+			if !si.isSeed(l) {
 				t.Fatalf("GAM reported non-minimal tree %v (leaf %d is not a seed)", r.Tree, l)
 			}
 		}

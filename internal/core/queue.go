@@ -6,29 +6,34 @@ import (
 	"ctpquery/internal/tree"
 )
 
-// growOp is a (tree, edge) Grow opportunity (Section 4.2).
-type growOp struct {
-	t    *tree.Tree
-	e    graph.EdgeID
-	prio float64
-	seq  uint64 // FIFO tiebreak
+// GrowOp is a (tree, edge) Grow opportunity (Section 4.2). The kernel
+// fills T, E and Prio; Seq is the FIFO tiebreak of whichever queue the
+// scheduler puts the op on.
+type GrowOp struct {
+	T    *tree.Tree
+	E    graph.EdgeID
+	Prio float64
+	Seq  uint64
 }
 
-// opHeap is a min-heap of growOps ordered by (prio, seq). The sift
-// operations are hand-rolled rather than delegated to container/heap:
-// pushing a growOp through heap.Push boxes the struct into an interface,
-// one heap allocation per queued op — the dominant allocator in GAM's
-// main loop before this layout.
-type opHeap []growOp
+// OpHeap is a min-heap of GrowOps ordered by (Prio, Seq) — the one grow
+// queue layout, wrapped by the single- and multi-queue below and by
+// exec's stealable per-worker queue. The sift operations are hand-rolled
+// rather than delegated to container/heap: pushing a GrowOp through
+// heap.Push boxes the struct into an interface, one heap allocation per
+// queued op — the dominant allocator in GAM's main loop before this
+// layout.
+type OpHeap []GrowOp
 
-func (h opHeap) less(i, j int) bool {
-	if h[i].prio != h[j].prio {
-		return h[i].prio < h[j].prio
+func (h OpHeap) less(i, j int) bool {
+	if h[i].Prio != h[j].Prio {
+		return h[i].Prio < h[j].Prio
 	}
-	return h[i].seq < h[j].seq
+	return h[i].Seq < h[j].Seq
 }
 
-func (h *opHeap) pushOp(op growOp) {
+// Push adds op to the heap.
+func (h *OpHeap) Push(op GrowOp) {
 	a := append(*h, op)
 	*h = a
 	i := len(a) - 1
@@ -42,12 +47,13 @@ func (h *opHeap) pushOp(op growOp) {
 	}
 }
 
-func (h *opHeap) popOp() growOp {
+// Pop removes and returns the least op; the heap must not be empty.
+func (h *OpHeap) Pop() GrowOp {
 	a := *h
 	top := a[0]
 	n := len(a) - 1
 	a[0] = a[n]
-	a[n] = growOp{} // drop the tree reference for the GC
+	a[n] = GrowOp{} // drop the tree reference for the GC
 	a = a[:n]
 	*h = a
 	i := 0
@@ -72,23 +78,23 @@ func (h *opHeap) popOp() growOp {
 // opQueue abstracts the single- and multi-queue (Section 4.9) scheduling
 // strategies behind push/pop.
 type opQueue interface {
-	push(op growOp)
-	pop() (growOp, bool)
+	push(op GrowOp)
+	pop() (GrowOp, bool)
 	len() int
 }
 
 // singleQueue is the default: one global priority queue.
-type singleQueue struct{ h opHeap }
+type singleQueue struct{ h OpHeap }
 
-func newSingleQueue() *singleQueue { return &singleQueue{h: make(opHeap, 0, 64)} }
+func newSingleQueue() *singleQueue { return &singleQueue{h: make(OpHeap, 0, 64)} }
 
-func (q *singleQueue) push(op growOp) { q.h.pushOp(op) }
+func (q *singleQueue) push(op GrowOp) { q.h.Push(op) }
 func (q *singleQueue) len() int       { return len(q.h) }
-func (q *singleQueue) pop() (growOp, bool) {
+func (q *singleQueue) pop() (GrowOp, bool) {
 	if len(q.h) == 0 {
-		return growOp{}, false
+		return GrowOp{}, false
 	}
-	return q.h.popOp(), true
+	return q.h.Pop(), true
 }
 
 // multiQueue keeps one priority queue per tree signature (the sat bitset)
@@ -106,37 +112,37 @@ type multiQueue struct {
 // satHeap is the per-signature queue plus the exact bitset it stands for.
 type satHeap struct {
 	sat bitset.Bits
-	h   opHeap
+	h   OpHeap
 }
 
 func newMultiQueue() *multiQueue {
 	return &multiQueue{buckets: make(map[uint64][]*satHeap)}
 }
 
-func (q *multiQueue) push(op growOp) {
-	sig := op.t.Sat.Sig()
+func (q *multiQueue) push(op GrowOp) {
+	sig := op.T.Sat.Sig()
 	var sh *satHeap
 	for _, cand := range q.buckets[sig] {
-		if cand.sat.Equal(op.t.Sat) {
+		if cand.sat.Equal(op.T.Sat) {
 			sh = cand
 			break
 		}
 	}
 	if sh == nil {
 		// The sat bits alias the (immutable, kept) tree; no clone needed.
-		sh = &satHeap{sat: op.t.Sat}
+		sh = &satHeap{sat: op.T.Sat}
 		q.buckets[sig] = append(q.buckets[sig], sh)
 		q.order = append(q.order, sh)
 	}
-	sh.h.pushOp(op)
+	sh.h.Push(op)
 	q.total++
 }
 
 func (q *multiQueue) len() int { return q.total }
 
-func (q *multiQueue) pop() (growOp, bool) {
+func (q *multiQueue) pop() (GrowOp, bool) {
 	if q.total == 0 {
-		return growOp{}, false
+		return GrowOp{}, false
 	}
 	var best *satHeap
 	bestLen := -1
@@ -150,8 +156,8 @@ func (q *multiQueue) pop() (growOp, bool) {
 		}
 	}
 	if best == nil {
-		return growOp{}, false
+		return GrowOp{}, false
 	}
 	q.total--
-	return best.h.popOp(), true
+	return best.h.Pop(), true
 }

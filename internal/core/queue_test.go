@@ -7,13 +7,13 @@ import (
 	"ctpquery/internal/tree"
 )
 
-func mkOp(satBits []int, prio float64, seq uint64) growOp {
+func mkOp(satBits []int, prio float64, seq uint64) GrowOp {
 	var sat bitset.Bits
 	for _, b := range satBits {
 		sat.Set(b)
 	}
 	t := tree.NewInit(0, sat)
-	return growOp{t: t, e: 0, prio: prio, seq: seq}
+	return GrowOp{T: t, E: 0, Prio: prio, Seq: seq}
 }
 
 func TestSingleQueueOrdering(t *testing.T) {
@@ -26,15 +26,15 @@ func TestSingleQueueOrdering(t *testing.T) {
 	}
 	// Lowest priority first; FIFO among equals.
 	op, ok := q.pop()
-	if !ok || op.prio != 1 || op.seq != 2 {
+	if !ok || op.Prio != 1 || op.Seq != 2 {
 		t.Fatalf("pop = %+v", op)
 	}
 	op, _ = q.pop()
-	if op.seq != 3 {
+	if op.Seq != 3 {
 		t.Fatalf("tie-break wrong: %+v", op)
 	}
 	op, _ = q.pop()
-	if op.prio != 2 {
+	if op.Prio != 2 {
 		t.Fatalf("pop = %+v", op)
 	}
 	if _, ok := q.pop(); ok {
@@ -55,12 +55,12 @@ func TestMultiQueuePicksSmallest(t *testing.T) {
 	// The B queue holds fewer entries: its op pops first despite the
 	// higher priority value.
 	op, ok := q.pop()
-	if !ok || op.seq != 4 {
+	if !ok || op.Seq != 4 {
 		t.Fatalf("pop = %+v, want the lone signature-B op", op)
 	}
 	// Now A (3 entries) is the only non-empty queue; pops by priority.
 	op, _ = q.pop()
-	if op.seq != 1 {
+	if op.Seq != 1 {
 		t.Fatalf("pop = %+v", op)
 	}
 	if q.len() != 2 {
@@ -85,7 +85,7 @@ func TestMultiQueueDrainsSmallestFirst(t *testing.T) {
 		if !ok {
 			break
 		}
-		order = append(order, op.seq)
+		order = append(order, op.Seq)
 	}
 	if len(order) != 6 {
 		t.Fatalf("drained %d ops", len(order))
@@ -109,9 +109,9 @@ func TestMultiQueueEmpty(t *testing.T) {
 }
 
 func TestDeadlineDisabled(t *testing.T) {
-	d := NewDeadline(0, nil)
+	d := newDeadline(0, nil)
 	for i := 0; i < 1000; i++ {
-		if d.Expired() {
+		if d.expired() {
 			t.Fatal("disabled deadline expired")
 		}
 	}

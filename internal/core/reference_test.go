@@ -15,13 +15,13 @@ import (
 // tiny graphs, but independent of the search algorithms, making it the
 // ground truth for completeness cross-checks.
 func referenceResults(g *graph.Graph, seeds []SeedSet, maxEdges int) map[string]bool {
-	si := BuildSeedIndex(seeds)
+	si := buildSeedIndex(seeds)
 	out := make(map[string]bool)
 
 	// Single-node results: a node belonging to every seed set.
 	for i := 0; i < g.NumNodes(); i++ {
 		n := graph.NodeID(i)
-		if si.Covers(si.Mask(n)) {
+		if si.covers(si.mask(n)) {
 			out["n"+tree.EdgeSetKey([]graph.EdgeID{graph.EdgeID(n)})] = true
 		}
 	}
@@ -46,7 +46,7 @@ func referenceResults(g *graph.Graph, seeds []SeedSet, maxEdges int) map[string]
 	return out
 }
 
-func validReference(g *graph.Graph, si *SeedIndex, edges []graph.EdgeID) bool {
+func validReference(g *graph.Graph, si *seedIndex, edges []graph.EdgeID) bool {
 	if !tree.IsTree(g, edges) {
 		return false
 	}
@@ -55,13 +55,13 @@ func validReference(g *graph.Graph, si *SeedIndex, edges []graph.EdgeID) bool {
 	var sat bitset.Bits
 	counts := map[int]int{}
 	for _, n := range nodes {
-		m := si.Mask(n)
+		m := si.mask(n)
 		(&sat).UnionInPlace(m)
 		for _, i := range m.Indices() {
 			counts[i]++
 		}
 	}
-	if !si.Covers(sat) {
+	if !si.covers(sat) {
 		return false
 	}
 	for _, c := range counts {
@@ -71,7 +71,7 @@ func validReference(g *graph.Graph, si *SeedIndex, edges []graph.EdgeID) bool {
 	}
 	// Every leaf must be a seed.
 	for _, l := range tree.Leaves(g, edges) {
-		if !si.IsSeed(l) {
+		if !si.isSeed(l) {
 			return false
 		}
 	}

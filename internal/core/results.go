@@ -16,7 +16,7 @@ import (
 // ResultCollector is single-writer — Add must not be called concurrently.
 type ResultCollector struct {
 	g        *graph.Graph
-	si       *SeedIndex
+	si       *seedIndex
 	uni      bool
 	score    ScoreFunc
 	topK     int
@@ -28,8 +28,8 @@ type ResultCollector struct {
 	limitHit bool
 }
 
-// NewResultCollector builds a collector for one search's options.
-func NewResultCollector(g *graph.Graph, si *SeedIndex, opts Options) *ResultCollector {
+// newResultCollector builds a collector for one search's options.
+func newResultCollector(g *graph.Graph, si *seedIndex, opts Options) *ResultCollector {
 	return &ResultCollector{
 		g:        g,
 		si:       si,
@@ -49,7 +49,7 @@ func (rc *ResultCollector) Add(t *tree.Tree) bool {
 	if rc.limitHit {
 		return true
 	}
-	sig, root, edges := TreeIdentity(t)
+	sig, root, edges := treeIdentity(t)
 	if rc.seen.Has(sig, root, edges) {
 		return false
 	}
@@ -59,7 +59,7 @@ func (rc *ResultCollector) Add(t *tree.Tree) bool {
 		}
 	}
 	rc.seen.Add(sig, root, edges)
-	r := Result{Tree: t, Seeds: rc.si.SeedTuple(t)}
+	r := Result{Tree: t, Seeds: rc.si.seedTuple(t)}
 	if rc.score != nil {
 		r.Score = rc.score(rc.g, t)
 	}

@@ -24,7 +24,7 @@ import (
 //
 // One set serves all three identities the kernels deduplicate on:
 //
-//   - plain edge sets (ESP history, BFT history): root == UnrootedRef;
+//   - plain edge sets (ESP history, BFT history): root == unrootedRef;
 //   - (root, edge set) pairs (GAM/LESP rooted history): root == the root;
 //   - single nodes (0-edge trees): root == the node, edges empty.
 //
@@ -48,9 +48,9 @@ type treeRef struct {
 	edges []graph.EdgeID
 }
 
-// UnrootedRef marks entries keyed by edge set alone. Node IDs are dense
+// unrootedRef marks entries keyed by edge set alone. Node IDs are dense
 // and non-negative, so no real root collides with it.
-const UnrootedRef graph.NodeID = -1
+const unrootedRef graph.NodeID = -1
 
 // NewSigSet returns an empty set. The set is single-writer; see the
 // type's concurrency contract.
@@ -116,12 +116,12 @@ func edgeSlicesEqual(a, b []graph.EdgeID) bool {
 	return true
 }
 
-// TreeIdentity returns the signature and collision-check identity of a
+// treeIdentity returns the signature and collision-check identity of a
 // result/candidate tree: 0-edge trees are identified by their single node,
 // everything else by its edge set.
-func TreeIdentity(t *tree.Tree) (sig uint64, root graph.NodeID, edges []graph.EdgeID) {
+func treeIdentity(t *tree.Tree) (sig uint64, root graph.NodeID, edges []graph.EdgeID) {
 	if t.Size() == 0 {
 		return tree.NodeSig(t.Root), t.Root, nil
 	}
-	return t.Sig(), UnrootedRef, t.Edges
+	return t.Sig(), unrootedRef, t.Edges
 }

@@ -36,7 +36,7 @@ func TestTreeSetMatchesNaiveMap(t *testing.T) {
 	}
 	for i := 0; i < 5000; i++ {
 		edges := randomEdgeSet(rng, 6, 40) // small ranges force re-draws
-		root := UnrootedRef
+		root := unrootedRef
 		if rng.Intn(2) == 0 {
 			root = graph.NodeID(rng.Intn(10))
 		}
@@ -63,16 +63,16 @@ func TestTreeSetCollisions(t *testing.T) {
 	a := []graph.EdgeID{1, 2, 3}
 	b := []graph.EdgeID{4, 5}
 	c := []graph.EdgeID(nil)
-	if !s.Add(sig, UnrootedRef, a) || !s.Add(sig, UnrootedRef, b) || !s.Add(sig, 7, c) {
+	if !s.Add(sig, unrootedRef, a) || !s.Add(sig, unrootedRef, b) || !s.Add(sig, 7, c) {
 		t.Fatal("first adds under one sig should all succeed")
 	}
-	if s.Add(sig, UnrootedRef, a) || s.Add(sig, UnrootedRef, b) || s.Add(sig, 7, c) {
+	if s.Add(sig, unrootedRef, a) || s.Add(sig, unrootedRef, b) || s.Add(sig, 7, c) {
 		t.Fatal("re-adds must report duplicates")
 	}
-	if !s.Has(sig, UnrootedRef, a) || !s.Has(sig, UnrootedRef, b) || !s.Has(sig, 7, c) {
+	if !s.Has(sig, unrootedRef, a) || !s.Has(sig, unrootedRef, b) || !s.Has(sig, 7, c) {
 		t.Fatal("all three identities must be present")
 	}
-	if s.Has(sig, UnrootedRef, []graph.EdgeID{1, 2}) || s.Has(sig, 8, c) {
+	if s.Has(sig, unrootedRef, []graph.EdgeID{1, 2}) || s.Has(sig, 8, c) {
 		t.Fatal("absent identities must stay absent")
 	}
 }
@@ -112,14 +112,14 @@ func BenchmarkSignatureDedup(b *testing.B) {
 	s := NewSigSet()
 	for i := range sets {
 		sets[i] = randomEdgeSet(rng, 10, 1<<20)
-		s.Add(tree.EdgeSetSig(sets[i]), UnrootedRef, sets[i])
+		s.Add(tree.EdgeSetSig(sets[i]), unrootedRef, sets[i])
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		set := sets[i%hist]
 		sig := tree.EdgeSetSig(set)
-		if !s.Has(sig, UnrootedRef, set) {
+		if !s.Has(sig, unrootedRef, set) {
 			b.Fatal("seeded set missing")
 		}
 	}

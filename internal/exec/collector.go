@@ -25,9 +25,9 @@ type collector struct {
 	topK  int
 }
 
-func newCollector(g *graph.Graph, si *core.SeedIndex, opts core.Options) *collector {
+func newCollector(rc *core.ResultCollector, opts core.Options) *collector {
 	return &collector{
-		rc:    core.NewResultCollector(g, si, opts),
+		rc:    rc,
 		score: opts.Score,
 		topK:  opts.Filters.TopK,
 	}

@@ -86,34 +86,69 @@ func TestParallelSequentialEquivalence(t *testing.T) {
 	}
 }
 
-// A single worker replays the sequential kernel's exploration exactly —
+// A single worker replays the caller-goroutine exploration exactly —
 // same routing (every node owned by worker 0), same FIFO seq order — so
-// even the provenance statistics must match, for every GAM-family
-// algorithm and any m.
+// every effort counter must match, for every GAM-family algorithm, any m
+// and any filter, truncated runs included. Both sides drive the one
+// core.Kernel, so a divergence here is by construction a scheduler bug.
 func TestSingleWorkerExactTrace(t *testing.T) {
+	type input struct {
+		name  string
+		g     *graph.Graph
+		seeds []core.SeedSet
+		max   int // MAX filter on every run of this input (0 = none)
+	}
+	var inputs []input
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 4; trial++ {
 		g := gen.Random(9, 12, []string{"a", "b", "c"}, rng)
 		m := 2 + rng.Intn(3)
 		seeds := core.Explicit(gen.RandomSeedSets(g, m, 2, rng)...)
+		inputs = append(inputs, input{fmt.Sprintf("random-%d", trial), g, seeds, 5})
+	}
+	// The fig11-grid shapes of the repository benchmark.
+	shapes := []*gen.Workload{
+		gen.Line(10, 2, gen.Alternate),
+		gen.Star(5, 4, gen.Alternate),
+		gen.Comb(4, 2, 3, 2, gen.Alternate),
+		gen.Star(8, 2, gen.Alternate),
+	}
+	if !testing.Short() {
+		shapes = append(shapes, gen.Star(10, 2, gen.Alternate))
+	}
+	for _, w := range shapes {
+		inputs = append(inputs, input{w.Name, w.Graph, core.Explicit(w.Seeds...), 0})
+	}
+	filters := []eql.Filters{{}, {Limit: 1}, {Uni: true}, {Labels: []string{"a", "b"}}}
+	counters := func(st *core.Stats) string {
+		return fmt.Sprintf("inits=%d grows=%d merges=%d mo=%d created=%d pruned=%d spared=%d pops=%d "+
+			"recycled=%d peakTrees=%d peakQueue=%d results=%d truncated=%v",
+			st.Inits, st.Grows, st.Merges, st.MoTrees, st.Created, st.Pruned, st.Spared, st.QueuePops,
+			st.Recycled, st.PeakTrees, st.PeakQueueLen, st.Results, st.Truncated)
+	}
+	for _, in := range inputs {
 		for _, alg := range core.GAMFamily() {
-			opts := core.Options{Algorithm: alg, Filters: eql.Filters{MaxEdges: 5}}
-			seqRS, seqST, err := core.Search(g, seeds, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts.Parallelism = 1
-			parRS, parST, err := core.Search(g, seeds, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(resultMultiset(parRS)) != fmt.Sprint(resultMultiset(seqRS)) {
-				t.Fatalf("%v trial %d: K=1 results diverge from sequential", alg, trial)
-			}
-			if parST.Kept() != seqST.Kept() || parST.Created != seqST.Created ||
-				parST.Grows != seqST.Grows || parST.Merges != seqST.Merges {
-				t.Fatalf("%v trial %d: K=1 trace diverges: kept %d/%d created %d/%d",
-					alg, trial, parST.Kept(), seqST.Kept(), parST.Created, seqST.Created)
+			for _, f := range filters {
+				for _, maxTrees := range []int{0, 50} {
+					f.MaxEdges = in.max
+					opts := core.Options{Algorithm: alg, Filters: f, MaxTrees: maxTrees}
+					seqRS, seqST, err := core.Search(in.g, in.seeds, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts.Parallelism = 1
+					parRS, parST, err := core.Search(in.g, in.seeds, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					id := fmt.Sprintf("%s %v %+v MaxTrees=%d", in.name, alg, f, maxTrees)
+					if fmt.Sprint(resultMultiset(parRS)) != fmt.Sprint(resultMultiset(seqRS)) {
+						t.Fatalf("%s: K=1 results diverge from K=0", id)
+					}
+					if seq, par := counters(seqST), counters(parST); seq != par {
+						t.Fatalf("%s: K=1 trace diverges\nK=0: %s\nK=1: %s", id, seq, par)
+					}
+				}
 			}
 		}
 	}

@@ -1,25 +1,29 @@
-// Package exec is the parallel CTP search runtime: it evaluates the
-// GAM-family algorithms (GAM, ESP, MoESP, LESP, MoLESP) across K workers
-// instead of core's single-threaded priority loop.
+// Package exec is the parallel CTP search runtime: it schedules the
+// GAM-family kernel (core.Kernel: GAM, ESP, MoESP, LESP, MoLESP) across K
+// workers instead of core's caller-goroutine priority loop. The
+// algorithms live once, in core; this package holds what a sharded
+// schedule needs around them.
 //
 // # Architecture
 //
 // The search space is sharded by tree root: worker owner(n) (a hash of n
-// modulo K) owns every candidate tree rooted at node n. That single
-// decision localizes almost all of the kernel's shared state:
+// modulo K) owns every candidate tree rooted at node n, and runs one
+// core.Kernel over them. That single decision localizes almost all of
+// the search's state inside the kernels:
 //
 //   - the rooted dedup history (GAM identity, LESP exemption) is keyed by
-//     root, so each worker keeps a private, unsynchronized core.SigSet;
+//     root, so each kernel keeps a private, unsynchronized core.SigSet;
 //   - TreesRootedIn — the merge index — is keyed by root, so Merge, the
 //     only binary operator, always finds both operands on one worker and
 //     runs without any locking;
 //   - the LESP seed signatures ss_n are keyed by node and partition the
 //     same way.
 //
-// Work flows between shards through per-pair exchange mailboxes: a Grow
-// opportunity (t, e) is routed at push time to the owner of the new root,
-// and Mo re-rootings ship the constructed tree to the new root's owner.
-// Only two structures remain shared: the ESP edge-set history, an
+// Everything else reaches a kernel through core.Scheduler, which each
+// worker implements. Work flows between shards through per-pair exchange
+// mailboxes: a Grow opportunity (t, e) is routed at push time to the
+// owner of the new root, and Mo re-rootings ship the constructed tree to
+// the new root's owner. Only two structures remain shared: the ESP edge-set history, an
 // XOR-signature-partitioned array of lock-striped core.SigSet shards
 // (the package's only concurrent dedup entry point), and the result
 // collector, a mutex-serialized sink that orders its output
@@ -63,7 +67,7 @@ import (
 	"ctpquery/internal/tree"
 )
 
-func init() { core.RegisterParallelKernel(Search) }
+func init() { core.RegisterParallelKernel(search) }
 
 // Probe points compiled into the runtime's hot paths (inert unless armed
 // via internal/fault). The chaos suite panics each of them in turn and
@@ -84,11 +88,10 @@ var (
 // extra workers only add exchange traffic.
 const maxWorkers = 256
 
-// Search evaluates the CTP across opts.Parallelism workers. It accepts
-// the same contract as core.Search restricted to the GAM family; callers
-// normally reach it through core.Search, which validates inputs and
-// routes Parallelism > 0 here.
-func Search(g *graph.Graph, seeds []core.SeedSet, opts core.Options) (*core.ResultSet, *core.Stats, error) {
+// search evaluates the CTP across opts.Parallelism workers. It is reached
+// only through core.Search, which validates the inputs, resolves the
+// algorithm to one of the GAM family and routes Parallelism > 0 here.
+func search(g *graph.Graph, seeds []core.SeedSet, opts core.Options) (*core.ResultSet, *core.Stats, error) {
 	k := opts.Parallelism
 	if k < 1 {
 		k = 1
@@ -99,7 +102,7 @@ func Search(g *graph.Graph, seeds []core.SeedSet, opts core.Options) (*core.Resu
 	start := time.Now()
 
 	r := newRun(g, seeds, opts, k)
-	if err := r.seedSafely(seeds); err != nil {
+	if err := r.seedSafely(); err != nil {
 		return nil, nil, err
 	}
 	r.startWorkers()
@@ -122,15 +125,9 @@ func Search(g *graph.Graph, seeds []core.SeedSet, opts core.Options) (*core.Resu
 
 // run is the shared state of one parallel search.
 type run struct {
-	g        *graph.Graph
-	si       *core.SeedIndex
-	variant  core.Variant
-	opts     core.Options
-	k        int
-	allowed  map[graph.LabelID]bool // LABEL filter; nil = all
-	maxEdges int                    // MAX filter; 0 = unlimited
-	uni      bool
-	priority core.PriorityFunc
+	setup *core.Setup // what every worker's kernel shares, read-only
+	opts  core.Options
+	k     int
 
 	workers []*worker
 	mail    []mailbox // k*k per-pair exchange boxes; mail[from*k+to]
@@ -150,25 +147,14 @@ type run struct {
 
 func newRun(g *graph.Graph, seeds []core.SeedSet, opts core.Options, k int) *run {
 	r := &run{
-		g:        g,
-		si:       core.BuildSeedIndex(seeds),
-		variant:  core.VariantOf(opts.Algorithm),
-		opts:     opts,
-		k:        k,
-		allowed:  core.LabelAllow(g, opts.Filters.Labels),
-		maxEdges: opts.Filters.MaxEdges,
-		uni:      opts.Filters.Uni,
-		priority: opts.Priority,
-		mail:     make([]mailbox, k*k),
-		hist:     newShardedSigSet(),
-		stopCh:   make(chan struct{}),
+		setup:  core.NewSetup(g, seeds, opts),
+		opts:   opts,
+		k:      k,
+		mail:   make([]mailbox, k*k),
+		hist:   newShardedSigSet(),
+		stopCh: make(chan struct{}),
 	}
-	if r.priority == nil {
-		// Default order: smallest trees first, FIFO among equals per
-		// worker — the sequential kernel's order, sharded.
-		r.priority = func(t *tree.Tree, e graph.EdgeID) float64 { return float64(t.Size()) }
-	}
-	r.coll = newCollector(g, r.si, opts)
+	r.coll = newCollector(r.setup.NewCollector(), opts)
 	r.workers = make([]*worker, k)
 	for i := 0; i < k; i++ {
 		r.workers[i] = newWorker(r, i)
@@ -185,37 +171,26 @@ func (r *run) owner(n graph.NodeID) int {
 	return int(hash64.Mix(uint64(uint32(n))) % uint64(r.k))
 }
 
-// seedInits builds the Init trees (one per distinct seed node, Section
-// 4.9) and deposits each in its owner's mailbox before any worker starts,
-// so pending is exact from the first tick.
-func (r *run) seedInits(seeds []core.SeedSet) {
-	inited := make(map[graph.NodeID]bool)
-	for _, set := range seeds {
-		if set.Universal {
-			continue
-		}
-		for _, n := range set.Nodes {
-			if inited[n] {
-				continue
-			}
-			inited[n] = true
-			t := tree.NewInit(n, r.si.Mask(n))
-			r.pending.Add(1)
-			r.deposit(0, r.owner(n), task{kind: taskInit, t: t})
-		}
-	}
+// seedInits deposits each Init tree in its owner's mailbox before any
+// worker starts, so pending is exact from the first tick.
+func (r *run) seedInits() {
+	r.setup.Inits(func(t *tree.Tree) bool {
+		r.pending.Add(1)
+		r.deposit(0, r.owner(t.Root), task{kind: taskInit, t: t})
+		return true
+	})
 }
 
 // seedSafely runs the coordinator's seeding behind its own containment
 // boundary: no worker has started yet, so a panic here (before the
 // termination protocol is live) simply fails the search.
-func (r *run) seedSafely(seeds []core.SeedSet) (err error) {
+func (r *run) seedSafely() (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = fault.Recovered("exec: seeding", rec)
 		}
 	}()
-	r.seedInits(seeds)
+	r.seedInits()
 	return nil
 }
 
@@ -286,34 +261,14 @@ func (r *run) finishTask() {
 	}
 }
 
-// noteTimeout records a TIMEOUT/cancellation stop (Section 2 semantics:
-// the results so far remain valid).
-func (r *run) noteTimeout() {
-	r.timedOut.Store(true)
-	r.shutdown()
-}
-
-// noteTruncated records a LIMIT/MaxTrees/callback stop.
-func (r *run) noteTruncated() {
-	r.truncated.Store(true)
-	r.shutdown()
-}
-
-// keepOne enforces Options.MaxTrees across workers.
-func (r *run) keepOne() {
-	if r.opts.MaxTrees > 0 && r.kept.Add(1) >= int64(r.opts.MaxTrees) {
-		r.noteTruncated()
-	}
-}
-
-// assembleStats merges the per-worker counters into one core.Stats, the
-// same quantities the sequential kernel reports. PeakTrees sums the
+// assembleStats merges the per-kernel counters into one core.Stats, the
+// same quantities a caller-goroutine search reports. PeakTrees sums the
 // per-worker high-water marks (an upper bound on the instantaneous
 // total); PeakQueueLen is the max over workers.
 func (r *run) assembleStats(k int) *core.Stats {
 	st := &core.Stats{Parallelism: k}
 	for _, w := range r.workers {
-		ws := &w.stats
+		ws := &w.k.Stats
 		st.Inits += ws.Inits
 		st.Grows += ws.Grows
 		st.Merges += ws.Merges

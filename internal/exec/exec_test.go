@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"ctpquery/internal/core"
 	"ctpquery/internal/graph"
 )
 
@@ -54,7 +55,7 @@ func TestShardedSigSetSingleClaim(t *testing.T) {
 func TestLockedQueueStealTail(t *testing.T) {
 	var q lockedQueue
 	for i := 0; i < 100; i++ {
-		q.push(growOp{prio: float64((i * 37) % 100), seq: uint64(i)})
+		q.push(core.GrowOp{Prio: float64((i * 37) % 100), Seq: uint64(i)})
 	}
 	stolen := q.stealTail(stealBatch)
 	if len(stolen) != 50 {
@@ -67,13 +68,13 @@ func TestLockedQueueStealTail(t *testing.T) {
 		if !ok {
 			break
 		}
-		if op.prio < prev {
-			t.Fatalf("heap order violated after steal: %f after %f", op.prio, prev)
+		if op.Prio < prev {
+			t.Fatalf("heap order violated after steal: %f after %f", op.Prio, prev)
 		}
-		prev = op.prio
+		prev = op.Prio
 	}
 	// A one-element queue is never stolen empty.
-	q.push(growOp{prio: 1})
+	q.push(core.GrowOp{Prio: 1})
 	if got := q.stealTail(stealBatch); len(got) != 0 {
 		t.Fatalf("stole %d from a single-op queue, want 0", len(got))
 	}

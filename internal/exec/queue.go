@@ -3,98 +3,36 @@ package exec
 import (
 	"sync"
 
-	"ctpquery/internal/graph"
-	"ctpquery/internal/tree"
+	"ctpquery/internal/core"
 )
-
-// growOp is a (tree, edge) Grow opportunity queued on the owner of the
-// tree the grow will create.
-type growOp struct {
-	t    *tree.Tree
-	e    graph.EdgeID
-	prio float64
-	seq  uint64 // per-worker FIFO tiebreak
-}
-
-// opHeap is a min-heap of growOps ordered by (prio, seq), hand-rolled for
-// the same reason as the sequential kernel's: container/heap boxes every
-// push into an interface allocation.
-type opHeap []growOp
-
-func (h opHeap) less(i, j int) bool {
-	if h[i].prio != h[j].prio {
-		return h[i].prio < h[j].prio
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *opHeap) pushOp(op growOp) {
-	a := append(*h, op)
-	*h = a
-	i := len(a) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !a.less(i, parent) {
-			break
-		}
-		a[i], a[parent] = a[parent], a[i]
-		i = parent
-	}
-}
-
-func (h *opHeap) popOp() growOp {
-	a := *h
-	top := a[0]
-	n := len(a) - 1
-	a[0] = a[n]
-	a[n] = growOp{} // drop the tree reference for the GC
-	a = a[:n]
-	*h = a
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && a.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && a.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		a[i], a[smallest] = a[smallest], a[i]
-		i = smallest
-	}
-	return top
-}
 
 // stealBatch bounds how many ops a thief relocates per visit: enough to
 // amortize the locking, small enough to keep work spread out.
 const stealBatch = 64
 
-// lockedQueue is a worker's grow queue behind a mutex so idle peers can
+// lockedQueue is a worker's grow queue — core's OpHeap, the same layout
+// the caller-goroutine queues use — behind a mutex so idle peers can
 // steal from it. The lock is uncontended in the common case — only the
 // owner pushes and pops — and stealTail removes trailing heap leaves,
 // which preserves the heap invariant for the remainder.
 type lockedQueue struct {
 	mu sync.Mutex
-	h  opHeap
+	h  core.OpHeap
 }
 
-func (q *lockedQueue) push(op growOp) {
+func (q *lockedQueue) push(op core.GrowOp) {
 	q.mu.Lock()
-	q.h.pushOp(op)
+	q.h.Push(op)
 	q.mu.Unlock()
 }
 
-func (q *lockedQueue) pop() (growOp, bool) {
+func (q *lockedQueue) pop() (core.GrowOp, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if len(q.h) == 0 {
-		return growOp{}, false
+		return core.GrowOp{}, false
 	}
-	return q.h.popOp(), true
+	return q.h.Pop(), true
 }
 
 func (q *lockedQueue) len() int {
@@ -107,7 +45,7 @@ func (q *lockedQueue) len() int {
 // of the heap array. Tail elements are leaves, so removing them keeps the
 // remaining slice a valid heap; thieves get arbitrary-priority ops, which
 // is fine: result completeness is order-independent (Section 4.8).
-func (q *lockedQueue) stealTail(max int) []growOp {
+func (q *lockedQueue) stealTail(max int) []core.GrowOp {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	n := len(q.h) / 2
@@ -118,10 +56,10 @@ func (q *lockedQueue) stealTail(max int) []growOp {
 		return nil
 	}
 	cut := len(q.h) - n
-	out := make([]growOp, n)
+	out := make([]core.GrowOp, n)
 	copy(out, q.h[cut:])
 	for i := cut; i < len(q.h); i++ {
-		q.h[i] = growOp{}
+		q.h[i] = core.GrowOp{}
 	}
 	q.h = q.h[:cut]
 	return out

@@ -6,51 +6,41 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ctpquery/internal/bitset"
 	"ctpquery/internal/core"
 	"ctpquery/internal/fault"
 	"ctpquery/internal/graph"
 	"ctpquery/internal/tree"
 )
 
-// worker owns one shard of the search: every tree rooted at a node it
-// owns is deduplicated, indexed, merged, and grown here. All fields below
-// the queue are strictly worker-private — the parallel kernel is the
-// sequential kernel with its root-keyed state partitioned.
+// worker schedules one shard of the search: every tree rooted at a node
+// it owns is deduplicated, indexed, merged, and grown by its core.Kernel,
+// whose root-keyed state is strictly worker-private. This file is only
+// scheduling — the loop, the mail drain, stealing, and the
+// core.Scheduler methods through which the kernel reaches the run.
 type worker struct {
 	r    *run
 	id   int
 	wake chan struct{} // buffered(1): senders signal new mailbox items
 	mail atomic.Int64  // items waiting across this worker's inboxes
 
-	q lockedQueue // grow ops for trees this worker will own; peers steal here
+	q   lockedQueue // grow ops for trees this worker will own; peers steal here
+	seq uint64      // local FIFO tiebreak
 
-	byRoot     map[graph.NodeID][]*tree.Tree // TreesRootedIn, this shard
-	rootedSeen *core.SigSet                  // rooted dedup history, this shard
-	ss         map[graph.NodeID]bitset.Bits  // LESP seed signatures, this shard
-	seq        uint64                        // local FIFO tiebreak
-	dl         *core.Deadline
+	k *core.Kernel // this shard; its Stats merge into the search totals
 
-	stats   core.Stats // merged into the search totals at the end
-	ops     int        // ops + tasks processed
-	shipped int        // tasks routed to other shards
-	stolen  int        // ops taken from peers' queues
-	busyNS  int64      // thread CPU time in loop (cputime_linux.go)
-	wallNS  int64      // wall time in loop; with wallStart, lets the
+	ops     int   // ops + tasks processed
+	shipped int   // tasks routed to other shards
+	stolen  int   // ops taken from peers' queues
+	busyNS  int64 // thread CPU time in loop (cputime_linux.go)
+	wallNS  int64 // wall time in loop; with wallStart, lets the
 	// tracer reconstruct each worker's lifetime as a span after the fact
 	wallStart time.Time
 }
 
 func newWorker(r *run, id int) *worker {
-	return &worker{
-		r:          r,
-		id:         id,
-		wake:       make(chan struct{}, 1),
-		byRoot:     make(map[graph.NodeID][]*tree.Tree),
-		rootedSeen: core.NewSigSet(),
-		ss:         make(map[graph.NodeID]bitset.Bits),
-		dl:         core.NewDeadline(r.opts.Filters.Timeout, r.opts.Done),
-	}
+	w := &worker{r: r, id: id, wake: make(chan struct{}, 1)}
+	w.k = r.setup.NewKernel(w, probeProcessTree, probeProcessMo)
+	return w
 }
 
 // loop drains mailboxes and the local queue, steals when idle, and parks
@@ -88,8 +78,10 @@ func (w *worker) loop() {
 		progress := w.drainMail()
 		if op, ok := w.q.pop(); ok {
 			w.ops++
-			w.stats.QueuePops++
-			w.processOp(op)
+			probeProcessOp.Hit()
+			if t := w.k.Construct(op); t != nil {
+				w.k.Admit(t)
+			}
 			w.r.finishTask()
 			continue
 		}
@@ -136,27 +128,18 @@ func (w *worker) drainMail() bool {
 			probeDrainMail.Hit()
 			switch tk.kind {
 			case taskGrowOp:
-				w.seq++
-				w.q.push(growOp{t: tk.t, e: tk.e, prio: tk.prio, seq: w.seq})
-				w.noteQueueLen()
-			case taskInit:
+				w.push(core.GrowOp{T: tk.t, E: tk.e, Prio: tk.prio})
+				w.k.NoteQueueLen()
+			case taskInit, taskGrown:
+				// A thief's candidate is counted Created here, not where it
+				// was built: the owner also recycles rejected candidates, so
+				// live-tree accounting (PeakTrees) stays balanced per worker.
 				w.ops++
-				w.created()
-				w.updateSignature(tk.t)
-				w.processTree(tk.t)
-				w.r.finishTask()
-			case taskGrown:
-				// Constructed by a thief, but counted Created here: the
-				// owner also recycles rejected candidates, so live-tree
-				// accounting (PeakTrees) stays balanced per worker.
-				w.ops++
-				w.created()
-				w.updateSignature(tk.t)
-				w.processTree(tk.t)
+				w.k.Admit(tk.t)
 				w.r.finishTask()
 			case taskMo:
 				w.ops++
-				w.processMo(tk.t)
+				w.k.CommitMo(tk.t)
 				w.r.finishTask()
 			}
 		}
@@ -172,21 +155,6 @@ func (w *worker) drainMail() bool {
 		}
 	}
 	return any
-}
-
-// processOp turns a Grow opportunity into a candidate tree and runs it
-// through the kernel (Algorithm 1's loop body, this shard's slice).
-func (w *worker) processOp(op growOp) {
-	probeProcessOp.Hit()
-	if w.dl.Expired() {
-		w.r.noteTimeout()
-		return
-	}
-	newRoot := w.r.g.Other(op.e, op.t.Root)
-	t := tree.NewGrow(op.t, op.e, newRoot, w.r.si.Mask(newRoot))
-	w.created()
-	w.updateSignature(t)
-	w.processTree(t)
 }
 
 // trySteal scans the other workers' queues and relocates a batch of ops.
@@ -207,13 +175,10 @@ func (w *worker) trySteal() bool {
 			}
 			probeSteal.Hit()
 			w.ops++
-			w.stats.QueuePops++
-			if w.dl.Expired() {
-				w.r.noteTimeout()
+			t := w.k.Construct(op)
+			if t == nil {
 				return true
 			}
-			newRoot := w.r.g.Other(op.e, op.t.Root)
-			t := tree.NewGrow(op.t, op.e, newRoot, w.r.si.Mask(newRoot))
 			w.r.pending.Add(1)
 			w.r.deposit(w.id, v.id, task{kind: taskGrown, t: t})
 			w.shipped++
@@ -224,255 +189,63 @@ func (w *worker) trySteal() bool {
 	return false
 }
 
-// created tracks Created and the live-tree high-water mark, mirroring
-// Stats.created in the sequential kernel.
-func (w *worker) created() {
-	w.stats.Created++
-	if live := w.stats.Created - w.stats.Recycled; live > w.stats.PeakTrees {
-		w.stats.PeakTrees = live
+// push queues a grow op on this worker, behind everything already there
+// at the same priority.
+func (w *worker) push(op core.GrowOp) {
+	w.seq++
+	op.Seq = w.seq
+	w.q.push(op)
+}
+
+// The core.Scheduler methods: the kernel's view of the run.
+
+func (w *worker) Stopped() bool { return w.r.stopped() }
+
+// Timeout records a TIMEOUT/cancellation stop (Section 2 semantics: the
+// results so far remain valid).
+func (w *worker) Timeout() {
+	w.r.timedOut.Store(true)
+	w.r.shutdown()
+}
+
+// Truncate records a LIMIT/MaxTrees/callback stop.
+func (w *worker) Truncate() {
+	w.r.truncated.Store(true)
+	w.r.shutdown()
+}
+
+// Claim goes to the shared ESP history: the sharded set's add is atomic,
+// so exactly one worker keeps each edge set.
+func (w *worker) Claim(sig uint64, root graph.NodeID, edges []graph.EdgeID) bool {
+	return w.r.hist.add(sig, root, edges)
+}
+
+// CountKept enforces Options.MaxTrees across workers.
+func (w *worker) CountKept() bool { return w.r.kept.Add(1) >= int64(w.r.opts.MaxTrees) }
+
+func (w *worker) Result(t *tree.Tree) bool { return w.r.coll.add(t) }
+
+// PushGrow routes the op to the owner of its new root: local ops join
+// this worker's queue, remote ones ship through the exchange.
+func (w *worker) PushGrow(root graph.NodeID, op core.GrowOp) {
+	w.r.pending.Add(1)
+	if dest := w.r.owner(root); dest != w.id {
+		w.r.deposit(w.id, dest, task{kind: taskGrowOp, t: op.T, e: op.E, prio: op.Prio})
+		w.shipped++
+	} else {
+		w.push(op)
 	}
 }
 
-func (w *worker) noteQueueLen() {
-	if n := w.q.len(); n > w.stats.PeakQueueLen {
-		w.stats.PeakQueueLen = n
-	}
-}
+func (w *worker) QueueLen() int { return w.q.len() }
 
-// updateSignature maintains ss_n for (n,s)-rooted paths (Definition 4.4).
-// Only the root's owner ever touches ss[root], so no lock is needed.
-func (w *worker) updateSignature(t *tree.Tree) {
-	if !w.r.variant.LESP || !t.SeedPath {
-		return
-	}
-	m := w.ss[t.Root]
-	(&m).UnionInPlace(t.Sat)
-	w.ss[t.Root] = m
-}
-
-// isNew is Algorithm 4 with the ESP history shared: the sharded set's Add
-// atomically claims the edge set, so exactly one worker keeps each one.
-// Rooted identities are shard-local and need no lock at all.
-func (w *worker) isNew(t *tree.Tree) bool {
-	if t.Size() == 0 || !w.r.variant.ESP {
-		return !w.rootedSeen.Has(t.RootedSig(), t.Root, t.Edges)
-	}
-	if w.r.hist.add(t.Sig(), core.UnrootedRef, t.Edges) {
-		return true
-	}
-	if w.r.variant.LESP {
-		// The LESP exemption: roots already connected to >= 3 seed sets
-		// with graph degree >= 3 keep their (new) rooted trees.
-		if w.ss[t.Root].Count() >= 3 && w.r.g.Degree(t.Root) >= 3 &&
-			!w.rootedSeen.Has(t.RootedSig(), t.Root, t.Edges) {
-			w.stats.Spared++
-			return true
-		}
-	}
-	return false
-}
-
-// keep records a kept tree. The shared edge-set history was already
-// claimed in isNew (grow/init candidates) or by the tree's Mo parent, so
-// only the shard-local rooted history is written here.
-func (w *worker) keep(t *tree.Tree) {
-	w.rootedSeen.Add(t.RootedSig(), t.Root, t.Edges)
-	switch t.Kind {
-	case tree.Init:
-		w.stats.Inits++
-	case tree.Grow:
-		w.stats.Grows++
-	case tree.Merge:
-		w.stats.Merges++
-	case tree.Mo:
-		w.stats.MoTrees++
-	}
-	w.r.keepOne()
-}
-
-// processTree is Algorithm 2 on this shard: deduplicate, report results,
-// record for merging (with Mo injection), feed the queues, and merge
-// aggressively. Identical to the sequential kernel except that grows and
-// Mo copies whose root lives elsewhere are shipped instead of recursed.
-func (w *worker) processTree(t *tree.Tree) {
-	probeProcessTree.Hit()
-	if w.r.stopped() {
-		return
-	}
-	if w.dl.Expired() {
-		w.r.noteTimeout()
-		return
-	}
-	if !w.isNew(t) {
-		w.stats.Pruned++
-		w.recycle(t)
-		return
-	}
-	w.keep(t)
-	if w.r.stopped() {
-		return
-	}
-	if w.r.si.Covers(t.Sat) {
-		if w.r.coll.add(t) {
-			w.r.noteTruncated()
-			return
-		}
-		// With universal seed sets, larger results exist (Definition 2.8's
-		// adjustment for N seed sets): results keep growing and merging.
-		if !w.r.si.HasUniversal() {
-			return
-		}
-	}
-	w.recordForMerging(t)
-	if !t.HasMo {
-		w.pushGrows(t)
-	}
-	w.mergeAll(t)
-}
-
-func (w *worker) recycle(t *tree.Tree) {
-	if tree.Recycle(t) {
-		w.stats.Recycled++
-	}
-}
-
-// recordForMerging is Algorithm 3: index the tree on this shard and, for
-// Mo variants, inject copies rooted at each seed node — shipping the
-// copies whose new root another worker owns.
-func (w *worker) recordForMerging(t *tree.Tree) {
-	w.byRoot[t.Root] = append(w.byRoot[t.Root], t)
-	if !w.r.variant.Mo || w.r.uni || !w.gainedSeeds(t) {
-		return
-	}
-	for _, n := range t.Nodes {
-		if n == t.Root || !w.r.si.IsSeed(n) {
-			continue
-		}
-		mo := tree.NewMo(t, n)
-		if dest := w.r.owner(n); dest != w.id {
-			w.r.pending.Add(1)
-			w.r.deposit(w.id, dest, task{kind: taskMo, t: mo})
-			w.shipped++
-		} else {
-			w.processMo(mo)
-		}
-		if w.r.stopped() {
-			return
-		}
-	}
-}
-
-// processMo commits a Mo re-rooting on its owner shard (the tail of
-// Algorithm 3). Mo trees bypass the edge-set history — their edge set is
-// the (already claimed) parent's — and deduplicate on the rooted
-// identity only, exactly as in the sequential kernel.
-func (w *worker) processMo(mo *tree.Tree) {
-	probeProcessMo.Hit()
-	if w.r.stopped() {
-		return
-	}
-	// Created is counted here, on the owner, whether the copy was built
-	// locally or shipped — the owner is also where a rejected copy is
-	// recycled, keeping per-worker live accounting consistent.
-	w.created()
-	if w.rootedSeen.Has(mo.RootedSig(), mo.Root, mo.Edges) {
-		w.stats.Pruned++
-		w.recycle(mo)
-		return
-	}
-	w.keep(mo)
-	if w.r.stopped() {
-		return
-	}
-	w.byRoot[mo.Root] = append(w.byRoot[mo.Root], mo)
-	w.mergeAll(mo)
-}
-
-// gainedSeeds is the Section 4.5 Mo-injection trigger.
-func (w *worker) gainedSeeds(t *tree.Tree) bool {
-	switch t.Kind {
-	case tree.Init:
-		return false
-	case tree.Grow:
-		return t.Sat.Count() > t.Left.Sat.Count()
-	case tree.Merge:
-		return true
-	}
-	return false
-}
-
-// pushGrows feeds the (t, e) pairs satisfying Grow1, Grow2, and the
-// pushed-down filters to the owner of each new root: local ops join this
-// worker's queue, remote ones ship through the exchange.
-func (w *worker) pushGrows(t *tree.Tree) {
-	if w.maxReached(t) {
-		return
-	}
-	for _, e := range w.r.g.IncidentEdges(t.Root) {
-		if w.r.allowed != nil && !w.r.allowed[w.r.g.EdgeLabelID(e)] {
-			continue
-		}
-		other := w.r.g.Other(e, t.Root)
-		if t.ContainsNode(other) {
-			continue // Grow1
-		}
-		if w.r.si.Mask(other).Intersects(t.Sat) {
-			continue // Grow2
-		}
-		if w.r.uni && w.r.g.Source(e) != other {
-			// UNI: grow backward over the edge so the eventual root
-			// reaches every seed along directed paths.
-			continue
-		}
-		prio := w.r.priority(t, e)
+// Mo commits the copy here or ships it to the worker owning its root.
+func (w *worker) Mo(mo *tree.Tree) {
+	if dest := w.r.owner(mo.Root); dest != w.id {
 		w.r.pending.Add(1)
-		if dest := w.r.owner(other); dest != w.id {
-			w.r.deposit(w.id, dest, task{kind: taskGrowOp, t: t, e: e, prio: prio})
-			w.shipped++
-		} else {
-			w.seq++
-			w.q.push(growOp{t: t, e: e, prio: prio, seq: w.seq})
-		}
-	}
-	w.noteQueueLen()
-}
-
-func (w *worker) maxReached(t *tree.Tree) bool {
-	return w.r.maxEdges > 0 && t.Size() >= w.r.maxEdges
-}
-
-// mergeable checks Merge1/Merge2 plus the MAX filter (see the sequential
-// kernel for the Merge2 subtlety around shared seed roots).
-func (w *worker) mergeable(a, b *tree.Tree) bool {
-	if a.Size() == 0 || b.Size() == 0 {
-		return false
-	}
-	if w.r.maxEdges > 0 && a.Size()+b.Size() > w.r.maxEdges {
-		return false
-	}
-	if a.Sat.IntersectsOutside(b.Sat, w.r.si.Mask(a.Root)) {
-		return false // Merge2
-	}
-	return tree.OverlapOnlyRoot(a, b) // Merge1
-}
-
-// mergeAll is Algorithm 5, entirely shard-local: every tree sharing t's
-// root lives on this worker, so aggressive merging needs no coordination.
-func (w *worker) mergeAll(t *tree.Tree) {
-	partners := w.byRoot[t.Root]
-	// Snapshot: processTree below may append to byRoot[t.Root]; new
-	// entries merge with t from their own mergeAll.
-	n := len(partners)
-	for i := 0; i < n; i++ {
-		if w.r.stopped() {
-			return
-		}
-		tp := partners[i]
-		if tp == t || !w.mergeable(t, tp) {
-			continue
-		}
-		merged := tree.NewMerge(t, tp)
-		w.created()
-		w.processTree(merged)
+		w.r.deposit(w.id, dest, task{kind: taskMo, t: mo})
+		w.shipped++
+	} else {
+		w.k.CommitMo(mo)
 	}
 }

@@ -300,12 +300,13 @@ func (s *bftState) mergePass(t *bftTree) {
 	for _, n := range t.nodes {
 		partners := s.byNode[n]
 		limit := len(partners) // snapshot: admit may append
+		mask := s.si.mask(n)   // invariant over the partner scan
 		for i := 0; i < limit; i++ {
 			if s.stop {
 				return
 			}
 			p := partners[i]
-			if p == t || !s.bftMergeable(t, p, n) {
+			if p == t || !s.bftMergeable(t, p, n, mask) {
 				continue
 			}
 			merged := bftAcquire()
@@ -320,17 +321,17 @@ func (s *bftState) mergePass(t *bftTree) {
 	}
 }
 
-// bftMergeable checks the unrooted merge preconditions at shared node n:
-// the node sets intersect exactly in {n} and no seed set is represented on
-// both sides except through n itself.
-func (s *bftState) bftMergeable(a, b *bftTree, n graph.NodeID) bool {
+// bftMergeable checks the unrooted merge preconditions at shared node n,
+// whose seed memberships are mask: the node sets intersect exactly in {n}
+// and no seed set is represented on both sides except through n itself.
+func (s *bftState) bftMergeable(a, b *bftTree, n graph.NodeID, mask bitset.Bits) bool {
 	if len(a.edges) == 0 || len(b.edges) == 0 {
 		return false
 	}
 	if s.maxEdges > 0 && len(a.edges)+len(b.edges) > s.maxEdges {
 		return false
 	}
-	if a.sat.IntersectsOutside(b.sat, s.si.mask(n)) {
+	if a.sat.IntersectsOutside(b.sat, mask) {
 		return false
 	}
 	common := 0

@@ -375,9 +375,7 @@ func buildSeedIndex(seeds []SeedSet) *seedIndex {
 func (si *seedIndex) mask(n graph.NodeID) bitset.Bits { return si.masks[n] }
 
 // isSeed reports whether n belongs to any non-universal seed set.
-func (si *seedIndex) isSeed(n graph.NodeID) bool {
-	return len(si.masks[n]) > 0 && !si.masks[n].IsEmpty()
-}
+func (si *seedIndex) isSeed(n graph.NodeID) bool { return !si.masks[n].IsEmpty() }
 
 // covers reports whether sat covers every non-universal seed set.
 func (si *seedIndex) covers(sat bitset.Bits) bool { return sat.Contains(si.required) }

@@ -110,6 +110,9 @@ type Scheduler interface {
 	// Claim inserts an identity into the run-wide ESP edge-set history
 	// and reports whether it was absent: exactly one claimant wins.
 	Claim(sig uint64, root graph.NodeID, edges []graph.EdgeID) bool
+	// Seen reports whether the identity (root, a ∪ b) — a and b sorted and
+	// disjoint — is in that history already, so a Claim on it would lose.
+	Seen(sig uint64, root graph.NodeID, a, b []graph.EdgeID) bool
 	// CountKept counts one kept tree against Options.MaxTrees (> 0) and
 	// reports whether the bound is reached.
 	CountKept() bool
@@ -134,9 +137,9 @@ type Kernel struct {
 	s     Setup // by value: the hot loops read it without an extra hop
 	sched Scheduler
 
-	rootedSeen *SigSet                       // kept rooted trees, by rooted signature
-	byRoot     map[graph.NodeID][]*tree.Tree // TreesRootedIn
-	ss         map[graph.NodeID]bitset.Bits  // seed signatures (Section 4.6)
+	rootedSeen *SigSet                      // kept rooted trees, by rooted signature
+	byRoot     map[graph.NodeID][]partner   // TreesRootedIn
+	ss         map[graph.NodeID]bitset.Bits // seed signatures (Section 4.6)
 	dl         *deadline
 
 	probeTree, probeMo *fault.Point // the driver's, hit per candidate / Mo commit; nil for none
@@ -146,13 +149,30 @@ type Kernel struct {
 	Stats Stats
 }
 
+// partner is one TreesRootedIn entry. sat caches the first word of t.Sat
+// beside the pointer so mergeAll rejects a Merge2-incompatible partner
+// with one AND over dense memory, before touching the tree.
+type partner struct {
+	t   *tree.Tree
+	sat uint64
+}
+
+// satWord is the word of a seed signature the partner prefilter tests:
+// all of it for m <= 64, a necessary condition beyond.
+func satWord(b bitset.Bits) uint64 {
+	if len(b) == 0 {
+		return 0
+	}
+	return b[0]
+}
+
 // NewKernel returns an empty shard of the search driven by sched.
 func (s *Setup) NewKernel(sched Scheduler, probeTree, probeMo *fault.Point) *Kernel {
 	return &Kernel{
 		s:          *s,
 		sched:      sched,
 		rootedSeen: NewSigSet(),
-		byRoot:     make(map[graph.NodeID][]*tree.Tree),
+		byRoot:     make(map[graph.NodeID][]partner),
 		ss:         make(map[graph.NodeID]bitset.Bits),
 		dl:         newDeadline(s.opts.Filters.Timeout, s.opts.Done),
 		probeTree:  probeTree,
@@ -183,6 +203,9 @@ func (s *callerSched) Truncate()     { s.k.Stats.Truncated, s.stop = true, true 
 func (s *callerSched) Claim(sig uint64, root graph.NodeID, edges []graph.EdgeID) bool {
 	return s.histEdge.Add(sig, root, edges)
 }
+func (s *callerSched) Seen(sig uint64, root graph.NodeID, a, b []graph.EdgeID) bool {
+	return s.histEdge.HasUnion(sig, root, a, b)
+}
 func (s *callerSched) CountKept() bool          { return s.k.Stats.Kept() >= s.k.s.opts.MaxTrees }
 func (s *callerSched) Result(t *tree.Tree) bool { return s.collector.Add(t) }
 func (s *callerSched) PushGrow(_ graph.NodeID, op GrowOp) {
@@ -198,21 +221,36 @@ func (s *callerSched) Mo(mo *tree.Tree) { s.k.CommitMo(mo) }
 func gamSearch(g *graph.Graph, seeds []SeedSet, opts Options) (*ResultSet, *Stats, error) {
 	start := time.Now()
 	setup := NewSetup(g, seeds, opts)
+	s := newCallerSched(setup)
+	s.run(setup)
+
+	// A copy, so the caller's Stats do not pin the kernel's indexes.
+	st := s.k.Stats
+	st.Duration = time.Since(start)
+	rs := s.collector.finish()
+	st.Results = len(rs.Results)
+	return rs, &st, nil
+}
+
+func newCallerSched(setup *Setup) *callerSched {
 	s := &callerSched{histEdge: NewSigSet(), collector: setup.NewCollector()}
-	if opts.MultiQueue {
+	if setup.opts.MultiQueue {
 		s.queue = newMultiQueue()
 	} else {
 		s.queue = newSingleQueue()
 	}
-	k := setup.NewKernel(s, nil, nil)
-	s.k = k
+	s.k = setup.NewKernel(s, nil, nil)
+	return s
+}
 
+// run is Algorithm 1: admit the Init trees, then pop until the queue
+// drains or the run stops.
+func (s *callerSched) run(setup *Setup) {
+	k := s.k
 	setup.Inits(func(t *tree.Tree) bool {
 		k.Admit(t)
 		return !s.stop
 	})
-
-	// Main loop (Algorithm 1 lines 8–11).
 	for !s.stop {
 		op, ok := s.queue.pop()
 		if !ok {
@@ -223,13 +261,6 @@ func gamSearch(g *graph.Graph, seeds []SeedSet, opts Options) (*ResultSet, *Stat
 			k.Admit(t)
 		}
 	}
-
-	// A copy, so the caller's Stats do not pin the kernel's indexes.
-	st := k.Stats
-	st.Duration = time.Since(start)
-	rs := s.collector.finish()
-	st.Results = len(rs.Results)
-	return rs, &st, nil
 }
 
 // Construct counts a queue pop and turns the popped Grow opportunity into
@@ -250,7 +281,9 @@ func (k *Kernel) Construct(op GrowOp) *tree.Tree {
 func (k *Kernel) Admit(t *tree.Tree) {
 	k.Stats.created()
 	k.updateSignature(t)
-	k.processTree(t)
+	if k.live() {
+		k.processTree(t)
+	}
 }
 
 // NoteQueueLen samples the local grow queue for Stats.PeakQueueLen; the
@@ -283,16 +316,32 @@ func (k *Kernel) isNew(t *tree.Tree) bool {
 	if k.sched.Claim(t.Sig(), unrootedRef, t.Edges) {
 		return true
 	}
-	if k.s.variant.LESP {
-		// The LESP exemption: roots already connected to >= 3 seed sets
-		// with graph degree >= 3 keep their (new) rooted trees.
-		if k.ss[t.Root].Count() >= 3 && k.s.g.Degree(t.Root) >= 3 &&
-			!k.rootedSeen.Has(t.RootedSig(), t.Root, t.Edges) {
-			k.Stats.Spared++
-			return true
-		}
+	if k.exempt(t.Sig(), t.Root, t.Edges, nil) {
+		k.Stats.Spared++
+		return true
 	}
 	return false
+}
+
+// exempt is the LESP exemption for the tree with edge set a ∪ b: roots
+// already connected to >= 3 seed sets with graph degree >= 3 keep their
+// (new) rooted trees.
+func (k *Kernel) exempt(sig uint64, root graph.NodeID, a, b []graph.EdgeID) bool {
+	return k.s.variant.LESP && k.ss[root].Count() >= 3 && k.s.g.Degree(root) >= 3 &&
+		!k.rootedSeen.HasUnion(tree.SigWithRoot(sig, root), root, a, b)
+}
+
+// mergeSeen is isNew's verdict on Merge(a, b) before it is built: the
+// signatures are XOR-incremental and the histories compare a stored edge
+// list against the merge-walk of the parents', so a candidate Algorithm 4
+// is about to reject never takes a carrier. It only reads the histories;
+// a candidate it lets through is built and claimed by isNew as before.
+func (k *Kernel) mergeSeen(a, b *tree.Tree) bool {
+	sig := tree.MergeSigs(a.Sig(), b.Sig())
+	if !k.s.variant.ESP {
+		return k.rootedSeen.HasUnion(tree.SigWithRoot(sig, a.Root), a.Root, a.Edges, b.Edges)
+	}
+	return k.sched.Seen(sig, unrootedRef, a.Edges, b.Edges) && !k.exempt(sig, a.Root, a.Edges, b.Edges)
 }
 
 // keep records a tree in the rooted history and statistics (its edge set
@@ -316,17 +365,10 @@ func (k *Kernel) keep(t *tree.Tree) {
 	}
 }
 
-// processTree implements Algorithm 2: deduplicate, report results, record
-// for merging (with Mo injection), feed the queue, and merge aggressively.
+// processTree implements Algorithm 2 for a candidate that passed the live
+// gate: deduplicate, report results, record for merging (with Mo
+// injection), feed the queue, and merge aggressively.
 func (k *Kernel) processTree(t *tree.Tree) {
-	hit(k.probeTree)
-	if k.sched.Stopped() {
-		return
-	}
-	if k.dl.expired() {
-		k.sched.Timeout()
-		return
-	}
 	if !k.isNew(t) {
 		k.Stats.Pruned++
 		k.recycle(t)
@@ -354,6 +396,21 @@ func (k *Kernel) processTree(t *tree.Tree) {
 	k.mergeAll(t)
 }
 
+// live is the gate every candidate passes before Algorithm 2, built or
+// not: it reports whether the run is still going, stopping it when the
+// deadline has passed.
+func (k *Kernel) live() bool {
+	hit(k.probeTree)
+	if k.sched.Stopped() {
+		return false
+	}
+	if k.dl.expired() {
+		k.sched.Timeout()
+		return false
+	}
+	return true
+}
+
 // recycle returns a rejected candidate's buffers to the pool. Only called
 // on trees no history, index, queue, or result references.
 func (k *Kernel) recycle(t *tree.Tree) {
@@ -368,7 +425,7 @@ func (k *Kernel) recycle(t *tree.Tree) {
 // Mo trees are skipped under UNI: re-rooting breaks the directed-tree
 // invariant the UNI filter requires.
 func (k *Kernel) recordForMerging(t *tree.Tree) {
-	k.byRoot[t.Root] = append(k.byRoot[t.Root], t)
+	k.byRoot[t.Root] = append(k.byRoot[t.Root], partner{t, satWord(t.Sat)})
 	if !k.s.variant.Mo || k.s.uni || !gainedSeeds(t) {
 		return
 	}
@@ -403,7 +460,7 @@ func (k *Kernel) CommitMo(mo *tree.Tree) {
 	if k.sched.Stopped() {
 		return
 	}
-	k.byRoot[mo.Root] = append(k.byRoot[mo.Root], mo)
+	k.byRoot[mo.Root] = append(k.byRoot[mo.Root], partner{mo, satWord(mo.Sat)})
 	k.mergeAll(mo)
 }
 
@@ -449,19 +506,20 @@ func (k *Kernel) pushGrows(t *tree.Tree) {
 	k.NoteQueueLen()
 }
 
-// mergeable checks Merge1/Merge2 (Section 4.2) plus the MAX filter. The
+// mergeable checks Merge1/Merge2 (Section 4.2) plus the MAX filter for two
+// trees rooted at the node whose seed memberships are rootMask. The
 // Merge2 condition "sat(t1) ∩ sat(t2) = ∅" is implemented as "no seed set
 // is represented in both trees except through the shared root": trees
 // rooted at a seed node legitimately share that seed's sets (e.g. the
 // Figure 3 merge of A-1-2-B with B-3-C at root B).
-func (k *Kernel) mergeable(a, b *tree.Tree) bool {
+func (k *Kernel) mergeable(a, b *tree.Tree, rootMask bitset.Bits) bool {
 	if a.Size() == 0 || b.Size() == 0 {
 		return false // merging with a single-node tree recreates the partner
 	}
 	if k.s.maxEdges > 0 && a.Size()+b.Size() > k.s.maxEdges {
 		return false
 	}
-	if a.Sat.IntersectsOutside(b.Sat, k.s.si.mask(a.Root)) {
+	if a.Sat.IntersectsOutside(b.Sat, rootMask) {
 		return false // Merge2
 	}
 	return tree.OverlapOnlyRoot(a, b) // Merge1
@@ -471,23 +529,34 @@ func (k *Kernel) mergeable(a, b *tree.Tree) bool {
 // compatible tree sharing its root — all of which live in this shard.
 // New merges recurse through processTree, which records them before
 // merging further, so every compatible pair is eventually examined from
-// its later member.
+// its later member. Partners are visited in insertion order; the word
+// test only skips partners mergeable would refuse on Merge2.
 func (k *Kernel) mergeAll(t *tree.Tree) {
-	if k.sched.Stopped() {
-		return
-	}
-	partners := k.byRoot[t.Root]
-	// Snapshot: processTree below may append to byRoot[t.Root]; new
+	// A snapshot: processTree below may append to byRoot[t.Root]; new
 	// entries merge with t from their own mergeAll.
-	n := len(partners)
-	for i := 0; i < n; i++ {
-		tp := partners[i]
-		if tp == t || !k.mergeable(t, tp) {
+	partners := k.byRoot[t.Root]
+	if len(partners) < 2 || k.sched.Stopped() {
+		return // t is alone at its root: the common case on large graphs
+	}
+	rootMask := k.s.si.mask(t.Root)
+	free := satWord(t.Sat) &^ satWord(rootMask)
+	for _, p := range partners {
+		tp := p.t
+		if p.sat&free != 0 || tp == t || !k.mergeable(t, tp, rootMask) {
 			continue
 		}
-		merged := tree.NewMerge(t, tp)
 		k.Stats.created()
-		k.processTree(merged)
+		if !k.live() {
+			return
+		}
+		if k.mergeSeen(t, tp) {
+			// Rejected unbuilt: it held no buffers, but counts where a built
+			// reject is pruned and recycled so live-tree accounting holds.
+			k.Stats.Pruned++
+			k.Stats.Recycled++
+			continue
+		}
+		k.processTree(tree.NewMerge(t, tp))
 		// Only a candidate's processing (or, across shards, a peer) stops
 		// the run, so partners that do not merge need no re-check.
 		if k.sched.Stopped() {

@@ -56,22 +56,45 @@ const unrootedRef graph.NodeID = -1
 // type's concurrency contract.
 func NewSigSet() *SigSet { return &SigSet{first: make(map[uint64]treeRef)} }
 
-func (r treeRef) is(root graph.NodeID, edges []graph.EdgeID) bool {
-	return r.root == root && edgeSlicesEqual(r.edges, edges)
+// is reports whether r is the identity (root, a ∪ b) for sorted, disjoint
+// a and b: r.edges must be their merge-walk, which for an empty b is plain
+// equality with a. Neither union nor copy is built.
+func (r treeRef) is(root graph.NodeID, a, b []graph.EdgeID) bool {
+	if r.root != root || len(r.edges) != len(a)+len(b) {
+		return false
+	}
+	i, j := 0, 0
+	for _, e := range r.edges {
+		switch {
+		case i < len(a) && a[i] == e:
+			i++
+		case j < len(b) && b[j] == e:
+			j++
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // Has reports whether the (root, edges) identity is present under sig. It
 // must not race with Add (single-writer contract).
 func (s *SigSet) Has(sig uint64, root graph.NodeID, edges []graph.EdgeID) bool {
+	return s.HasUnion(sig, root, edges, nil)
+}
+
+// HasUnion is Has for the identity (root, a ∪ b) of a Merge candidate
+// still unbuilt: a and b are its parents' edge lists.
+func (s *SigSet) HasUnion(sig uint64, root graph.NodeID, a, b []graph.EdgeID) bool {
 	r, ok := s.first[sig]
 	if !ok {
 		return false
 	}
-	if r.is(root, edges) {
+	if r.is(root, a, b) {
 		return true
 	}
 	for _, r := range s.overflow[sig] {
-		if r.is(root, edges) {
+		if r.is(root, a, b) {
 			return true
 		}
 	}
@@ -89,11 +112,11 @@ func (s *SigSet) Add(sig uint64, root graph.NodeID, edges []graph.EdgeID) bool {
 		s.first[sig] = treeRef{root: root, edges: edges}
 		return true
 	}
-	if r.is(root, edges) {
+	if r.is(root, edges, nil) {
 		return false
 	}
 	for _, r := range s.overflow[sig] {
-		if r.is(root, edges) {
+		if r.is(root, edges, nil) {
 			return false
 		}
 	}
@@ -101,18 +124,6 @@ func (s *SigSet) Add(sig uint64, root graph.NodeID, edges []graph.EdgeID) bool {
 		s.overflow = make(map[uint64][]treeRef)
 	}
 	s.overflow[sig] = append(s.overflow[sig], treeRef{root: root, edges: edges})
-	return true
-}
-
-func edgeSlicesEqual(a, b []graph.EdgeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, e := range a {
-		if e != b[i] {
-			return false
-		}
-	}
 	return true
 }
 

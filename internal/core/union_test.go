@@ -8,6 +8,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestUnionEdgesSortedProperty(t *testing.T) {
 		b := randomEdgeSet(rng, 12, 30)
 		got := unionEdgesSorted(a, b)
 		want := naiveUnion(a, b)
-		if !edgeSlicesEqual(got, want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("unionEdgesSorted(%v, %v) = %v, want %v", a, b, got, want)
 		}
 		if cap(got) > len(a)+len(b) {
@@ -99,7 +100,7 @@ func TestInsertEdgeSortedProperty(t *testing.T) {
 		}
 		got := insertEdgeSorted(s, e)
 		want := naiveUnion(s, []graph.EdgeID{e})
-		if !edgeSlicesEqual(got, want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("insertEdgeSorted(%v, %v) = %v, want %v", s, e, got, want)
 		}
 	}
@@ -115,25 +116,25 @@ func TestUnionIntoReusesBuffer(t *testing.T) {
 
 	buf := make([]graph.EdgeID, 0, 16)
 	got := tree.UnionEdgesInto(buf, a, b)
-	if want := []graph.EdgeID{1, 2, 3, 5, 8}; !edgeSlicesEqual(got, want) {
+	if want := []graph.EdgeID{1, 2, 3, 5, 8}; !slices.Equal(got, want) {
 		t.Fatalf("tree.UnionEdgesInto = %v, want %v", got, want)
 	}
 	if &got[0] != &buf[:1][0] {
 		t.Fatal("tree.UnionEdgesInto did not reuse the buffer")
 	}
-	if !edgeSlicesEqual(a, aCopy) || !edgeSlicesEqual(b, bCopy) {
+	if !slices.Equal(a, aCopy) || !slices.Equal(b, bCopy) {
 		t.Fatal("inputs were modified")
 	}
 
 	ibuf := make([]graph.EdgeID, 0, 16)
 	igot := tree.InsertEdgeInto(ibuf, a, 4)
-	if want := []graph.EdgeID{1, 3, 4, 5}; !edgeSlicesEqual(igot, want) {
+	if want := []graph.EdgeID{1, 3, 4, 5}; !slices.Equal(igot, want) {
 		t.Fatalf("tree.InsertEdgeInto = %v, want %v", igot, want)
 	}
 	if &igot[0] != &ibuf[:1][0] {
 		t.Fatal("tree.InsertEdgeInto did not reuse the buffer")
 	}
-	if !edgeSlicesEqual(a, aCopy) {
+	if !slices.Equal(a, aCopy) {
 		t.Fatal("input was modified")
 	}
 }

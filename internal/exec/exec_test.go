@@ -44,7 +44,7 @@ func TestShardedSigSetSingleClaim(t *testing.T) {
 		if won != 1 {
 			t.Fatalf("identity %d claimed %d times, want exactly 1", i, won)
 		}
-		if !s.has(sigs[i], -1, sets[i]) {
+		if !s.hasUnion(sigs[i], -1, sets[i], nil) {
 			t.Fatalf("identity %d missing after claim", i)
 		}
 	}

@@ -57,11 +57,11 @@ func (s *shardedSigSet) add(sig uint64, root graph.NodeID, edges []graph.EdgeID)
 	return ok
 }
 
-// has reports whether the identity is present.
-func (s *shardedSigSet) has(sig uint64, root graph.NodeID, edges []graph.EdgeID) bool {
+// hasUnion reports whether the identity (root, a ∪ b) is present.
+func (s *shardedSigSet) hasUnion(sig uint64, root graph.NodeID, a, b []graph.EdgeID) bool {
 	sh := s.shard(sig)
 	sh.mu.Lock()
-	ok := sh.set.Has(sig, root, edges)
+	ok := sh.set.HasUnion(sig, root, a, b)
 	sh.mu.Unlock()
 	return ok
 }

@@ -220,6 +220,12 @@ func (w *worker) Claim(sig uint64, root graph.NodeID, edges []graph.EdgeID) bool
 	return w.r.hist.add(sig, root, edges)
 }
 
+// Seen reads the shared ESP history. A peer may claim the edge set right
+// after a miss; the kernel then builds the candidate and loses the Claim.
+func (w *worker) Seen(sig uint64, root graph.NodeID, a, b []graph.EdgeID) bool {
+	return w.r.hist.hasUnion(sig, root, a, b)
+}
+
 // CountKept enforces Options.MaxTrees across workers.
 func (w *worker) CountKept() bool { return w.r.kept.Add(1) >= int64(w.r.opts.MaxTrees) }
 

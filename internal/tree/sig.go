@@ -13,7 +13,7 @@ import (
 // incremental — Grow updates a parent signature in O(1), Merge combines two
 // child signatures in O(1) — and order-independent, which matches edge-set
 // identity exactly. XOR set hashing can collide, so every consumer backs
-// the signature with a collision-checked bucket (see core's treeSet) and
+// the signature with a collision-checked bucket (see core's SigSet) and
 // never trusts the hash alone.
 
 // SetSigBasis is the signature of the empty edge set. Folding it into

@@ -105,17 +105,17 @@ type bftState struct {
 	si       *seedIndex
 	opts     Options
 	variant  Algorithm
-	allowed  map[graph.LabelID]bool
+	allowed  labelSet
 	maxEdges int
 
 	queue  bftHeap
 	seq    uint64
-	hist   *SigSet
+	hist   SigSet
 	byNode map[graph.NodeID][]*bftTree
 
 	collector *ResultCollector
 	stats     *Stats
-	dl        *deadline
+	dl        deadline
 	stop      bool
 }
 
@@ -130,7 +130,6 @@ func bftSearch(g *graph.Graph, seeds []SeedSet, opts Options) (*ResultSet, *Stat
 		variant:  opts.Algorithm,
 		allowed:  labelAllow(g, opts.Filters.Labels),
 		maxEdges: opts.Filters.MaxEdges,
-		hist:     NewSigSet(),
 		byNode:   make(map[graph.NodeID][]*bftTree),
 		stats:    &Stats{},
 		dl:       newDeadline(opts.Filters.Timeout, opts.Done),
@@ -138,27 +137,14 @@ func bftSearch(g *graph.Graph, seeds []SeedSet, opts Options) (*ResultSet, *Stat
 	s.collector = newResultCollector(g, si, opts)
 
 	// Generation T0: one-node trees for every seed.
-	inited := make(map[graph.NodeID]bool)
-	for _, set := range seeds {
-		if set.Universal {
-			continue
-		}
-		for _, n := range set.Nodes {
-			if inited[n] {
-				continue
-			}
-			inited[n] = true
-			t := bftAcquire()
-			t.nodes = append(t.nodes, n)
-			t.satBuf = bitset.UnionInto(t.satBuf, si.mask(n), nil)
-			t.sat = t.satBuf
-			t.sig = tree.SetSigBasis
-			s.stats.created()
-			s.admitOrRelease(t, tree.Init)
-			if s.stop {
-				break
-			}
-		}
+	for _, n := range si.inits {
+		t := bftAcquire()
+		t.nodes = append(t.nodes, n)
+		t.satBuf = bitset.UnionInto(t.satBuf, si.mask(n), nil)
+		t.sat = t.satBuf
+		t.sig = tree.SetSigBasis
+		s.stats.created()
+		s.admitOrRelease(t, tree.Init)
 		if s.stop {
 			break
 		}
@@ -267,7 +253,7 @@ func (s *bftState) growAll(t *bftTree) {
 			if s.stop {
 				return
 			}
-			if s.allowed != nil && !s.allowed[s.g.EdgeLabelID(e)] {
+			if !s.allowed.allows(s.g.EdgeLabelID(e)) {
 				continue
 			}
 			other := s.g.Other(e, n)
@@ -278,8 +264,8 @@ func (s *bftState) growAll(t *bftTree) {
 				continue // Grow2
 			}
 			grown := bftAcquire()
-			grown.edges = tree.InsertEdgeInto(grown.edges, t.edges, e)
-			grown.nodes = tree.InsertNodeInto(grown.nodes, t.nodes, other)
+			grown.edges = tree.InsertInto(grown.edges, t.edges, e)
+			grown.nodes = tree.InsertInto(grown.nodes, t.nodes, other)
 			if mask := s.si.mask(other); mask.IsEmpty() {
 				grown.sat = t.sat // alias: a non-seed adds no bits
 			} else {
@@ -310,8 +296,8 @@ func (s *bftState) mergePass(t *bftTree) {
 				continue
 			}
 			merged := bftAcquire()
-			merged.edges = tree.UnionEdgesInto(merged.edges, t.edges, p.edges)
-			merged.nodes = tree.UnionNodesInto(merged.nodes, t.nodes, p.nodes)
+			merged.edges = tree.UnionInto(merged.edges, t.edges, p.edges)
+			merged.nodes = tree.UnionInto(merged.nodes, t.nodes, p.nodes)
 			merged.satBuf = bitset.UnionInto(merged.satBuf, t.sat, p.sat)
 			merged.sat = merged.satBuf
 			merged.sig = tree.MergeSigs(t.sig, p.sig)
@@ -379,25 +365,4 @@ func (s *bftState) reportMinimized(t *bftTree) {
 		s.stats.Truncated = true
 		s.stop = true
 	}
-}
-
-// The sorted-slice primitives are the tree package's buffer-reusing
-// helpers (one implementation, one growth policy — see tree.InsertEdgeInto
-// and friends). The allocation-per-call forms below remain the property-
-// tested entry points, preallocated to the worst case len(a)+len(b).
-
-func insertEdgeSorted(s []graph.EdgeID, e graph.EdgeID) []graph.EdgeID {
-	return tree.InsertEdgeInto(nil, s, e)
-}
-
-func insertNodeSorted(s []graph.NodeID, n graph.NodeID) []graph.NodeID {
-	return tree.InsertNodeInto(nil, s, n)
-}
-
-func unionEdgesSorted(a, b []graph.EdgeID) []graph.EdgeID {
-	return tree.UnionEdgesInto(make([]graph.EdgeID, 0, len(a)+len(b)), a, b)
-}
-
-func unionNodesSorted(a, b []graph.NodeID) []graph.NodeID {
-	return tree.UnionNodesInto(make([]graph.NodeID, 0, len(a)+len(b)), a, b)
 }

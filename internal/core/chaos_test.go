@@ -55,3 +55,39 @@ func TestChaosSequentialKernelContainment(t *testing.T) {
 		})
 	}
 }
+
+// A scheduler whose search panicked must not come back from the pool: a
+// half-written arena or history would poison the searches after it.
+func TestChaosFailedSearchStateIsNotPooled(t *testing.T) {
+	defer fault.Reset()
+	w := gen.Star(5, 4, gen.Alternate)
+	seeds, opts := Explicit(w.Seeds...), Options{Algorithm: MoLESP}
+	_, fresh := new(callerSched).search(NewSetup(w.Graph, seeds, opts))
+	for _, after := range []uint64{0, 7, 150} {
+		fault.Reset()
+		if err := fault.Arm("core.gam.pop", fault.Fault{Kind: fault.Panic, After: after}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Search(w.Graph, seeds, opts); !fault.IsInjected(err) {
+			t.Fatalf("after=%d: want the injected panic, got %v", after, err)
+		}
+		fault.Reset()
+		// The pool hands out its most recent return first: had the failed
+		// scheduler been returned, it would be among these.
+		var drawn []*callerSched
+		for i := 0; i <= poolSize; i++ {
+			s := schedPool.Get()
+			if s.k.sched != nil || s.queue != nil || s.histEdge.n != 0 || s.k.rootedSeen.n != 0 || s.k.roots.n != 0 || len(s.single.h) != 0 {
+				t.Fatalf("after=%d: the pool holds a scheduler its search never reset", after)
+			}
+			drawn = append(drawn, s)
+		}
+		for _, s := range drawn {
+			schedPool.Put(s)
+		}
+		rs, st := run(t, w.Graph, seeds, opts)
+		if rs.Len() != 1 || st.Created != fresh.Created || st.Pruned != fresh.Pruned || st.QueuePops != fresh.QueuePops || st.PeakTrees != fresh.PeakTrees {
+			t.Fatalf("after=%d: the search after a failed one diverges: %+v, fresh %+v", after, st, fresh)
+		}
+	}
+}

@@ -25,6 +25,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime/metrics"
 	"time"
 
@@ -188,7 +189,7 @@ type Stats struct {
 	QueuePops int
 
 	// Hot-path observability (the per-query report ctpserve surfaces).
-	Recycled     int    // rejected candidates returned to the buffer pool
+	Recycled     int    // rejected candidates, their arena space taken back (or never carved)
 	PeakTrees    int    // peak live provenances (Created - Recycled high-water)
 	PeakQueueLen int    // high-water mark of the grow queue
 	Allocations  uint64 // heap allocations during the search (Options.TrackAllocs)
@@ -345,17 +346,24 @@ func heapAllocObjects() uint64 {
 // sets. It is immutable after buildSeedIndex and safe for concurrent
 // readers, which is what lets one Setup serve every worker's Kernel.
 type seedIndex struct {
-	masks        map[graph.NodeID]bitset.Bits
-	required     bitset.Bits // all non-universal set indices
+	masks        nodeTable[bitset.Bits] // every mask is words wide
+	inits        []graph.NodeID         // the distinct seed nodes, in first-occurrence order
+	required     bitset.Bits            // all non-universal set indices
 	numSets      int
+	words        int // of a numSets-bit signature
 	hasUniversal bool
 }
 
 func buildSeedIndex(seeds []SeedSet) *seedIndex {
-	idx := &seedIndex{
-		masks:   make(map[graph.NodeID]bitset.Bits),
-		numSets: len(seeds),
+	idx := &seedIndex{numSets: len(seeds), words: (len(seeds) + 63) / 64}
+	listed := 0
+	for _, s := range seeds {
+		if !s.Universal {
+			listed += len(s.Nodes)
+		}
 	}
+	idx.inits = make([]graph.NodeID, 0, listed)
+	words := make([]uint64, listed*idx.words) // the masks, carved in order
 	for i, s := range seeds {
 		if s.Universal {
 			idx.hasUniversal = true
@@ -363,19 +371,27 @@ func buildSeedIndex(seeds []SeedSet) *seedIndex {
 		}
 		idx.required.Set(i)
 		for _, n := range s.Nodes {
-			m := idx.masks[n]
+			m := idx.masks.at(n)
+			if *m == nil {
+				*m, words = words[:idx.words:idx.words], words[idx.words:]
+				idx.inits = append(idx.inits, n)
+			}
 			m.Set(i)
-			idx.masks[n] = m
 		}
 	}
 	return idx
 }
 
 // mask returns the seed-set membership of n (nil for non-seeds).
-func (si *seedIndex) mask(n graph.NodeID) bitset.Bits { return si.masks[n] }
+func (si *seedIndex) mask(n graph.NodeID) bitset.Bits {
+	if m := si.masks.find(n); m != nil {
+		return *m
+	}
+	return nil
+}
 
 // isSeed reports whether n belongs to any non-universal seed set.
-func (si *seedIndex) isSeed(n graph.NodeID) bool { return !si.masks[n].IsEmpty() }
+func (si *seedIndex) isSeed(n graph.NodeID) bool { return si.masks.find(n) != nil }
 
 // covers reports whether sat covers every non-universal seed set.
 func (si *seedIndex) covers(sat bitset.Bits) bool { return sat.Contains(si.required) }
@@ -388,22 +404,31 @@ func (si *seedIndex) seedTuple(t *tree.Tree) []graph.NodeID {
 		out[i] = t.Root // default for universal sets
 	}
 	for _, n := range t.Nodes {
-		if m := si.masks[n]; m != nil {
-			for _, i := range m.Indices() {
-				out[i] = n
+		m := si.mask(n)
+		for wi, w := range m {
+			for ; w != 0; w &= w - 1 {
+				out[wi*64+bits.TrailingZeros64(w)] = n
 			}
 		}
 	}
 	return out
 }
 
-// labelAllow compiles the LABEL filter into a set of permitted label IDs;
-// nil means unrestricted. Labels absent from the graph simply never match.
-func labelAllow(g *graph.Graph, labels []string) map[graph.LabelID]bool {
+// labelSet is the LABEL filter compiled to a table indexed by label ID;
+// nil means unrestricted.
+type labelSet []bool
+
+func (ls labelSet) allows(l graph.LabelID) bool {
+	return ls == nil || (int(l) < len(ls) && ls[l])
+}
+
+// labelAllow compiles the LABEL filter. Labels absent from the graph
+// simply never match.
+func labelAllow(g *graph.Graph, labels []string) labelSet {
 	if len(labels) == 0 {
 		return nil
 	}
-	out := make(map[graph.LabelID]bool, len(labels))
+	out := make(labelSet, g.Labels().Len())
 	for _, l := range labels {
 		if id, ok := g.LabelIDOf(l); ok {
 			out[id] = true
@@ -421,8 +446,8 @@ type deadline struct {
 	tick  int
 }
 
-func newDeadline(timeout time.Duration, done <-chan struct{}) *deadline {
-	d := &deadline{done: done}
+func newDeadline(timeout time.Duration, done <-chan struct{}) deadline {
+	d := deadline{done: done}
 	if timeout > 0 {
 		d.at = time.Now().Add(timeout)
 		d.armed = true

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"time"
 
 	"ctpquery/internal/bitset"
@@ -44,16 +45,16 @@ type Setup struct {
 	si       *seedIndex
 	variant  variant
 	opts     Options
-	allowed  map[graph.LabelID]bool // LABEL filter; nil = all
-	maxEdges int                    // MAX filter; 0 = unlimited
+	allowed  labelSet // LABEL filter; nil = all
+	maxEdges int      // MAX filter; 0 = unlimited
 	uni      bool
-	priority PriorityFunc
+	priority PriorityFunc // nil = smallest trees first
 }
 
 // NewSetup resolves a search's options. opts.Algorithm must be one of the
 // GAM family (Search validates it).
 func NewSetup(g *graph.Graph, seeds []SeedSet, opts Options) *Setup {
-	s := &Setup{
+	return &Setup{
 		g:        g,
 		seeds:    seeds,
 		si:       buildSeedIndex(seeds),
@@ -64,37 +65,10 @@ func NewSetup(g *graph.Graph, seeds []SeedSet, opts Options) *Setup {
 		uni:      opts.Filters.Uni,
 		priority: opts.Priority,
 	}
-	if s.priority == nil {
-		// Default order: smallest trees first (the order used in all of
-		// the paper's experiments), FIFO among equals.
-		s.priority = func(t *tree.Tree, e graph.EdgeID) float64 { return float64(t.Size()) }
-	}
-	return s
 }
 
 // NewCollector returns the search's result sink.
 func (s *Setup) NewCollector() *ResultCollector { return newResultCollector(s.g, s.si, s.opts) }
-
-// Inits yields the Init trees: one per distinct seed node, over all
-// non-universal sets (universal sets spawn no Init trees, Section 4.9).
-// It stops early when yield returns false.
-func (s *Setup) Inits(yield func(*tree.Tree) bool) {
-	inited := make(map[graph.NodeID]bool)
-	for _, set := range s.seeds {
-		if set.Universal {
-			continue
-		}
-		for _, n := range set.Nodes {
-			if inited[n] {
-				continue
-			}
-			inited[n] = true
-			if !yield(tree.NewInit(n, s.si.mask(n))) {
-				return
-			}
-		}
-	}
-}
 
 // Scheduler is the seam between the kernel and whatever drives it: all
 // that differs between running a search on the caller's goroutine
@@ -132,21 +106,35 @@ type Scheduler interface {
 // (TreesRootedIn, the rooted history, the seed signatures ss_n), the
 // effort counters and the deadline are private to it, and everything
 // run-wide goes through its Scheduler. A sequential search is one Kernel
-// owning every root. A Kernel is single-goroutine.
+// owning every root. A Kernel is single-goroutine. Everything it builds
+// is a bump of its arena and slabs, which live as long as the search:
+// Start readies a zero or Reset Kernel, Reset takes all of it back.
 type Kernel struct {
 	s     Setup // by value: the hot loops read it without an extra hop
 	sched Scheduler
 
-	rootedSeen *SigSet                      // kept rooted trees, by rooted signature
-	byRoot     map[graph.NodeID][]partner   // TreesRootedIn
-	ss         map[graph.NodeID]bitset.Bits // seed signatures (Section 4.6)
-	dl         *deadline
+	arena      tree.Arena
+	rootedSeen SigSet               // kept rooted trees, by rooted signature
+	roots      nodeTable[rootState] // per-root state, entered when a tree first roots there
+	runs       tree.Slab[partner]   // partner runs
+	ssWords    tree.Slab[uint64]    // seed signatures
+	dl         deadline
 
 	probeTree, probeMo *fault.Point // the driver's, hit per candidate / Mo commit; nil for none
 
 	// Stats holds this kernel's counters. TimedOut, Truncated, Results,
 	// Duration and the parallel-runtime fields are the driver's to fill.
 	Stats Stats
+}
+
+// rootState is what the kernel knows of one root n: the seed signature
+// ss_n (Section 4.6; nil until a seed path reaches n) and TreesRootedIn(n)
+// as one contiguous run in keep order — Algorithm 5 scans a run per kept
+// tree (3.1M partners on Star(10,2)), and a run chained through the slab
+// cost fig11-grid a third of its p99.
+type rootState struct {
+	ss  bitset.Bits
+	run []partner
 }
 
 // partner is one TreesRootedIn entry. sat caches the first word of t.Sat
@@ -166,17 +154,42 @@ func satWord(b bitset.Bits) uint64 {
 	return b[0]
 }
 
-// NewKernel returns an empty shard of the search driven by sched.
-func (s *Setup) NewKernel(sched Scheduler, probeTree, probeMo *fault.Point) *Kernel {
-	return &Kernel{
-		s:          *s,
-		sched:      sched,
-		rootedSeen: NewSigSet(),
-		byRoot:     make(map[graph.NodeID][]partner),
-		ss:         make(map[graph.NodeID]bitset.Bits),
-		dl:         newDeadline(s.opts.Filters.Timeout, s.opts.Done),
-		probeTree:  probeTree,
-		probeMo:    probeMo,
+// What a Kernel's own slabs keep across Reset, in elements (see the
+// retention constants of tree.Arena and flatTable).
+const (
+	keepPartners = 1 << 15
+	keepSSWords  = 1 << 13
+)
+
+// Start readies k for one search driven by sched.
+func (k *Kernel) Start(s *Setup, sched Scheduler, probeTree, probeMo *fault.Point) {
+	k.s, k.sched = *s, sched
+	k.dl = newDeadline(s.opts.Filters.Timeout, s.opts.Done)
+	k.probeTree, k.probeMo = probeTree, probeMo
+	k.Stats = Stats{}
+}
+
+// Reset ends a search that ran to completion: every tree the kernel built
+// is gone, and every reference to the graph, options and callbacks; the
+// memory kept for the next Start is bounded. After a failure the Kernel
+// is dropped instead — its state may be half-written.
+func (k *Kernel) Reset() {
+	k.arena.Reset()
+	k.rootedSeen.Reset()
+	k.roots.Reset()
+	k.runs.Reset(keepPartners)
+	k.ssWords.Reset(keepSSWords)
+	k.s, k.sched, k.dl = Setup{}, nil, deadline{}
+}
+
+// Inits yields the Init trees: one per distinct seed node, over all
+// non-universal sets (universal sets spawn no Init trees, Section 4.9).
+// It stops early when yield returns false.
+func (k *Kernel) Inits(yield func(*tree.Tree) bool) {
+	for _, n := range k.s.si.inits {
+		if !yield(k.arena.NewInit(n, k.s.si.mask(n))) {
+			return
+		}
 	}
 }
 
@@ -189,10 +202,11 @@ func hit(p *fault.Point) {
 // callerSched drives one Kernel on the caller's goroutine: no goroutine,
 // lock or atomic anywhere.
 type callerSched struct {
-	k         *Kernel
+	k         Kernel
 	queue     opQueue
+	single    singleQueue // queue, unless Options.MultiQueue
 	seq       uint64
-	histEdge  *SigSet // ESP history: edge-set signatures
+	histEdge  SigSet // ESP history: edge-set signatures
 	collector *ResultCollector
 	stop      bool
 }
@@ -216,38 +230,95 @@ func (s *callerSched) PushGrow(_ graph.NodeID, op GrowOp) {
 func (s *callerSched) QueueLen() int    { return s.queue.len() }
 func (s *callerSched) Mo(mo *tree.Tree) { s.k.CommitMo(mo) }
 
+// Pool is a bounded free list of search states, the one way state
+// outlives a search: a state whose search ran to completion is emptied
+// under its retention bounds and Put back; one whose search failed is
+// never Put, and the GC takes it. Unlike a sync.Pool it holds a constant
+// number of states, the most recently used — a caller searching back to
+// back reuses one state, not one per P it happened to run on.
+type Pool[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+const poolSize = 4
+
+// Get returns a pooled state, or a zero one.
+func (p *Pool[T]) Get() *T {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return new(T)
+	}
+	x := p.free[n-1]
+	p.free = p.free[:n-1]
+	return x
+}
+
+// Put offers x, emptied, for reuse.
+func (p *Pool[T]) Put(x *T) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.free) < poolSize {
+		p.free = append(p.free, x)
+	}
+}
+
+// Emptied zeroes a queue or exchange buffer for the next search, dropping
+// one that grew beyond maxKeptOps entries.
+func Emptied[T any](s []T) []T {
+	if cap(s) > maxKeptOps {
+		return nil
+	}
+	clear(s)
+	return s[:0]
+}
+
+const maxKeptOps = 1 << 16
+
+var schedPool Pool[callerSched]
+
 // gamSearch runs GAM or one of its pruning variants (Algorithm 1) on the
 // caller's goroutine.
 func gamSearch(g *graph.Graph, seeds []SeedSet, opts Options) (*ResultSet, *Stats, error) {
-	start := time.Now()
-	setup := NewSetup(g, seeds, opts)
-	s := newCallerSched(setup)
-	s.run(setup)
+	s := schedPool.Get()
+	rs, st := s.search(NewSetup(g, seeds, opts))
+	schedPool.Put(s)
+	return rs, st, nil
+}
 
-	// A copy, so the caller's Stats do not pin the kernel's indexes.
+// search runs one search on s — new, or reset by the last one — and
+// leaves it reset. Nothing it returns points into s.
+func (s *callerSched) search(setup *Setup) (*ResultSet, *Stats) {
+	start := time.Now()
+	s.run(setup)
 	st := s.k.Stats
 	st.Duration = time.Since(start)
 	rs := s.collector.finish()
 	st.Results = len(rs.Results)
-	return rs, &st, nil
+	s.reset()
+	return rs, &st
 }
 
-func newCallerSched(setup *Setup) *callerSched {
-	s := &callerSched{histEdge: NewSigSet(), collector: setup.NewCollector()}
-	if setup.opts.MultiQueue {
-		s.queue = newMultiQueue()
-	} else {
-		s.queue = newSingleQueue()
-	}
-	s.k = setup.NewKernel(s, nil, nil)
-	return s
+func (s *callerSched) reset() {
+	s.k.Reset()
+	s.histEdge.Reset()
+	s.single.h = Emptied(s.single.h)
+	s.queue, s.collector, s.seq, s.stop = nil, nil, 0, false
 }
 
 // run is Algorithm 1: admit the Init trees, then pop until the queue
 // drains or the run stops.
 func (s *callerSched) run(setup *Setup) {
-	k := s.k
-	setup.Inits(func(t *tree.Tree) bool {
+	s.collector = setup.NewCollector()
+	s.queue = &s.single
+	if setup.opts.MultiQueue {
+		s.queue = newMultiQueue()
+	}
+	k := &s.k
+	k.Start(setup, s, nil, nil)
+	k.Inits(func(t *tree.Tree) bool {
 		k.Admit(t)
 		return !s.stop
 	})
@@ -273,7 +344,7 @@ func (k *Kernel) Construct(op GrowOp) *tree.Tree {
 		return nil
 	}
 	newRoot := k.s.g.Other(op.E, op.T.Root)
-	return tree.NewGrow(op.T, op.E, newRoot, k.s.si.mask(newRoot))
+	return k.arena.NewGrow(op.T, op.E, newRoot, k.s.si.mask(newRoot))
 }
 
 // Admit runs a freshly built Init or Grow tree rooted in this shard
@@ -296,9 +367,11 @@ func (k *Kernel) updateSignature(t *tree.Tree) {
 	if !k.s.variant.LESP || !t.SeedPath {
 		return
 	}
-	m := k.ss[t.Root]
-	(&m).UnionInPlace(t.Sat)
-	k.ss[t.Root] = m
+	r := k.roots.at(t.Root)
+	if r.ss == nil {
+		r.ss = k.ssWords.Alloc(k.s.si.words)
+	}
+	r.ss.UnionInPlace(t.Sat)
 }
 
 // isNew implements Algorithm 4 for the ESP family, plain rooted-tree
@@ -327,14 +400,18 @@ func (k *Kernel) isNew(t *tree.Tree) bool {
 // already connected to >= 3 seed sets with graph degree >= 3 keep their
 // (new) rooted trees.
 func (k *Kernel) exempt(sig uint64, root graph.NodeID, a, b []graph.EdgeID) bool {
-	return k.s.variant.LESP && k.ss[root].Count() >= 3 && k.s.g.Degree(root) >= 3 &&
+	if !k.s.variant.LESP {
+		return false
+	}
+	r := k.roots.find(root)
+	return r != nil && r.ss.Count() >= 3 && k.s.g.Degree(root) >= 3 &&
 		!k.rootedSeen.HasUnion(tree.SigWithRoot(sig, root), root, a, b)
 }
 
 // mergeSeen is isNew's verdict on Merge(a, b) before it is built: the
 // signatures are XOR-incremental and the histories compare a stored edge
 // list against the merge-walk of the parents', so a candidate Algorithm 4
-// is about to reject never takes a carrier. It only reads the histories;
+// is about to reject is never carved. It only reads the histories;
 // a candidate it lets through is built and claimed by isNew as before.
 func (k *Kernel) mergeSeen(a, b *tree.Tree) bool {
 	sig := tree.MergeSigs(a.Sig(), b.Sig())
@@ -347,7 +424,7 @@ func (k *Kernel) mergeSeen(a, b *tree.Tree) bool {
 // keep records a tree in the rooted history and statistics (its edge set
 // was claimed in isNew, or by the parent of a Mo copy). The history
 // aliases the tree's edge slice, which is safe: kept trees are immutable
-// and never recycled.
+// and live as long as the history does.
 func (k *Kernel) keep(t *tree.Tree) {
 	k.rootedSeen.Add(t.RootedSig(), t.Root, t.Edges)
 	switch t.Kind {
@@ -411,12 +488,12 @@ func (k *Kernel) live() bool {
 	return true
 }
 
-// recycle returns a rejected candidate's buffers to the pool. Only called
-// on trees no history, index, queue, or result references.
+// recycle discounts a rejected candidate from the live trees and, when it
+// is this arena's latest carve, takes its memory back. Only called on
+// trees no history, index, queue, or result references.
 func (k *Kernel) recycle(t *tree.Tree) {
-	if tree.Recycle(t) {
-		k.Stats.Recycled++
-	}
+	k.arena.Release(t)
+	k.Stats.Recycled++
 }
 
 // recordForMerging implements Algorithm 3: index the tree by its root and,
@@ -425,7 +502,7 @@ func (k *Kernel) recycle(t *tree.Tree) {
 // Mo trees are skipped under UNI: re-rooting breaks the directed-tree
 // invariant the UNI filter requires.
 func (k *Kernel) recordForMerging(t *tree.Tree) {
-	k.byRoot[t.Root] = append(k.byRoot[t.Root], partner{t, satWord(t.Sat)})
+	k.addPartner(t)
 	if !k.s.variant.Mo || k.s.uni || !gainedSeeds(t) {
 		return
 	}
@@ -433,11 +510,24 @@ func (k *Kernel) recordForMerging(t *tree.Tree) {
 		if n == t.Root || !k.s.si.isSeed(n) {
 			continue
 		}
-		k.sched.Mo(tree.NewMo(t, n))
+		k.sched.Mo(k.arena.NewMo(t, n))
 		if k.sched.Stopped() {
 			return
 		}
 	}
+}
+
+// addPartner appends t to TreesRootedIn(t.Root), moving a full run to a
+// carve of twice its size; the old one is abandoned to the slab, where a
+// mergeAll snapshot may still be reading it.
+func (k *Kernel) addPartner(t *tree.Tree) {
+	r := k.roots.at(t.Root)
+	if n := len(r.run); n == cap(r.run) {
+		grown := k.runs.Alloc(max(2*n, 1))
+		copy(grown, r.run)
+		r.run = grown[:n]
+	}
+	r.run = append(r.run, partner{t, satWord(t.Sat)})
 }
 
 // CommitMo is the tail of Algorithm 3 on the shard owning the copy's
@@ -460,7 +550,7 @@ func (k *Kernel) CommitMo(mo *tree.Tree) {
 	if k.sched.Stopped() {
 		return
 	}
-	k.byRoot[mo.Root] = append(k.byRoot[mo.Root], partner{mo, satWord(mo.Sat)})
+	k.addPartner(mo)
 	k.mergeAll(mo)
 }
 
@@ -485,8 +575,9 @@ func (k *Kernel) pushGrows(t *tree.Tree) {
 		return
 	}
 	g := k.s.g
+	prio := float64(t.Size()) // the default order: smallest trees first, FIFO among equals
 	for _, e := range g.IncidentEdges(t.Root) {
-		if k.s.allowed != nil && !k.s.allowed[g.EdgeLabelID(e)] {
+		if !k.s.allowed.allows(g.EdgeLabelID(e)) {
 			continue
 		}
 		other := g.Other(e, t.Root)
@@ -501,7 +592,10 @@ func (k *Kernel) pushGrows(t *tree.Tree) {
 			// reaches every seed along directed paths.
 			continue
 		}
-		k.sched.PushGrow(other, GrowOp{T: t, E: e, Prio: k.s.priority(t, e)})
+		if k.s.priority != nil {
+			prio = k.s.priority(t, e)
+		}
+		k.sched.PushGrow(other, GrowOp{T: t, E: e, Prio: prio})
 	}
 	k.NoteQueueLen()
 }
@@ -532,9 +626,9 @@ func (k *Kernel) mergeable(a, b *tree.Tree, rootMask bitset.Bits) bool {
 // its later member. Partners are visited in insertion order; the word
 // test only skips partners mergeable would refuse on Merge2.
 func (k *Kernel) mergeAll(t *tree.Tree) {
-	// A snapshot: processTree below may append to byRoot[t.Root]; new
+	// A snapshot: processTree below may append to the run (or move it); new
 	// entries merge with t from their own mergeAll.
-	partners := k.byRoot[t.Root]
+	partners := k.roots.find(t.Root).run
 	if len(partners) < 2 || k.sched.Stopped() {
 		return // t is alone at its root: the common case on large graphs
 	}
@@ -550,13 +644,13 @@ func (k *Kernel) mergeAll(t *tree.Tree) {
 			return
 		}
 		if k.mergeSeen(t, tp) {
-			// Rejected unbuilt: it held no buffers, but counts where a built
+			// Rejected unbuilt: it carved nothing, but counts where a built
 			// reject is pruned and recycled so live-tree accounting holds.
 			k.Stats.Pruned++
 			k.Stats.Recycled++
 			continue
 		}
-		k.processTree(tree.NewMerge(t, tp))
+		k.processTree(k.arena.NewMerge(t, tp))
 		// Only a candidate's processing (or, across shards, a peer) stops
 		// the run, so partners that do not merge need no re-check.
 		if k.sched.Stopped() {

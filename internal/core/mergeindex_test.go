@@ -48,7 +48,7 @@ func TestFig11GridExplorationPinned(t *testing.T) {
 func TestPartnerPrefilterNeverSkipsAMergeablePair(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	check := func(k *Kernel) (pairs, accepted int) {
-		for root, entries := range k.byRoot {
+		for root, entries := range runsByRoot(k) {
 			rootWord := satWord(k.s.si.mask(root))
 			for _, a := range entries {
 				free := a.sat &^ rootWord
@@ -75,7 +75,7 @@ func TestPartnerPrefilterNeverSkipsAMergeablePair(t *testing.T) {
 		m := 2 + rng.Intn(4)
 		seeds := Explicit(gen.RandomSeedSets(g, m, 3, rng)...)
 		for _, alg := range []Algorithm{GAM, MoLESP} {
-			p, a := check(searchSched(g, seeds, Options{Algorithm: alg}).k)
+			p, a := check(&searchSched(g, seeds, Options{Algorithm: alg}).k)
 			pairs, accepted = pairs+p, accepted+a
 		}
 	}
@@ -115,10 +115,22 @@ func TestPartnerPrefilterNeverSkipsAMergeablePair(t *testing.T) {
 		if got := resultKeys(s.collector.finish()); len(want) < 2 || fmt.Sprint(sortedKeys(got)) != fmt.Sprint(sortedKeys(want)) {
 			t.Fatalf("%v, m=70: %d results, reference has %d", alg, len(got), len(want))
 		}
-		k := s.k
+		k := &s.k
 		check(k)
+		// The slot table's multi-word path: under LESP a seed path from n6
+		// or n7 sets ss bits 64-69, in the second word of a two-word ss.
+		if alg == MoLESP {
+			wide := false
+			for root := range runsByRoot(k) {
+				ss := k.roots.find(root).ss
+				wide = wide || (len(ss) == 2 && ss[1] != 0)
+			}
+			if !wide {
+				t.Fatal("MoLESP, m=70: no seed signature reached its second word")
+			}
+		}
 		wordOnly := 0
-		for root, entries := range k.byRoot {
+		for root, entries := range runsByRoot(k) {
 			for _, a := range entries {
 				for _, b := range entries {
 					if a.t.Size() > 0 && b.t.Size() > 0 && a.sat&b.sat == 0 && a.t.Sat.IntersectsOutside(b.t.Sat, k.s.si.mask(root)) {
@@ -133,13 +145,24 @@ func TestPartnerPrefilterNeverSkipsAMergeablePair(t *testing.T) {
 	}
 }
 
-// searchSched runs a caller-goroutine search to completion and returns
-// its scheduler: the kernel with its indexes intact, and the collector.
+// searchSched runs a caller-goroutine search to completion on a scheduler
+// of its own and returns it, never reset: the kernel with its tables
+// intact, and the collector.
 func searchSched(g *graph.Graph, seeds []SeedSet, opts Options) *callerSched {
-	setup := NewSetup(g, seeds, opts)
-	s := newCallerSched(setup)
-	s.run(setup)
+	s := new(callerSched)
+	s.run(NewSetup(g, seeds, opts))
 	return s
+}
+
+// runsByRoot reads TreesRootedIn out of the kernel's slot table.
+func runsByRoot(k *Kernel) map[graph.NodeID][]partner {
+	out := map[graph.NodeID][]partner{}
+	for i := range k.roots.slots {
+		if s := &k.roots.slots[i]; s.used && len(s.val.run) > 0 {
+			out[s.key] = s.val.run
+		}
+	}
+	return out
 }
 
 // Figure 3: A-1-2-B merged with B-3-C at root B. Both trees carry B's seed
@@ -149,14 +172,15 @@ func TestFigure3MergeAtSeedRoot(t *testing.T) {
 	w := gen.Line(3, 1, gen.Forward) // A x B y C
 	seeds := Explicit(w.Seeds...)
 	s := searchSched(w.Graph, seeds, Options{Algorithm: MoLESP})
-	k, bNode := s.k, w.Seeds[1][0]
+	k, bNode := &s.k, w.Seeds[1][0]
 	rootWord := satWord(k.s.si.mask(bNode))
 	if rootWord == 0 {
 		t.Fatal("B is a seed: its mask must be non-empty")
 	}
 	merged := false
-	for _, a := range k.byRoot[bNode] {
-		for _, b := range k.byRoot[bNode] {
+	atB := k.roots.find(bNode).run
+	for _, a := range atB {
+		for _, b := range atB {
 			if a.t.Size() != 2 || b.t.Size() != 2 || a.t == b.t || a.t.Kind == tree.Merge || b.t.Kind == tree.Merge {
 				continue
 			}
@@ -186,7 +210,7 @@ func TestPreBuildProbeSurvivesSignatureCollision(t *testing.T) {
 	a, b := []graph.EdgeID{1, 4}, []graph.EdgeID{2, 9}
 	stored := []graph.EdgeID{1, 2, 4, 9}
 	other := []graph.EdgeID{1, 2, 4, 8}
-	hist := NewSigSet()
+	hist := new(SigSet)
 	hist.Add(sig, unrootedRef, other)
 	if hist.HasUnion(sig, unrootedRef, a, b) {
 		t.Fatal("a different edge set behind the same signature reported as present")
@@ -195,7 +219,7 @@ func TestPreBuildProbeSurvivesSignatureCollision(t *testing.T) {
 		t.Fatal("colliding but distinct edge set must be claimable")
 	}
 	if !hist.HasUnion(sig, unrootedRef, a, b) || !hist.HasUnion(sig, unrootedRef, b, a) {
-		t.Fatal("overflow entry not found through the parents' edge lists")
+		t.Fatal("colliding entry not found through the parents' edge lists")
 	}
 	if hist.HasUnion(sig, 7, a, b) || hist.HasUnion(sig, unrootedRef, a, []graph.EdgeID{2}) {
 		t.Fatal("root or length mismatch reported as present")
@@ -204,16 +228,21 @@ func TestPreBuildProbeSurvivesSignatureCollision(t *testing.T) {
 	// under the result's signature sends both the probe and the claim
 	// through the collision check, and the result must still be found.
 	w := gen.Line(3, 1, gen.Forward)
-	setup := NewSetup(w.Graph, Explicit(w.Seeds...), Options{Algorithm: MoLESP})
 	all := []graph.EdgeID{0, 1, 2, 3}
-	s := newCallerSched(setup)
+	s := new(callerSched)
 	s.histEdge.Add(tree.EdgeSetSig(all), unrootedRef, []graph.EdgeID{100, 101, 102, 103})
-	s.run(setup)
+	s.run(NewSetup(w.Graph, Explicit(w.Seeds...), Options{Algorithm: MoLESP}))
 	if rs := s.collector.finish(); rs.Len() != 1 || !slices.Equal(rs.Results[0].Tree.Edges, all) {
 		t.Fatalf("result lost behind a signature collision: %d results", rs.Len())
 	}
-	if len(s.histEdge.overflow[tree.EdgeSetSig(all)]) != 1 {
-		t.Fatal("the result's edge set did not pass through the collision bucket")
+	behind := 0
+	for _, r := range s.histEdge.slots {
+		if r.used && r.sig == tree.EdgeSetSig(all) {
+			behind++
+		}
+	}
+	if behind != 2 {
+		t.Fatalf("%d identities behind the result's signature, want the planted one and the result", behind)
 	}
 }
 

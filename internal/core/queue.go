@@ -86,8 +86,6 @@ type opQueue interface {
 // singleQueue is the default: one global priority queue.
 type singleQueue struct{ h OpHeap }
 
-func newSingleQueue() *singleQueue { return &singleQueue{h: make(OpHeap, 0, 64)} }
-
 func (q *singleQueue) push(op GrowOp) { q.h.Push(op) }
 func (q *singleQueue) len() int       { return len(q.h) }
 func (q *singleQueue) pop() (GrowOp, bool) {

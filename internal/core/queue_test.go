@@ -17,7 +17,7 @@ func mkOp(satBits []int, prio float64, seq uint64) GrowOp {
 }
 
 func TestSingleQueueOrdering(t *testing.T) {
-	q := newSingleQueue()
+	q := new(singleQueue)
 	q.push(mkOp(nil, 2, 1))
 	q.push(mkOp(nil, 1, 2))
 	q.push(mkOp(nil, 1, 3))

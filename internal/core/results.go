@@ -23,7 +23,7 @@ type ResultCollector struct {
 	limit    int
 	onResult func(Result) bool
 
-	seen     *SigSet
+	seen     SigSet
 	results  []Result
 	limitHit bool
 }
@@ -38,7 +38,6 @@ func newResultCollector(g *graph.Graph, si *seedIndex, opts Options) *ResultColl
 		topK:     opts.Filters.TopK,
 		limit:    opts.Filters.Limit,
 		onResult: opts.OnResult,
-		seen:     NewSigSet(),
 	}
 }
 
@@ -59,6 +58,10 @@ func (rc *ResultCollector) Add(t *tree.Tree) bool {
 		}
 	}
 	rc.seen.Add(sig, root, edges)
+	// The result leaves the search here: a copy that shares nothing with
+	// the arena t lives in, so neither the callback, the caller nor a cache
+	// ever holds memory the next search reuses — or pins a provenance DAG.
+	t = t.Detach()
 	r := Result{Tree: t, Seeds: rc.si.seedTuple(t)}
 	if rc.score != nil {
 		r.Score = rc.score(rc.g, t)

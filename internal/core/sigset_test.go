@@ -29,7 +29,7 @@ func randomEdgeSet(rng *rand.Rand, maxLen, idRange int) []graph.EdgeID {
 // (root, edge set) identity, whatever the hash does.
 func TestTreeSetMatchesNaiveMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	s := NewSigSet()
+	s := new(SigSet)
 	naive := map[string]bool{}
 	key := func(root graph.NodeID, edges []graph.EdgeID) string {
 		return string(rune(root+2)) + tree.EdgeSetKey(edges)
@@ -58,7 +58,7 @@ func TestTreeSetMatchesNaiveMap(t *testing.T) {
 // Forced collisions (same sig, different identities) must still be told
 // apart by the collision check.
 func TestTreeSetCollisions(t *testing.T) {
-	s := NewSigSet()
+	s := new(SigSet)
 	const sig = 12345
 	a := []graph.EdgeID{1, 2, 3}
 	b := []graph.EdgeID{4, 5}
@@ -109,7 +109,7 @@ func BenchmarkSignatureDedup(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	const hist = 4096
 	sets := make([][]graph.EdgeID, hist)
-	s := NewSigSet()
+	s := new(SigSet)
 	for i := range sets {
 		sets[i] = randomEdgeSet(rng, 10, 1<<20)
 		s.Add(tree.EdgeSetSig(sets[i]), unrootedRef, sets[i])

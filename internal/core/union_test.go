@@ -1,9 +1,8 @@
 package core
 
-// Property tests for the sorted-slice primitives of the BFT kernel:
-// insertEdgeSorted / insertNodeSorted / unionEdgesSorted /
-// unionNodesSorted are checked against naive map-based references, and
-// the Into variants are checked to reuse caller buffers without
+// Property tests for the sorted-slice primitives every kernel builds its
+// trees with: tree.InsertInto and tree.UnionInto are checked against
+// naive map-based references, and to reuse caller buffers without
 // corrupting their inputs.
 
 import (
@@ -40,10 +39,10 @@ func TestUnionEdgesSortedProperty(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		a := randomEdgeSet(rng, 12, 30) // small ID range provokes overlap
 		b := randomEdgeSet(rng, 12, 30)
-		got := unionEdgesSorted(a, b)
+		got := tree.UnionInto(make([]graph.EdgeID, 0, len(a)+len(b)), a, b)
 		want := naiveUnion(a, b)
 		if !slices.Equal(got, want) {
-			t.Fatalf("unionEdgesSorted(%v, %v) = %v, want %v", a, b, got, want)
+			t.Fatalf("tree.UnionInto(%v, %v) = %v, want %v", a, b, got, want)
 		}
 		if cap(got) > len(a)+len(b) {
 			t.Fatalf("union over-allocated: cap %d > %d", cap(got), len(a)+len(b))
@@ -63,7 +62,7 @@ func TestUnionNodesSortedProperty(t *testing.T) {
 		}
 		a := mkNodes(randomEdgeSet(rng, 12, 30))
 		b := mkNodes(randomEdgeSet(rng, 12, 30))
-		got := unionNodesSorted(a, b)
+		got := tree.UnionInto(nil, a, b)
 		seen := map[graph.NodeID]bool{}
 		var want []graph.NodeID
 		for _, n := range append(append([]graph.NodeID{}, a...), b...) {
@@ -74,11 +73,11 @@ func TestUnionNodesSortedProperty(t *testing.T) {
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		if len(got) != len(want) {
-			t.Fatalf("unionNodesSorted(%v, %v) = %v, want %v", a, b, got, want)
+			t.Fatalf("tree.UnionInto(%v, %v) = %v, want %v", a, b, got, want)
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("unionNodesSorted(%v, %v) = %v, want %v", a, b, got, want)
+				t.Fatalf("tree.UnionInto(%v, %v) = %v, want %v", a, b, got, want)
 			}
 		}
 	}
@@ -98,10 +97,10 @@ func TestInsertEdgeSortedProperty(t *testing.T) {
 		if dup {
 			continue // insert requires absence
 		}
-		got := insertEdgeSorted(s, e)
+		got := tree.InsertInto(nil, s, e)
 		want := naiveUnion(s, []graph.EdgeID{e})
 		if !slices.Equal(got, want) {
-			t.Fatalf("insertEdgeSorted(%v, %v) = %v, want %v", s, e, got, want)
+			t.Fatalf("tree.InsertInto(%v, %v) = %v, want %v", s, e, got, want)
 		}
 	}
 }
@@ -115,24 +114,24 @@ func TestUnionIntoReusesBuffer(t *testing.T) {
 	bCopy := append([]graph.EdgeID(nil), b...)
 
 	buf := make([]graph.EdgeID, 0, 16)
-	got := tree.UnionEdgesInto(buf, a, b)
+	got := tree.UnionInto(buf, a, b)
 	if want := []graph.EdgeID{1, 2, 3, 5, 8}; !slices.Equal(got, want) {
-		t.Fatalf("tree.UnionEdgesInto = %v, want %v", got, want)
+		t.Fatalf("tree.UnionInto = %v, want %v", got, want)
 	}
 	if &got[0] != &buf[:1][0] {
-		t.Fatal("tree.UnionEdgesInto did not reuse the buffer")
+		t.Fatal("tree.UnionInto did not reuse the buffer")
 	}
 	if !slices.Equal(a, aCopy) || !slices.Equal(b, bCopy) {
 		t.Fatal("inputs were modified")
 	}
 
 	ibuf := make([]graph.EdgeID, 0, 16)
-	igot := tree.InsertEdgeInto(ibuf, a, 4)
+	igot := tree.InsertInto(ibuf, a, 4)
 	if want := []graph.EdgeID{1, 3, 4, 5}; !slices.Equal(igot, want) {
-		t.Fatalf("tree.InsertEdgeInto = %v, want %v", igot, want)
+		t.Fatalf("tree.InsertInto = %v, want %v", igot, want)
 	}
 	if &igot[0] != &ibuf[:1][0] {
-		t.Fatal("tree.InsertEdgeInto did not reuse the buffer")
+		t.Fatal("tree.InsertInto did not reuse the buffer")
 	}
 	if !slices.Equal(a, aCopy) {
 		t.Fatal("input was modified")

@@ -92,6 +92,18 @@ const maxWorkers = 256
 // only through core.Search, which validates the inputs, resolves the
 // algorithm to one of the GAM family and routes Parallelism > 0 here.
 func search(g *graph.Graph, seeds []core.SeedSet, opts core.Options) (*core.ResultSet, *core.Stats, error) {
+	st := statePool.Get()
+	rs, stats, err := st.search(g, seeds, opts)
+	// A failed run's state may be half-written: the GC takes it.
+	if err == nil && len(st.workers) <= maxPooledWorkers {
+		statePool.Put(st)
+	}
+	return rs, stats, err
+}
+
+// search runs one search on st — new, or emptied by the last one — and,
+// unless it fails, leaves it emptied.
+func (st *runState) search(g *graph.Graph, seeds []core.SeedSet, opts core.Options) (*core.ResultSet, *core.Stats, error) {
 	k := opts.Parallelism
 	if k < 1 {
 		k = 1
@@ -101,7 +113,7 @@ func search(g *graph.Graph, seeds []core.SeedSet, opts core.Options) (*core.Resu
 	}
 	start := time.Now()
 
-	r := newRun(g, seeds, opts, k)
+	r := newRun(st, g, seeds, opts, k)
 	if err := r.seedSafely(); err != nil {
 		return nil, nil, err
 	}
@@ -120,6 +132,7 @@ func search(g *graph.Graph, seeds []core.SeedSet, opts core.Options) (*core.Resu
 	stats.Duration = time.Since(start)
 	rs := r.coll.finish()
 	stats.Results = len(rs.Results)
+	r.release()
 	return rs, stats, nil
 }
 
@@ -129,10 +142,8 @@ type run struct {
 	opts  core.Options
 	k     int
 
-	workers []*worker
-	mail    []mailbox // k*k per-pair exchange boxes; mail[from*k+to]
-	hist    *shardedSigSet
-	coll    *collector
+	*runState
+	coll *collector
 
 	pending   atomic.Int64 // queued + in-flight tasks; 0 = search complete
 	panicErr  atomic.Pointer[fault.PanicError]
@@ -145,21 +156,60 @@ type run struct {
 	wg        sync.WaitGroup
 }
 
-func newRun(g *graph.Graph, seeds []core.SeedSet, opts core.Options, k int) *run {
+// runState is the part of a run the next one reuses: the workers with
+// their kernels (arena, tables) and queues, the exchange boxes and the
+// shared history. release empties it under a retention bound.
+type runState struct {
+	workers []*worker
+	mail    []mailbox // k*k per-pair exchange boxes; mail[from*k+to]
+	hist    shardedSigSet
+}
+
+var statePool core.Pool[runState]
+
+// Retention: a state with more workers than maxPooledWorkers is not kept;
+// each kernel bounds its own arena and tables, core.Emptied the queues
+// and exchange buffers.
+const maxPooledWorkers = 8
+
+func newRun(st *runState, g *graph.Graph, seeds []core.SeedSet, opts core.Options, k int) *run {
+	if len(st.workers) != k {
+		st.workers = make([]*worker, k)
+		for i := range st.workers {
+			st.workers[i] = &worker{id: i, wake: make(chan struct{}, 1), k: new(core.Kernel)}
+		}
+		st.mail = make([]mailbox, k*k)
+	}
 	r := &run{
-		setup:  core.NewSetup(g, seeds, opts),
-		opts:   opts,
-		k:      k,
-		mail:   make([]mailbox, k*k),
-		hist:   newShardedSigSet(),
-		stopCh: make(chan struct{}),
+		setup:    core.NewSetup(g, seeds, opts),
+		opts:     opts,
+		k:        k,
+		runState: st,
+		stopCh:   make(chan struct{}),
 	}
 	r.coll = newCollector(r.setup.NewCollector(), opts)
-	r.workers = make([]*worker, k)
-	for i := 0; i < k; i++ {
-		r.workers[i] = newWorker(r, i)
+	for _, w := range r.workers {
+		w.r = r
+		w.k.Start(r.setup, w, probeProcessTree, probeProcessMo)
 	}
 	return r
+}
+
+// release empties the state of a run that ended cleanly — every worker
+// has exited: no tree, graph or callback of this search stays reachable
+// from it.
+func (r *run) release() {
+	for _, w := range r.workers {
+		w.k.Reset()
+		*w = worker{id: w.id, wake: w.wake, k: w.k, q: lockedQueue{h: core.Emptied(w.q.h)}}
+	}
+	for i := range r.mail {
+		mb := &r.mail[i]
+		mb.items, mb.free = core.Emptied(mb.items), core.Emptied(mb.free)
+	}
+	for i := range r.hist.shards {
+		r.hist.shards[i].set.Reset()
+	}
 }
 
 // owner shards nodes across workers. The hash spreads ID-adjacent nodes
@@ -174,7 +224,8 @@ func (r *run) owner(n graph.NodeID) int {
 // seedInits deposits each Init tree in its owner's mailbox before any
 // worker starts, so pending is exact from the first tick.
 func (r *run) seedInits() {
-	r.setup.Inits(func(t *tree.Tree) bool {
+	// Worker 0's arena holds the Init trees; no worker runs yet.
+	r.workers[0].k.Inits(func(t *tree.Tree) bool {
 		r.pending.Add(1)
 		r.deposit(0, r.owner(t.Root), task{kind: taskInit, t: t})
 		return true
@@ -205,8 +256,8 @@ func (r *run) fail(pe *fault.PanicError) {
 
 // drainPoisoned empties every exchange mailbox and zeroes the pending
 // count after a failed search. All workers have exited by now.
-// Undelivered trees may be mid-mutation, so they are dropped for the GC
-// rather than recycled into the pool; releasing the pending count keeps
+// Undelivered trees may be mid-mutation, so they — and the whole state
+// of the run — are dropped for the GC; releasing the pending count keeps
 // the termination invariant (pending == 0 after shutdown) intact for
 // any observer.
 func (r *run) drainPoisoned() {

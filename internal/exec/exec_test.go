@@ -11,7 +11,7 @@ import (
 // The striped signature set must grant exactly one claim per identity no
 // matter how many workers race on it.
 func TestShardedSigSetSingleClaim(t *testing.T) {
-	s := newShardedSigSet()
+	s := new(shardedSigSet)
 	const goroutines = 8
 	const identities = 2000
 	sets := make([][]graph.EdgeID, identities)

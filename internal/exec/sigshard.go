@@ -28,19 +28,11 @@ const (
 )
 
 type sigShard struct {
-	mu  sync.Mutex
-	set *core.SigSet
-	// Pad each shard to its own cache line so stripe locks don't false-
-	// share under contention.
-	_ [64 - 8 - 8]byte
-}
-
-func newShardedSigSet() *shardedSigSet {
-	s := &shardedSigSet{}
-	for i := range s.shards {
-		s.shards[i].set = core.NewSigSet()
-	}
-	return s
+	mu sync.Mutex
+	// The table is made on the first add and kept across runs. Lock and
+	// set fill one cache line, so stripe locks don't false-share under
+	// contention.
+	set core.SigSet
 }
 
 func (s *shardedSigSet) shard(sig uint64) *sigShard {

@@ -37,12 +37,6 @@ type worker struct {
 	wallStart time.Time
 }
 
-func newWorker(r *run, id int) *worker {
-	w := &worker{r: r, id: id, wake: make(chan struct{}, 1)}
-	w.k = r.setup.NewKernel(w, probeProcessTree, probeProcessMo)
-	return w
-}
-
 // loop drains mailboxes and the local queue, steals when idle, and parks
 // when there is nothing to do anywhere. It exits when the run stops —
 // either the pending-task count hit zero (search complete) or a filter
@@ -145,8 +139,7 @@ func (w *worker) drainMail() bool {
 		}
 		// Hand the drained buffer back for the sender's next burst; only
 		// this receiver touches free, so no lock is needed. Clear the
-		// entries first so the recycled array does not pin processed
-		// (possibly pool-recycled) trees.
+		// entries first so the recycled array does not pin processed trees.
 		if cap(items) > 0 {
 			for i := range items {
 				items[i] = task{}

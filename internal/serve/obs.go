@@ -186,7 +186,7 @@ func (s *Server) registerCollectors() {
 		gauge("ctp_graph_edges", "Edges in the served graph.", float64(snap.edges))
 
 		counter("ctp_search_trees_generated_total", "Provenance trees constructed across all queries.", float64(snap.treesGenerated))
-		counter("ctp_search_trees_recycled_total", "Rejected candidates returned to the buffer pool.", float64(snap.treesRecycled))
+		counter("ctp_search_trees_recycled_total", "Candidate trees rejected as duplicates, their arena space taken back.", float64(snap.treesRecycled))
 		counter("ctp_search_allocations_total", "Heap allocations during searches (with -track-allocs).", float64(snap.allocations))
 		gauge("ctp_search_peak_queue_len", "High-water grow-queue length over all queries.", float64(snap.peakQueueLen))
 		gauge("ctp_search_peak_trees", "High-water live provenance count over all queries.", float64(snap.peakTrees))

@@ -33,7 +33,7 @@ func TestQuickSortedOps(t *testing.T) {
 		if seen[e] {
 			return true // insert requires absence; skip
 		}
-		got := InsertEdgeInto(nil, base, e)
+		got := InsertInto(nil, base, e)
 		if len(got) != len(base)+1 {
 			return false
 		}
@@ -72,7 +72,7 @@ func TestQuickUnionNodes(t *testing.T) {
 			return out
 		}
 		sa, sb := mk(a), mk(b)
-		got := UnionNodesInto(nil, sa, sb)
+		got := UnionInto(nil, sa, sb)
 		want := map[graph.NodeID]bool{}
 		for _, n := range sa {
 			want[n] = true

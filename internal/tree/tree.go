@@ -13,8 +13,9 @@
 package tree
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"ctpquery/internal/bitset"
@@ -51,21 +52,14 @@ func (k Kind) String() string {
 // Tree is a rooted tree with provenance. Trees are immutable after
 // construction; Grow/Merge/Mo build new values sharing no mutable state.
 type Tree struct {
-	Root  graph.NodeID
-	Edges []graph.EdgeID // sorted ascending, no duplicates
-	Nodes []graph.NodeID // sorted ascending, no duplicates
+	Root graph.NodeID
 
-	// Sat is sat(t): the bit for seed set i is on iff the tree contains a
-	// node from S_i (Observation 1).
-	Sat bitset.Bits
-
-	// Provenance. Left is the child of Grow and Mo, and the first child of
-	// Merge; Right is the second child of Merge. GrowEdge is the edge a
-	// Grow step added.
-	Kind     Kind
-	Left     *Tree
-	Right    *Tree
+	// GrowEdge is the edge a Grow step added.
 	GrowEdge graph.EdgeID
+
+	// Kind is the provenance constructor. Left is the child of Grow and
+	// Mo, and the first child of Merge; Right is the second child of Merge.
+	Kind Kind
 
 	// HasMo reports whether any step of the provenance is Mo; Grow is
 	// disabled on such trees (Section 4.5).
@@ -76,95 +70,105 @@ type Tree struct {
 	// with no other seed on it. Init trees are 0-edge seed paths.
 	SeedPath bool
 
-	sig uint64   // cached edge-set signature (sig.go); 0 = not computed
-	car *carrier // pooled buffer carrier, nil for unpooled trees (pool.go)
+	Edges []graph.EdgeID // sorted ascending, no duplicates
+	Nodes []graph.NodeID // sorted ascending, no duplicates
+
+	// Sat is sat(t): the bit for seed set i is on iff the tree contains a
+	// node from S_i (Observation 1).
+	Sat bitset.Bits
+
+	Left, Right *Tree
+
+	sig uint64 // cached edge-set signature (sig.go); 0 = not computed
 }
 
+// NewInit builds Init(n) on the heap, for hand-built trees; a search
+// builds its own from its Arena.
+func NewInit(n graph.NodeID, sat bitset.Bits) *Tree { return (*Arena)(nil).NewInit(n, sat) }
+
 // NewInit builds Init(n) for a seed n whose seed-set memberships are sat.
-func NewInit(n graph.NodeID, sat bitset.Bits) *Tree {
-	return &Tree{
-		Root:     n,
-		Nodes:    []graph.NodeID{n},
-		Sat:      sat.Clone(),
-		Kind:     Init,
-		SeedPath: true,
-		sig:      SetSigBasis,
-	}
+func (a *Arena) NewInit(n graph.NodeID, sat bitset.Bits) *Tree {
+	t, _, nodes, own := a.alloc(0, 1, len(sat))
+	nodes[0] = n
+	copy(own, sat)
+	*t = Tree{Root: n, Nodes: nodes, Sat: own, Kind: Init, SeedPath: true, sig: SetSigBasis}
+	return t
 }
 
 // NewGrow builds Grow(t, e): the tree with t's edges plus e, rooted at the
 // endpoint of e opposite t's root. rootSat is the seed-set membership mask
 // of the new root (empty for non-seeds). The caller must have checked the
-// Grow preconditions (Grow1, Grow2). The tree is built on pooled buffers;
-// if the search rejects it as a duplicate, Recycle returns them.
-func NewGrow(t *Tree, e graph.EdgeID, newRoot graph.NodeID, rootSat bitset.Bits) *Tree {
-	c := getCarrier()
-	c.edges = InsertEdgeInto(c.edges, t.Edges, e)
-	c.nodes = InsertNodeInto(c.nodes, t.Nodes, newRoot)
+// Grow preconditions (Grow1, Grow2); if the search rejects the tree as a
+// duplicate, Release takes it back.
+func (a *Arena) NewGrow(t *Tree, e graph.EdgeID, newRoot graph.NodeID, rootSat bitset.Bits) *Tree {
 	// A non-seed root adds no sat bits: alias the parent's (immutable)
 	// signature instead of copying it, the common case on large graphs.
-	sat := t.Sat
+	w := 0
 	if !rootSat.IsEmpty() {
-		c.sat = bitset.UnionInto(c.sat, t.Sat, rootSat)
-		sat = c.sat
+		w = max(len(t.Sat), len(rootSat))
 	}
-	c.t = Tree{
+	g, edges, nodes, sat := a.alloc(len(t.Edges)+1, len(t.Nodes)+1, w)
+	if w == 0 {
+		sat = t.Sat
+	} else {
+		sat = bitset.UnionInto(sat, t.Sat, rootSat)
+	}
+	*g = Tree{
 		Root:     newRoot,
-		Edges:    c.edges,
-		Nodes:    c.nodes,
+		Edges:    InsertInto(edges, t.Edges, e),
+		Nodes:    InsertInto(nodes, t.Nodes, newRoot),
 		Sat:      sat,
 		Kind:     Grow,
 		Left:     t,
 		GrowEdge: e,
 		HasMo:    t.HasMo,
-		SeedPath: t.SeedPath && rootSat.IsEmpty(),
+		SeedPath: t.SeedPath && w == 0,
 		sig:      t.Sig() ^ EdgeSig(e),
-		car:      c,
 	}
-	return &c.t
+	return g
 }
 
 // NewMerge builds Merge(t1, t2) for trees sharing exactly their root. The
 // caller must have checked the Merge preconditions (Merge1, Merge2), which
-// imply edge-disjoint children — the premise of the O(1) signature merge.
-// The tree is built on pooled buffers; see NewGrow.
-func NewMerge(t1, t2 *Tree) *Tree {
-	c := getCarrier()
-	c.edges = UnionEdgesInto(c.edges, t1.Edges, t2.Edges)
-	c.nodes = UnionNodesInto(c.nodes, t1.Nodes, t2.Nodes)
-	c.sat = bitset.UnionInto(c.sat, t1.Sat, t2.Sat)
-	c.t = Tree{
+// imply edge-disjoint children — the premise of the O(1) signature merge
+// and of the exact-size carve (the children's node sets share the root
+// only).
+func (a *Arena) NewMerge(t1, t2 *Tree) *Tree {
+	m, edges, nodes, sat := a.alloc(len(t1.Edges)+len(t2.Edges), len(t1.Nodes)+len(t2.Nodes)-1, max(len(t1.Sat), len(t2.Sat)))
+	*m = Tree{
 		Root:  t1.Root,
-		Edges: c.edges,
-		Nodes: c.nodes,
-		Sat:   c.sat,
+		Edges: UnionInto(edges, t1.Edges, t2.Edges),
+		Nodes: UnionInto(nodes, t1.Nodes, t2.Nodes),
+		Sat:   bitset.UnionInto(sat, t1.Sat, t2.Sat),
 		Kind:  Merge,
 		Left:  t1,
 		Right: t2,
 		HasMo: t1.HasMo || t2.HasMo,
 		sig:   MergeSigs(t1.Sig(), t2.Sig()),
-		car:   c,
 	}
-	return &c.t
+	return m
 }
 
 // NewMo builds Mo(t, r): the same edge set as t re-rooted at seed node r
 // (Section 4.5). r must be a node of t distinct from its root. The slices
-// are t's — immutable and safe to share — so a Mo tree is a plain
-// struct allocation: taking a pooled carrier just to hold the struct
-// would pin the carrier's (possibly heap-grown) buffers for as long as a
-// kept Mo tree lives, starving the pool.
-func NewMo(t *Tree, r graph.NodeID) *Tree {
-	return &Tree{
-		Root:  r,
-		Edges: t.Edges,
-		Nodes: t.Nodes,
-		Sat:   t.Sat,
-		Kind:  Mo,
-		Left:  t,
-		HasMo: true,
-		sig:   t.Sig(),
-	}
+// are t's — immutable and safe to share — so a Mo tree carves only its
+// struct.
+func (a *Arena) NewMo(t *Tree, r graph.NodeID) *Tree {
+	mo, _, _, _ := a.alloc(0, 0, 0)
+	*mo = Tree{Root: r, Edges: t.Edges, Nodes: t.Nodes, Sat: t.Sat, Kind: Mo, Left: t, HasMo: true, sig: t.Sig()}
+	return mo
+}
+
+// Detach returns a heap copy of t that shares nothing with its Arena:
+// exact-size edge, node and sat slices and no provenance children. It is
+// how a result leaves a search.
+func (t *Tree) Detach() *Tree {
+	d := *t
+	d.Left, d.Right = nil, nil
+	d.Edges = append(heapSlice[graph.EdgeID](len(t.Edges))[:0], t.Edges...)
+	d.Nodes = append(heapSlice[graph.NodeID](len(t.Nodes))[:0], t.Nodes...)
+	d.Sat = append(heapSlice[uint64](len(t.Sat))[:0], t.Sat...)
+	return &d
 }
 
 // Size returns the number of edges.
@@ -172,14 +176,14 @@ func (t *Tree) Size() int { return len(t.Edges) }
 
 // ContainsNode reports whether n is a node of t.
 func (t *Tree) ContainsNode(n graph.NodeID) bool {
-	i := sort.Search(len(t.Nodes), func(i int) bool { return t.Nodes[i] >= n })
-	return i < len(t.Nodes) && t.Nodes[i] == n
+	_, ok := slices.BinarySearch(t.Nodes, n)
+	return ok
 }
 
 // ContainsEdge reports whether e is an edge of t.
 func (t *Tree) ContainsEdge(e graph.EdgeID) bool {
-	i := sort.Search(len(t.Edges), func(i int) bool { return t.Edges[i] >= e })
-	return i < len(t.Edges) && t.Edges[i] == e
+	_, ok := slices.BinarySearch(t.Edges, e)
+	return ok
 }
 
 // OverlapOnlyRoot reports whether the node sets of t1 and t2 intersect in
@@ -254,6 +258,10 @@ func (t *Tree) ProvenanceString() string {
 }
 
 func (t *Tree) writeProv(sb *strings.Builder) {
+	if t == nil {
+		sb.WriteString("…") // a detached tree's children stayed in the search
+		return
+	}
 	switch t.Kind {
 	case Init:
 		fmt.Fprintf(sb, "Init(%d)", t.Root)
@@ -283,75 +291,23 @@ func (t *Tree) String() string {
 	return fmt.Sprintf("root=%d {%s}", t.Root, strings.Join(parts, ","))
 }
 
-// InsertEdgeInto writes s with e inserted in order into buf,
+// InsertInto writes the sorted s with x inserted in order into buf,
 // reusing buf's backing array when its capacity suffices.
-func InsertEdgeInto(buf, s []graph.EdgeID, e graph.EdgeID) []graph.EdgeID {
-	n := len(s) + 1
-	if cap(buf) < n {
-		buf = make([]graph.EdgeID, n, roundCap(n))
-	} else {
-		buf = buf[:n]
-	}
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= e })
+func InsertInto[T cmp.Ordered](buf, s []T, x T) []T {
+	buf = slices.Grow(buf[:0], len(s)+1)[:len(s)+1]
+	i, _ := slices.BinarySearch(s, x)
 	copy(buf, s[:i])
-	buf[i] = e
+	buf[i] = x
 	copy(buf[i+1:], s[i:])
 	return buf
 }
 
-// InsertNodeInto is InsertEdgeInto for node slices.
-func InsertNodeInto(buf, s []graph.NodeID, n graph.NodeID) []graph.NodeID {
-	ln := len(s) + 1
-	if cap(buf) < ln {
-		buf = make([]graph.NodeID, ln, roundCap(ln))
-	} else {
-		buf = buf[:ln]
-	}
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= n })
-	copy(buf, s[:i])
-	buf[i] = n
-	copy(buf[i+1:], s[i:])
-	return buf
-}
-
-// UnionEdgesInto merges two sorted, disjoint edge slices into buf,
-// reusing its backing array when possible.
-func UnionEdgesInto(buf, a, b []graph.EdgeID) []graph.EdgeID {
-	n := len(a) + len(b)
-	if cap(buf) < n {
-		buf = make([]graph.EdgeID, 0, roundCap(n))
-	} else {
-		buf = buf[:0]
-	}
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			buf = append(buf, a[i])
-			i++
-		case a[i] > b[j]:
-			buf = append(buf, b[j])
-			j++
-		default: // defensive: shared edge (callers guarantee disjointness)
-			buf = append(buf, a[i])
-			i++
-			j++
-		}
-	}
-	buf = append(buf, a[i:]...)
-	buf = append(buf, b[j:]...)
-	return buf
-}
-
-// UnionNodesInto merges two sorted node slices into buf,
-// deduplicating the nodes they share (for Merge inputs, exactly the root).
-func UnionNodesInto(buf, a, b []graph.NodeID) []graph.NodeID {
-	n := len(a) + len(b)
-	if cap(buf) < n {
-		buf = make([]graph.NodeID, 0, roundCap(n))
-	} else {
-		buf = buf[:0]
-	}
+// UnionInto merges two sorted slices into buf, reusing its backing array
+// when possible and keeping one copy of an element both hold (for the
+// node sets of Merge inputs, exactly the root; their edge sets are
+// disjoint).
+func UnionInto[T cmp.Ordered](buf, a, b []T) []T {
+	buf = buf[:0]
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -368,10 +324,5 @@ func UnionNodesInto(buf, a, b []graph.NodeID) []graph.NodeID {
 		}
 	}
 	buf = append(buf, a[i:]...)
-	buf = append(buf, b[j:]...)
-	return buf
+	return append(buf, b[j:]...)
 }
-
-// roundCap rounds a requested buffer size up so recycled carriers soon
-// stop reallocating as candidate trees grow.
-func roundCap(n int) int { return (n + 7) &^ 7 }

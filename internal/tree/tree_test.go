@@ -1,11 +1,15 @@
 package tree
 
 import (
+	"slices"
 	"testing"
 
 	"ctpquery/internal/bitset"
 	"ctpquery/internal/graph"
 )
+
+// ar is the arena the constructor tests build in.
+var ar = new(Arena)
 
 // pathGraph builds a directed path 0 -> 1 -> ... -> n with edges labeled
 // "e"; returns the graph.
@@ -44,9 +48,9 @@ func TestInitTree(t *testing.T) {
 func TestGrowChain(t *testing.T) {
 	g := pathGraph(3) // 0-1-2-3
 	t0 := NewInit(0, bitset.Single(0))
-	t1 := NewGrow(t0, 0, 1, nil)
-	t2 := NewGrow(t1, 1, 2, nil)
-	t3 := NewGrow(t2, 2, 3, bitset.Single(1))
+	t1 := ar.NewGrow(t0, 0, 1, nil)
+	t2 := ar.NewGrow(t1, 1, 2, nil)
+	t3 := ar.NewGrow(t2, 2, 3, bitset.Single(1))
 	if t3.Size() != 3 || t3.Root != 3 {
 		t.Fatalf("t3 = %v", t3)
 	}
@@ -73,12 +77,12 @@ func TestGrowChain(t *testing.T) {
 func TestMergeTrees(t *testing.T) {
 	// star: 0 center, leaves 1,2; trees grown from 1 and 2 meeting at 0.
 	g := starGraph(2)
-	a := NewGrow(NewInit(1, bitset.Single(0)), 0, 0, nil)
-	b := NewGrow(NewInit(2, bitset.Single(1)), 1, 0, nil)
+	a := ar.NewGrow(NewInit(1, bitset.Single(0)), 0, 0, nil)
+	b := ar.NewGrow(NewInit(2, bitset.Single(1)), 1, 0, nil)
 	if !OverlapOnlyRoot(a, b) {
 		t.Fatal("a and b overlap only at root 0")
 	}
-	m := NewMerge(a, b)
+	m := ar.NewMerge(a, b)
 	if m.Root != 0 || m.Size() != 2 {
 		t.Fatalf("merge = %v", m)
 	}
@@ -105,10 +109,10 @@ func TestOverlapOnlyRootRejectsSharedNonRoot(t *testing.T) {
 }
 
 func TestMoTree(t *testing.T) {
-	a := NewGrow(NewInit(1, bitset.Single(0)), 0, 0, nil)
-	b := NewGrow(NewInit(2, bitset.Single(1)), 1, 0, nil)
-	m := NewMerge(a, b)
-	mo := NewMo(m, 1)
+	a := ar.NewGrow(NewInit(1, bitset.Single(0)), 0, 0, nil)
+	b := ar.NewGrow(NewInit(2, bitset.Single(1)), 1, 0, nil)
+	m := ar.NewMerge(a, b)
+	mo := ar.NewMo(m, 1)
 	if mo.Root != 1 || !mo.HasMo || mo.Kind != Mo {
 		t.Fatalf("mo = %+v", mo)
 	}
@@ -119,9 +123,9 @@ func TestMoTree(t *testing.T) {
 		t.Fatal("Mo must change the rooted key")
 	}
 	// HasMo propagates through Merge.
-	c := NewGrow(NewInit(3, bitset.Single(2)), 2, 1, nil)
+	c := ar.NewGrow(NewInit(3, bitset.Single(2)), 2, 1, nil)
 	_ = c
-	m2 := NewMerge(mo, NewInit(1, bitset.Single(0)))
+	m2 := ar.NewMerge(mo, NewInit(1, bitset.Single(0)))
 	if !m2.HasMo {
 		t.Fatal("HasMo must propagate through Merge")
 	}
@@ -323,5 +327,91 @@ func TestTreeStringRendering(t *testing.T) {
 	tr := &Tree{Root: 4, Edges: []graph.EdgeID{2, 9}}
 	if tr.String() != "root=4 {e2,e9}" {
 		t.Fatalf("String = %q", tr.String())
+	}
+}
+
+// A rejected candidate is its arena's latest carve: Release must hand the
+// same memory to the next tree, and leave any other tree alone.
+func TestArenaReleaseUnbumpsOnlyTheLatestTree(t *testing.T) {
+	a := new(Arena)
+	root := a.NewInit(0, bitset.Single(0))
+	kept := a.NewGrow(root, 0, 1, nil)
+	rejected := a.NewGrow(kept, 1, 2, bitset.Single(1))
+	a.Release(kept) // not the latest: must stay
+	if kept.Size() != 1 || kept.Left != root {
+		t.Fatalf("releasing an older tree disturbed it: %+v", kept)
+	}
+	a.Release(rejected)
+	next := a.NewGrow(kept, 5, 7, bitset.Single(1))
+	if next != rejected || &next.Edges[0] != &rejected.Edges[0] {
+		t.Fatal("the tree after a release must reuse the released carve")
+	}
+	if next.Size() != 2 || next.Root != 7 || !next.ContainsEdge(5) || !next.Sat.Has(1) {
+		t.Fatalf("reused carve holds a wrong tree: %v", next)
+	}
+	// A Mo copy carves only its struct, a Grow onto a non-seed no sat:
+	// releasing them must not take their parents' slices with them.
+	mo := a.NewMo(next, 0)
+	a.Release(mo)
+	plain := a.NewGrow(next, 9, 8, nil)
+	a.Release(plain)
+	if !slices.Equal(next.Edges, []graph.EdgeID{0, 5}) || !next.Sat.Has(0) || !next.Sat.Has(1) {
+		t.Fatalf("releasing a slice-sharing tree damaged its parent: %v sat=%v", next, next.Sat)
+	}
+}
+
+// Reset takes everything back and the next search reuses the memory,
+// zeroed; trees larger than a chunk and runs across chunk boundaries are
+// carved exactly like any other.
+func TestArenaResetReusesAndSlabCrossesChunks(t *testing.T) {
+	a := new(Arena)
+	first := a.NewInit(0, nil)
+	cur := first
+	for i := 1; i <= 3*slabMin; i++ { // a path: tree i has i edges, so the ID slabs cross many chunks
+		cur = a.NewGrow(cur, graph.EdgeID(i), graph.NodeID(i), nil)
+		if cur.Size() != i || len(cur.Nodes) != i+1 || cap(cur.Edges) != i {
+			t.Fatalf("tree %d: %d edges (cap %d), %d nodes", i, cur.Size(), cap(cur.Edges), len(cur.Nodes))
+		}
+	}
+	for n := cur; n.Kind == Grow; n = n.Left { // earlier carves were not overwritten by later ones
+		if n.Edges[len(n.Edges)-1] != n.GrowEdge || !slices.IsSorted(n.Edges) {
+			t.Fatalf("tree of %d edges corrupted: %v", n.Size(), n.Edges)
+		}
+	}
+	a.Reset()
+	if again := a.NewInit(9, nil); again != first {
+		t.Fatal("a reset arena must start over in its first chunk")
+	}
+	if s := &a.trees; len(s.chunks) == 0 || s.chunks[0][1].Left != nil || s.chunks[0][1].Edges != nil {
+		t.Fatal("reset left stale trees behind")
+	}
+	var s Slab[int32]
+	s.Alloc(slabMin)
+	big := s.Alloc(4 * slabMax)
+	s.Reset(slabMin)
+	if len(big) != 4*slabMax || len(s.chunks) != 1 {
+		t.Fatalf("an oversized chunk must serve its request and be dropped at Reset: %d chunks kept", len(s.chunks))
+	}
+}
+
+// Detach is how a result leaves a search: nothing of the copy may point
+// into the arena or at the provenance.
+func TestDetachSharesNothing(t *testing.T) {
+	a := new(Arena)
+	m := a.NewMerge(a.NewGrow(a.NewInit(1, bitset.Single(0)), 0, 0, nil), a.NewGrow(a.NewInit(2, bitset.Single(1)), 1, 0, nil))
+	d := m.Detach()
+	if d.Left != nil || d.Right != nil || cap(d.Edges) != len(d.Edges) || cap(d.Nodes) != len(d.Nodes) || cap(d.Sat) != len(d.Sat) {
+		t.Fatalf("detached tree keeps provenance or slack: %+v", d)
+	}
+	if d.EdgeKey() != m.EdgeKey() || d.Root != m.Root || !d.Sat.Equal(m.Sat) || d.Sig() != m.Sig() {
+		t.Fatal("detached tree differs from its original")
+	}
+	a.Reset()
+	a.NewGrow(a.NewInit(5, nil), 7, 6, nil)
+	if !slices.Equal(d.Edges, []graph.EdgeID{0, 1}) || !slices.Equal(d.Nodes, []graph.NodeID{0, 1, 2}) {
+		t.Fatalf("detached tree changed when its arena was reused: %v", d)
+	}
+	if got := d.ProvenanceString(); got != "Merge(…,…)" {
+		t.Fatalf("provenance of a detached tree = %s", got)
 	}
 }

@@ -71,16 +71,20 @@ func (r *Results) Each(fn func(Row) bool) {
 }
 
 // ApproxSize estimates the heap bytes this result set retains: the row
-// table, the column names, and the connecting trees (node/edge slices
-// plus fixed per-object overhead). Provenance sub-trees shared between
-// results are charged once per tree they appear under, and interned graph
-// data is not charged at all, so the number is an estimate, not an exact
+// table, the column names, and the connecting trees. A result tree is a
+// detached copy — its struct and three exact-size slices, no provenance
+// (core's collector copies it out of the search's arena) — so what is
+// charged per tree is what the tree holds alive. Interned graph data is
+// not charged at all, so the number is an estimate, not an exact
 // accounting — the query-result cache uses it to budget entries.
 func (r *Results) ApproxSize() int64 {
 	const (
 		resultsOverhead = 256 // Results + engine.Result + slice headers
 		rowOverhead     = 24  // []int32 header per row
-		treeOverhead    = 112 // tree.Tree struct + slice headers
+		// A detached tree.Tree: the 112-byte struct (slice headers
+		// included), one 8-byte Sat word (m <= 64), and ~16 bytes the
+		// allocator's size classes round its three small slices up by.
+		treeOverhead = 136
 	)
 	size := int64(resultsOverhead)
 	cols := r.res.Table.Cols()

@@ -118,8 +118,8 @@ func BenchmarkFig11StarVariants(b *testing.B) {
 
 // The parallel runtime (internal/exec) across worker counts on a
 // merge-heavy Figure 11 star: wall time on a single-core runner stays
-// flat (workers timeslice), while the span metric in ctpbench's -json
-// sweep shows the scaling; this benchmark keeps the runtime itself from
+// flat (workers timeslice), while ctpmark's exec.* metrics on kg-explore
+// show the scaling; this benchmark keeps the runtime itself from
 // rotting.
 func BenchmarkParallelRuntimeStar(b *testing.B) {
 	w := gen.Star(10, 2, gen.Alternate)
@@ -321,8 +321,9 @@ SELECT ?x ?y ?z ?w WHERE {
 
 // Serving-path result cache (internal/qcache through the facade): the
 // cold path runs the full BGP + CTP pipeline, the hit path is a lookup.
-// The CI bench smoke runs both so the cache layer cannot rot; ctpbench
-// -json measures the same contrast over the Figure 11 workload grid.
+// The CI bench smoke runs both so the cache layer cannot rot; ctpmark's
+// qcache.hit_us and qcache.miss_overhead_us on serve-hot measure the same
+// contrast under traffic.
 func benchCacheQuery(b *testing.B) (*DB, *Query) {
 	b.Helper()
 	g := RandomGraph(800, 2400, []string{"knows", "cites", "funds"}, 42)

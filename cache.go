@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"ctpquery/internal/core"
 	"ctpquery/internal/fault"
 )
 
@@ -84,11 +85,13 @@ func (db *DB) ShedCache(frac float64) int64 {
 }
 
 // cacheSignature digests every option that can change a query's result
-// rows into the cache key. TrackAllocs is deliberately absent — it only
-// samples observability counters — while Parallelism is included because
+// rows into the cache key. alg is the resolved algorithm, not the name the
+// caller typed: "", "molesp" and "MoLESP" are one behaviour and must be
+// one key. TrackAllocs is deliberately absent — it only samples
+// observability counters — while Parallelism is included because
 // LIMIT/TOP tie-breaking may keep a different same-sized subset across
 // degrees (see Options.Parallelism).
-func (o Options) cacheSignature() string {
-	return fmt.Sprintf("alg=%s mq=%t skew=%d to=%d par=%t k=%d",
-		o.Algorithm, o.MultiQueue, o.SkewThreshold, int64(o.DefaultTimeout), o.Parallel, o.Parallelism)
+func (o Options) cacheSignature(alg core.Algorithm) string {
+	return fmt.Sprintf("alg=%s mq=%t to=%d par=%t k=%d",
+		alg, o.MultiQueue, int64(o.DefaultTimeout), o.Parallel, o.Parallelism)
 }

@@ -322,6 +322,33 @@ func TestDerivedDBSharesCache(t *testing.T) {
 	}
 }
 
+// The key carries the resolved algorithm, not the name as typed: a
+// request that spells out the default algorithm — what ctpserve derives a
+// DB for — must hit the entries the default path filled.
+func TestCacheKeyIgnoresAlgorithmSpelling(t *testing.T) {
+	base, err := ctpquery.Open(ctpquery.SampleGraph(), nil, ctpquery.WithCache(1<<20, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := base.Query(context.Background(), figure1Query); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"", "molesp", "MoLESP", "Mo-LESP"} {
+		derived, err := base.With(ctpquery.WithAlgorithm(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, info, err := derived.QueryWithInfo(context.Background(), figure1Query); err != nil {
+			t.Fatal(err)
+		} else if !info.Hit {
+			t.Errorf("algorithm %q missed the entry the default algorithm filled", name)
+		}
+	}
+	if st := mustCacheStats(t, base); st.Entries != 1 {
+		t.Fatalf("one behaviour, %d cache entries", st.Entries)
+	}
+}
+
 // RunStream bypasses the cache in both directions: it re-executes even
 // when an entry exists, and its runs are never admitted.
 func TestStreamBypassesCache(t *testing.T) {

@@ -1,27 +1,17 @@
-// Command ctpload is the traffic-realism harness for ctpserve: it
+// Command ctpload is the traffic-realism client for ctpserve: it
 // replays open-loop workload mixes — cache-heavy Zipf traffic,
-// heavy-tail analytical enumerations, burst floods — and reports SLO
-// metrics (p50/p95/p99 per class, throughput, shed counts, cache-hit
-// ratio).
-//
-// Two modes:
+// heavy-tail analytical enumerations, burst floods — against a running
+// server and reports SLO metrics (p50/p95/p99 per class, throughput,
+// shed counts, cache-hit ratio).
 //
 //	ctpload -url http://localhost:8080 -mix burst -duration 10s -rps 30
-//	    replay one mix against a live server and print the report.
-//	    -mutate-rps N additionally streams mutation batches to
-//	    POST /ingest while the queries run (the server must be -live);
-//	    the report then includes ingest p50/p99 and the final epoch.
 //
-//	ctpload -suite -out BENCH_pr6.json -baseline BENCH_pr5.json
-//	    run the full self-contained suite (in-process servers, the
-//	    three canonical mixes, and the admission-on/off saturation
-//	    comparison) and write the benchmark trajectory file.
+// -mutate-rps N additionally streams mutation batches to POST /ingest
+// while the queries run (the server must be -live); the report then
+// includes ingest p50/p99 and the final epoch.
 //
-//	ctpload -live-smoke -scale 0.3
-//	    mixed read/write smoke: cache-heavy queries and an open-loop
-//	    ingest stream against one in-process live server, asserting no
-//	    query errors, no ingest failures, and that background
-//	    compaction ran under the load.
+// It is the one tool here that drives a remote server. Repeatable local
+// measurement is ctpmark's (benchmarks/), which is loopback-only.
 package main
 
 import (
@@ -39,71 +29,26 @@ import (
 
 func main() {
 	var (
-		// live-replay mode
-		urlFlag     = flag.String("url", "", "base URL of a running ctpserve (live-replay mode)")
+		urlFlag     = flag.String("url", "", "base URL of a running ctpserve")
 		mixFlag     = flag.String("mix", "cache-heavy", "workload: cache-heavy, analytical-heavy, or burst")
 		duration    = flag.Duration("duration", 10*time.Second, "total replay duration (per-phase for burst)")
 		rps         = flag.Float64("rps", 25, "open-loop arrival rate (baseline rate for burst)")
-		nodes       = flag.Int("nodes", 4000, "node-id range for generated queries / suite graph size")
+		nodes       = flag.Int("nodes", 4000, "node-id range for generated queries (the served graph's labels n1..nN)")
 		seed        = flag.Int64("seed", 1, "workload seed (same seed = same query sequence)")
-		jsonOut     = flag.Bool("json", false, "print the live-replay report as JSON")
+		jsonOut     = flag.Bool("json", false, "print the report as JSON")
 		retries     = flag.Int("retries", 0, "per-request retry cap for 429 sheds, honoring Retry-After under capped exponential backoff with jitter (0 = sheds are terminal)")
 		retryBudget = flag.Int64("retry-budget", 0, "total retries allowed per scheduling class across the replay (0 = unlimited while -retries > 0)")
 		retryBase   = flag.Duration("retry-base", 100*time.Millisecond, "base backoff before the first retry; doubles per attempt")
 		retryMax    = flag.Duration("retry-max", 5*time.Second, "cap on any single backoff wait")
-		mutateRPS   = flag.Float64("mutate-rps", 0, "additionally POST mutation batches to /ingest at this rate, concurrently with the query replay (live-replay mode; the server must run -live)")
-
-		// suite mode
-		suite    = flag.Bool("suite", false, "run the self-contained benchmark suite instead of a live replay")
-		edges    = flag.Int("edges", 0, "suite graph edges (0 = 4x nodes)")
-		scale    = flag.Float64("scale", 1.0, "suite duration multiplier (0.1 = CI smoke)")
-		out      = flag.String("out", "BENCH_pr6.json", "suite report path")
-		baseline = flag.String("baseline", "", "previous BENCH json to embed as baseline")
-
-		// cluster-smoke mode
-		clusterSmoke = flag.Bool("cluster-smoke", false, "replay the cache-heavy mix through an in-process 2-replica cluster with one shard fault-armed, and print the report as JSON")
-
-		// scrape-smoke mode
-		scrapeSmoke = flag.Bool("scrape-smoke", false, "replay through an in-process 2-partition traced cluster, then assert /metrics parses and the shard traces join the coordinator's, and print the report as JSON")
-
-		// live-smoke mode
-		liveSmoke = flag.Bool("live-smoke", false, "replay queries and an ingest stream concurrently against an in-process live server (background compaction under load), and print the report as JSON")
+		mutateRPS   = flag.Float64("mutate-rps", 0, "additionally POST mutation batches to /ingest at this rate, concurrently with the query replay (the server must run -live)")
 	)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	if *clusterSmoke {
-		if err := runClusterSmoke(ctx, *nodes, *edges, *seed, *scale); err != nil {
-			fmt.Fprintln(os.Stderr, "ctpload:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *scrapeSmoke {
-		if err := runScrapeSmoke(ctx, *nodes, *edges, *seed, *scale); err != nil {
-			fmt.Fprintln(os.Stderr, "ctpload:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *liveSmoke {
-		if err := runLiveSmoke(ctx, *nodes, *edges, *seed, *scale); err != nil {
-			fmt.Fprintln(os.Stderr, "ctpload:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *suite {
-		if err := runSuite(ctx, *nodes, *edges, *seed, *scale, *out, *baseline); err != nil {
-			fmt.Fprintln(os.Stderr, "ctpload:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *urlFlag == "" {
-		fmt.Fprintln(os.Stderr, "ctpload: either -url (live replay) or -suite is required")
+		fmt.Fprintln(os.Stderr, "ctpload: -url is required")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -155,7 +100,7 @@ func runLive(ctx context.Context, url, mix string, d time.Duration, rps, mutateR
 			ingestRes, ingestErr = load.IngestReplay(ctx, url, mutateRPS, total, nodes, seed+1)
 		}()
 	}
-	res, err := load.ReplayWithPolicy(ctx, url, plan, seed, pol)
+	res, err := load.Replay(ctx, url, plan, seed, pol)
 	wg.Wait()
 	if err != nil {
 		return err
@@ -180,18 +125,6 @@ func runLive(ctx context.Context, url, mix string, d time.Duration, rps, mutateR
 	return nil
 }
 
-func runLiveSmoke(ctx context.Context, nodes, edges int, seed int64, scale float64) error {
-	rep, err := load.RunLiveSmoke(ctx, load.LiveSmokeConfig{
-		Nodes: nodes, Edges: edges, Seed: seed, Scale: scale, Log: os.Stderr,
-	})
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
 func printResult(r *load.Result) {
 	fmt.Printf("plan %s: %d requests in %.1fs (%.1f ok-rps)\n", r.Plan, r.Requests, r.DurationS, r.ThroughputRPS)
 	fmt.Printf("  ok %d  shed %d  errors %d  timeouts %d  cache-hits %d (%.0f%%)  bypasses %d\n",
@@ -211,59 +144,4 @@ func printResult(r *load.Result) {
 	row("cheap", r.Cheap)
 	row("analytical", r.Analytical)
 	row("shed", r.ShedLatency)
-}
-
-func runClusterSmoke(ctx context.Context, nodes, edges int, seed int64, scale float64) error {
-	rep, err := load.RunClusterSmoke(ctx, load.ClusterSmokeConfig{
-		Nodes: nodes, Edges: edges, Seed: seed, Scale: scale, Log: os.Stderr,
-	})
-	if err != nil {
-		return err
-	}
-	// The smoke's pass condition: injected shard faults were absorbed by
-	// failover/retry instead of surfacing to clients.
-	if rep.FaultsFired == 0 {
-		return fmt.Errorf("cluster.send fault never fired — the smoke exercised nothing")
-	}
-	if rep.Replay.Errors > 0 {
-		return fmt.Errorf("%d client-visible errors despite failover (%d faults injected)",
-			rep.Replay.Errors, rep.FaultsFired)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-func runScrapeSmoke(ctx context.Context, nodes, edges int, seed int64, scale float64) error {
-	rep, err := load.RunScrapeSmoke(ctx, load.ScrapeSmokeConfig{
-		Nodes: nodes, Edges: edges, Seed: seed, Scale: scale, Log: os.Stderr,
-	})
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-func runSuite(ctx context.Context, nodes, edges int, seed int64, scale float64, out, baseline string) error {
-	rep, err := load.RunSuite(ctx, load.SuiteConfig{
-		Nodes: nodes, Edges: edges, Seed: seed, Scale: scale, Log: os.Stderr,
-	})
-	if err != nil {
-		return err
-	}
-	if baseline != "" {
-		if err := rep.EmbedBaseline(baseline); err != nil {
-			return err
-		}
-	}
-	if err := rep.WriteJSON(out); err != nil {
-		return err
-	}
-	c := rep.Comparison
-	fmt.Fprintf(os.Stderr, "wrote %s\n", out)
-	fmt.Fprintf(os.Stderr, "saturation cheap p99: admission on %.1fms, off %.1fms (%.1fx), %d shed\n",
-		c.CheapP99OnMS, c.CheapP99OffMS, c.CheapP99Ratio, c.ShedsAdmission)
-	return nil
 }

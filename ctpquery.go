@@ -41,10 +41,6 @@ type Options struct {
 	// false it is auto-enabled for universal or heavily skewed seed sets.
 	MultiQueue bool
 
-	// SkewThreshold is the largest-to-smallest seed set size ratio beyond
-	// which multi-queue scheduling auto-enables (default 32).
-	SkewThreshold int
-
 	// DefaultTimeout bounds each CTP search when the query has no TIMEOUT
 	// filter (0 = unbounded). Context deadlines passed to Query/Run clamp
 	// this further.
@@ -72,7 +68,6 @@ func (o Options) engineOptions(alg core.Algorithm, onResult func(int, core.Resul
 	return engine.Options{
 		Algorithm:      alg,
 		MultiQueue:     o.MultiQueue,
-		SkewThreshold:  o.SkewThreshold,
 		DefaultTimeout: o.DefaultTimeout,
 		Parallel:       o.Parallel,
 		Parallelism:    o.Parallelism,
@@ -200,7 +195,7 @@ func Open(g *Graph, opts *Options, query ...QueryOption) (*DB, error) {
 	db := &DB{
 		g:       g,
 		opts:    o,
-		optsSig: o.cacheSignature(),
+		optsSig: o.cacheSignature(alg),
 	}
 	if o.Cache != nil && o.Cache.MaxBytes > 0 {
 		db.cache = qcache.New(o.Cache.MaxBytes, o.Cache.TTL)

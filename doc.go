@@ -13,7 +13,7 @@
 //
 // Entry points: cmd/ctpserve serves concurrent EQL queries over HTTP,
 // cmd/eqlrun executes a single query from the command line, cmd/graphgen
-// generates graphs, and cmd/ctpbench and cmd/expdriver drive the paper's
-// experiments; examples/ holds runnable walkthroughs, starting with
+// generates graphs, and cmd/expdriver drives the paper's experiments;
+// examples/ holds runnable walkthroughs, starting with
 // examples/quickstart.
 package ctpquery

@@ -38,14 +38,9 @@ type Options struct {
 	Algorithm core.Algorithm
 
 	// MultiQueue forces the Section 4.9 multi-queue scheduling. When
-	// false, the engine still enables it automatically for CTPs with
-	// universal or heavily skewed seed sets (as the paper does for the
-	// YAGO queries J2 and J3).
+	// false, the engine still chooses it for some CTPs by itself; the
+	// rule is Engine.multiQueue.
 	MultiQueue bool
-
-	// SkewThreshold is the largest-to-smallest seed set size ratio beyond
-	// which multi-queue scheduling is auto-enabled (default 32).
-	SkewThreshold int
 
 	// DefaultTimeout bounds each CTP evaluation when the query does not
 	// specify TIMEOUT (0 = unbounded).
@@ -90,9 +85,6 @@ type Engine struct {
 func New(g *graph.Graph, opts Options) *Engine {
 	if opts.Algorithm == 0 {
 		opts.Algorithm = core.MoLESP
-	}
-	if opts.SkewThreshold <= 0 {
-		opts.SkewThreshold = 32
 	}
 	return &Engine{g: g, opts: opts}
 }
@@ -307,6 +299,36 @@ func (e *Engine) parallelism() int {
 	return e.opts.Parallelism
 }
 
+// skewThreshold is the largest-to-smallest seed set size ratio from which
+// multi-queue scheduling is chosen without being asked for.
+const skewThreshold = 32
+
+// multiQueue is the Section 4.9 decision for one CTP: multi-queue
+// scheduling when it is forced (Options.MultiQueue), when a seed set is
+// universal, or when the sizes of the other seed sets are heavily skewed
+// (as the paper does for the YAGO queries J2 and J3). A configured
+// parallel degree supersedes the skew heuristic — worker sharding already
+// spreads skewed frontiers — but not the first two, which keep the
+// sequential multi-queue kernel.
+func (e *Engine) multiQueue(universal bool, sizes []int) bool {
+	if e.opts.MultiQueue || universal {
+		return true
+	}
+	if e.parallelism() != 0 || len(sizes) == 0 {
+		return false
+	}
+	lo, hi := sizes[0], sizes[0]
+	for _, s := range sizes[1:] {
+		if s < lo {
+			lo = s
+		}
+		if s > hi {
+			hi = s
+		}
+	}
+	return lo > 0 && hi/lo >= skewThreshold
+}
+
 // joinAll natural-joins the tables, preferring join partners sharing
 // columns; disconnected groups degrade to cross products (Definition
 // 2.10's ⋈ over all simple variables).
@@ -375,20 +397,18 @@ func (e *Engine) safeEvalCTP(ctx context.Context, idx int, c eql.CTP, bgpTables 
 func (e *Engine) evalCTP(ctx context.Context, idx int, c eql.CTP, bgpTables []*storage.Table) ctpOutput {
 	probeEvalCTP.Hit()
 	seeds := make([]core.SeedSet, len(c.Members))
-	maxSize, minSize := 0, -1
+	sizes := make([]int, 0, len(c.Members)) // of the non-universal seed sets
+	universal := false
 	for i, m := range c.Members {
 		set, err := e.seedSet(m, bgpTables)
 		if err != nil {
 			return ctpOutput{err: err}
 		}
 		seeds[i] = set
-		if !set.Universal {
-			if len(set.Nodes) > maxSize {
-				maxSize = len(set.Nodes)
-			}
-			if minSize == -1 || len(set.Nodes) < minSize {
-				minSize = len(set.Nodes)
-			}
+		if set.Universal {
+			universal = true
+		} else {
+			sizes = append(sizes, len(set.Nodes))
 		}
 	}
 
@@ -421,22 +441,8 @@ func (e *Engine) evalCTP(ctx context.Context, idx int, c eql.CTP, bgpTables []*s
 		}
 		opts.Score = f
 	}
-	// Section 4.9: universal or heavily skewed seed sets get the
-	// multi-queue scheduling. A configured parallel degree supersedes the
-	// skew heuristic (worker sharding spreads skewed frontiers), but not
-	// universal sets or an explicit MultiQueue, which keep the sequential
-	// multi-queue kernel.
-	hasUniversal := false
-	for _, s := range seeds {
-		if s.Universal {
-			hasUniversal = true
-		}
-	}
 	opts.Parallelism = e.parallelism()
-	if e.opts.MultiQueue || hasUniversal ||
-		(opts.Parallelism == 0 && minSize > 0 && maxSize/minSize >= e.opts.SkewThreshold) {
-		opts.MultiQueue = true
-	}
+	opts.MultiQueue = e.multiQueue(universal, sizes)
 
 	rs, stats, err := core.Search(e.g, seeds, opts)
 	if err != nil {

@@ -62,19 +62,7 @@ func (e *Engine) Explain(q *eql.Query) (string, error) {
 			}
 		}
 		par := e.parallelism()
-		mq := e.opts.MultiQueue || universal
-		if !mq && par == 0 && len(sizes) > 1 {
-			lo, hi := sizes[0], sizes[0]
-			for _, s := range sizes[1:] {
-				if s < lo {
-					lo = s
-				}
-				if s > hi {
-					hi = s
-				}
-			}
-			mq = lo > 0 && hi/lo >= e.opts.SkewThreshold
-		}
+		mq := e.multiQueue(universal, sizes)
 		fmt.Fprintf(&sb, "    multi-queue: %v; filters: %s\n", mq, describeFilters(c.Filters))
 		switch {
 		case mq || !isGAMFamily(e.opts.Algorithm):

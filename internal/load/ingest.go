@@ -4,16 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"time"
-
-	"ctpquery"
-	"ctpquery/internal/serve"
 )
 
 // IngestResult is the write-path half of a mixed read/write replay:
@@ -157,139 +152,4 @@ loop:
 		res.ThroughputRPS = float64(res.OK) / elapsed
 	}
 	return res, nil
-}
-
-// LiveSmokeConfig parameterizes the mixed read/write smoke: a live
-// in-process server takes cache-heavy query traffic and a concurrent
-// ingest stream, with the compaction threshold set low enough that
-// background compactions happen under the load.
-type LiveSmokeConfig struct {
-	// Nodes/Edges size the generated graph (defaults 2000/8000).
-	Nodes, Edges int
-	// Seed drives graph generation and every workload draw.
-	Seed int64
-	// Scale multiplies the replay duration (1.0 = ~4s of traffic).
-	Scale float64
-	// Log receives progress lines (nil = silent).
-	Log io.Writer
-}
-
-func (c LiveSmokeConfig) withDefaults() LiveSmokeConfig {
-	if c.Nodes <= 0 {
-		c.Nodes = 2000
-	}
-	if c.Edges <= 0 {
-		c.Edges = 4 * c.Nodes
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Scale <= 0 {
-		c.Scale = 1.0
-	}
-	if c.Log == nil {
-		c.Log = io.Discard
-	}
-	return c
-}
-
-// LiveSmokeReport is the live smoke's JSON payload.
-type LiveSmokeReport struct {
-	Description string        `json:"description"`
-	Replay      *Result       `json:"replay"`
-	Ingest      *IngestResult `json:"ingest"`
-	// FinalEpoch/Compactions come from the store after the traffic
-	// settles; the smoke fails unless ingest moved the epoch and at
-	// least one background compaction landed.
-	FinalEpoch  uint64 `json:"final_epoch"`
-	Compactions uint64 `json:"compactions"`
-	DeltaEdges  int    `json:"delta_edges_after"`
-}
-
-// RunLiveSmoke replays queries and ingest concurrently against one live
-// in-process server and fails on any broken invariant: query errors,
-// ingest failures, a frozen epoch, or a compaction that never ran. CI
-// runs it as the live-smoke job.
-func RunLiveSmoke(ctx context.Context, cfg LiveSmokeConfig) (*LiveSmokeReport, error) {
-	cfg = cfg.withDefaults()
-	fmt.Fprintf(cfg.Log, "generating live graph %dx%d (seed %d)\n", cfg.Nodes, cfg.Edges, cfg.Seed)
-	g := ctpquery.RandomGraph(cfg.Nodes, cfg.Edges, []string{"knows", "cites", "funds", "worksFor"}, cfg.Seed).
-		LiveWithConfig(ctpquery.LiveConfig{CompactThreshold: 32})
-	db, err := ctpquery.Open(g, &ctpquery.Options{Parallel: true},
-		ctpquery.WithCache(32<<20, 0))
-	if err != nil {
-		return nil, err
-	}
-	s, err := serve.New(db, serve.Config{
-		DefaultTimeout: 10 * time.Second,
-		MaxTimeout:     30 * time.Second,
-		MaxRows:        100,
-	})
-	if err != nil {
-		return nil, err
-	}
-	srv := httptest.NewServer(s.Handler(false))
-	defer srv.Close()
-
-	d := time.Duration(float64(4*time.Second) * cfg.Scale)
-	plan := SteadyPlan(CacheHeavyMix(cfg.Nodes, 32, cfg.Seed), 30, d)
-	fmt.Fprintf(cfg.Log, "replaying %s (30 rps) + ingest (15 rps) for %v\n", plan.Name, d)
-
-	var (
-		wg        sync.WaitGroup
-		replayRes *Result
-		ingestRes *IngestResult
-		replayErr error
-		ingestErr error
-	)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		replayRes, replayErr = Replay(ctx, srv.URL, plan, cfg.Seed)
-	}()
-	go func() {
-		defer wg.Done()
-		ingestRes, ingestErr = IngestReplay(ctx, srv.URL, 15, d, cfg.Nodes, cfg.Seed+1)
-	}()
-	wg.Wait()
-	if replayErr != nil {
-		return nil, replayErr
-	}
-	if ingestErr != nil {
-		return nil, ingestErr
-	}
-	g.Quiesce()
-
-	rep := &LiveSmokeReport{
-		Description: "ctpload live smoke: cache-heavy queries and an open-loop ingest stream against one live in-process server, with background compaction under load",
-		Replay:      replayRes,
-		Ingest:      ingestRes,
-	}
-	st, ok := g.StoreStats()
-	if !ok {
-		return nil, fmt.Errorf("live smoke: server graph reports no store stats")
-	}
-	rep.FinalEpoch = st.Epoch
-	rep.Compactions = st.Compactions
-	rep.DeltaEdges = st.DeltaEdges
-
-	switch {
-	case replayRes.OK == 0:
-		return nil, fmt.Errorf("live smoke: no query succeeded (%d errors)", replayRes.Errors)
-	case replayRes.Errors > 0:
-		return nil, fmt.Errorf("live smoke: %d query errors under concurrent ingest", replayRes.Errors)
-	case ingestRes.OK == 0 || ingestRes.Failures > 0:
-		return nil, fmt.Errorf("live smoke: ingest ok=%d failures=%d", ingestRes.OK, ingestRes.Failures)
-	case st.Epoch == 0:
-		return nil, fmt.Errorf("live smoke: epoch never advanced")
-	case st.Compactions == 0:
-		return nil, fmt.Errorf("live smoke: no background compaction ran (epoch %d, %d pending ops)",
-			st.Epoch, st.PendingOps)
-	case st.CompactAborts > 0:
-		return nil, fmt.Errorf("live smoke: %d compactions aborted", st.CompactAborts)
-	}
-	fmt.Fprintf(cfg.Log, "  queries ok %d (p99 %.1fms), ingest ok %d (p99 %.1fms), epoch %d, %d compactions\n",
-		replayRes.OK, replayRes.Overall.P99MS, ingestRes.OK, ingestRes.Latency.P99MS,
-		st.Epoch, st.Compactions)
-	return rep, nil
 }

@@ -11,8 +11,9 @@
 // multi-member enumerations in the spirit of the paper's Figure 11
 // grid (member count m drives the 2^(m-1) provenance explosion), and a
 // burst plan that floods a steady cheap baseline with an analytical
-// spike. The suite (suite.go) runs them against in-process servers
-// with admission on and off and writes the BENCH_pr6.json trajectory.
+// spike. The package is a client only: it imports nothing of the server
+// it drives, so ctpload measures a remote ctpserve the way any other
+// client would. Its tests drive whole in-process stacks with it.
 package load
 
 import (
@@ -64,17 +65,6 @@ type Phase struct {
 type Plan struct {
 	Name   string
 	Phases []Phase
-}
-
-// Scale returns a copy of the plan with every phase duration multiplied
-// by f — the knob that turns a benchmark plan into a CI smoke.
-func (p Plan) Scale(f float64) Plan {
-	out := Plan{Name: p.Name}
-	for _, ph := range p.Phases {
-		ph.Duration = time.Duration(float64(ph.Duration) * f)
-		out.Phases = append(out.Phases, ph)
-	}
-	return out
 }
 
 // CheapQuery renders a tightly bounded two-member CONNECT between two
@@ -194,8 +184,7 @@ func SteadyPlan(mix *Mix, rps float64, d time.Duration) Plan {
 // against a per-class retry budget so a saturated server is not
 // hammered into deeper saturation by its own clients. Both refusal
 // classes draw from the same budget. The zero value disables retries
-// (every refusal is terminal), which is what the benchmark suite uses
-// so admission-on/off runs stay comparable.
+// (every refusal is terminal).
 type RetryPolicy struct {
 	// MaxRetries is the per-request retry cap (0 = no retries).
 	MaxRetries int
@@ -339,18 +328,12 @@ type replayResponse struct {
 // Replay runs the plan against the server at url, open-loop: a request
 // launches at every arrival tick whether or not earlier ones came back.
 // The rng drives every generator draw, so a (plan, seed) pair replays
-// the identical query sequence against any server. Retries are off; see
-// ReplayWithPolicy.
-func Replay(ctx context.Context, url string, plan Plan, seed int64) (*Result, error) {
-	return ReplayWithPolicy(ctx, url, plan, seed, RetryPolicy{})
-}
-
-// ReplayWithPolicy is Replay with client-side 429 resilience: shed
-// requests retry per pol, honoring the server's Retry-After. Backoff
-// jitter comes from a per-request rng seeded from (seed, request
-// index), so a (plan, seed, pol) triple still replays deterministically
-// modulo server timing.
-func ReplayWithPolicy(ctx context.Context, url string, plan Plan, seed int64, pol RetryPolicy) (*Result, error) {
+// the identical query sequence against any server. Refused requests (429,
+// 503) retry per pol, honoring the server's Retry-After; the zero policy
+// makes every refusal terminal. Backoff jitter comes from a per-request
+// rng seeded from (seed, request index), so a (plan, seed, pol) triple
+// still replays deterministically modulo server timing.
+func Replay(ctx context.Context, url string, plan Plan, seed int64, pol RetryPolicy) (*Result, error) {
 	client := &http.Client{Timeout: 60 * time.Second}
 	rng := rand.New(rand.NewSource(seed))
 	var budgets *retryBudgets

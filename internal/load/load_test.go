@@ -123,15 +123,6 @@ func TestAnalyticalQueryShape(t *testing.T) {
 	}
 }
 
-func TestPlanScale(t *testing.T) {
-	p := BurstPlan(100, 1, 10, 20, time.Second).Scale(0.25)
-	for _, ph := range p.Phases {
-		if ph.Duration != 250*time.Millisecond {
-			t.Fatalf("phase %s duration = %v", ph.Name, ph.Duration)
-		}
-	}
-}
-
 // A short end-to-end replay against a real in-process admission server:
 // the harness must count OK responses, observe cache hits, and finish
 // within the open-loop schedule.
@@ -158,7 +149,7 @@ func TestReplayAgainstAdmissionServer(t *testing.T) {
 
 	// Node range matches the graph so cheap queries resolve real labels.
 	plan := SteadyPlan(CacheHeavyMix(400, 8, 5), 40, 1*time.Second)
-	res, err := Replay(context.Background(), srv.URL, plan, 5)
+	res, err := Replay(context.Background(), srv.URL, plan, 5, RetryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +182,7 @@ func TestReplayCancel(t *testing.T) {
 	// the context stops it.
 	plan := SteadyPlan(AnalyticalHeavyMix(100), 10, 10*time.Second)
 	start := time.Now()
-	_, err := Replay(ctx, "http://127.0.0.1:1", plan, 1)
+	_, err := Replay(ctx, "http://127.0.0.1:1", plan, 1, RetryPolicy{})
 	if err == nil {
 		t.Fatal("want context error")
 	}

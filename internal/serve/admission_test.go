@@ -308,7 +308,7 @@ func TestShedRequestsPolluteNothing(t *testing.T) {
 	// Nothing has executed yet (the admitted analyticals are parked at
 	// the gate), so every aggregate downstream of execution must be zero:
 	// a shed that contributed to any of them would show here.
-	if got := s.treesGenerated.Load(); got != 0 {
+	if got := s.snapshot().search.TreesGenerated; got != 0 {
 		t.Fatalf("search effort aggregated before any execution: %d trees", got)
 	}
 	if cs, _ := s.base.CacheStats(); cs.Misses != 0 || cs.Entries != 0 {

@@ -77,12 +77,8 @@ type statsSnapshot struct {
 	nodes, edges   int
 	algorithm      string
 
-	treesGenerated int64
-	treesRecycled  int64
-	allocations    uint64
-	peakQueueLen   int64
-	peakTrees      int64
-	workers        []workerAgg
+	// search is the effort total of every executed query (Workers copied).
+	search ctpquery.SearchStats
 
 	cache     *ctpquery.CacheStats
 	admission *admission.Stats
@@ -115,11 +111,6 @@ func (s *Server) snapshot() statsSnapshot {
 		panics:         s.panics.Load(),
 		internalErrors: s.internalErrors.Load(),
 		inFlight:       s.inFlight.Load(),
-		treesGenerated: s.treesGenerated.Load(),
-		treesRecycled:  s.treesRecycled.Load(),
-		allocations:    s.allocations.Load(),
-		peakQueueLen:   s.peakQueueLen.Load(),
-		peakTrees:      s.peakTrees.Load(),
 		algorithm:      s.base.Options().Algorithm,
 	}
 	busyNS := s.busyNS.Load()
@@ -134,9 +125,10 @@ func (s *Server) snapshot() statsSnapshot {
 	snap.ingestBatches = s.ingestBatches.Load()
 	snap.ingestOps = s.ingestOps.Load()
 	snap.ingestFailures = s.ingestFailures.Load()
-	s.workerMu.Lock()
-	snap.workers = append([]workerAgg(nil), s.workerAgg...)
-	s.workerMu.Unlock()
+	s.searchMu.Lock()
+	snap.search = s.search
+	snap.search.Workers = append([]ctpquery.WorkerSearchStats(nil), s.search.Workers...)
+	s.searchMu.Unlock()
 	if cs, ok := s.base.CacheStats(); ok {
 		snap.cache = &cs
 	}
@@ -185,26 +177,26 @@ func (s *Server) registerCollectors() {
 		gauge("ctp_graph_nodes", "Nodes in the served graph.", float64(snap.nodes))
 		gauge("ctp_graph_edges", "Edges in the served graph.", float64(snap.edges))
 
-		counter("ctp_search_trees_generated_total", "Provenance trees constructed across all queries.", float64(snap.treesGenerated))
-		counter("ctp_search_trees_recycled_total", "Candidate trees rejected as duplicates, their arena space taken back.", float64(snap.treesRecycled))
-		counter("ctp_search_allocations_total", "Heap allocations during searches (with -track-allocs).", float64(snap.allocations))
-		gauge("ctp_search_peak_queue_len", "High-water grow-queue length over all queries.", float64(snap.peakQueueLen))
-		gauge("ctp_search_peak_trees", "High-water live provenance count over all queries.", float64(snap.peakTrees))
+		counter("ctp_search_trees_generated_total", "Provenance trees constructed across all queries.", float64(snap.search.TreesGenerated))
+		counter("ctp_search_trees_recycled_total", "Candidate trees rejected as duplicates, their arena space taken back.", float64(snap.search.TreesRecycled))
+		counter("ctp_search_allocations_total", "Heap allocations during searches (with -track-allocs).", float64(snap.search.Allocations))
+		gauge("ctp_search_peak_queue_len", "High-water grow-queue length over all queries.", float64(snap.search.PeakQueueLen))
+		gauge("ctp_search_peak_trees", "High-water live provenance count over all queries.", float64(snap.search.PeakTrees))
 
-		if len(snap.workers) > 0 {
+		if len(snap.search.Workers) > 0 {
 			type wf struct {
 				name, help string
-				get        func(workerAgg) float64
+				get        func(ctpquery.WorkerSearchStats) float64
 			}
 			for _, f := range []wf{
-				{"ctp_exec_worker_ops_total", "Grow ops and exchanged tasks processed, per worker index.", func(a workerAgg) float64 { return float64(a.Ops) }},
-				{"ctp_exec_worker_kept_total", "Provenances kept, per worker index.", func(a workerAgg) float64 { return float64(a.Kept) }},
-				{"ctp_exec_worker_shipped_total", "Tasks routed to other workers' shards, per worker index.", func(a workerAgg) float64 { return float64(a.Shipped) }},
-				{"ctp_exec_worker_stolen_total", "Ops stolen from peers' queues, per worker index.", func(a workerAgg) float64 { return float64(a.Stolen) }},
-				{"ctp_exec_worker_busy_seconds_total", "Thread CPU seconds inside the worker loop, per worker index.", func(a workerAgg) float64 { return float64(a.BusyNS) / 1e9 }},
+				{"ctp_exec_worker_ops_total", "Grow ops and exchanged tasks processed, per worker index.", func(a ctpquery.WorkerSearchStats) float64 { return float64(a.Ops) }},
+				{"ctp_exec_worker_kept_total", "Provenances kept, per worker index.", func(a ctpquery.WorkerSearchStats) float64 { return float64(a.Kept) }},
+				{"ctp_exec_worker_shipped_total", "Tasks routed to other workers' shards, per worker index.", func(a ctpquery.WorkerSearchStats) float64 { return float64(a.Shipped) }},
+				{"ctp_exec_worker_stolen_total", "Ops stolen from peers' queues, per worker index.", func(a ctpquery.WorkerSearchStats) float64 { return float64(a.Stolen) }},
+				{"ctp_exec_worker_busy_seconds_total", "Thread CPU seconds inside the worker loop, per worker index.", func(a ctpquery.WorkerSearchStats) float64 { return float64(a.BusyNS) / 1e9 }},
 			} {
 				w.Family(f.name, f.help, "counter")
-				for i, a := range snap.workers {
+				for i, a := range snap.search.Workers {
 					w.Sample("", []obs.Label{{Name: "worker", Value: strconv.Itoa(i)}}, f.get(a))
 				}
 			}

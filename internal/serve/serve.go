@@ -140,20 +140,12 @@ type Server struct {
 	inFlight       atomic.Int64
 	busyNS         atomic.Int64 // total completed-handler time, for the average latency
 
-	// Aggregated per-query search effort (ctpquery.SearchStats), so
+	// search totals the effort of every query that executed a search, so
 	// hot-path regressions show up in /stats without attaching a profiler.
-	treesGenerated atomic.Int64
-	treesRecycled  atomic.Int64
-	allocations    atomic.Uint64
-	peakQueueLen   atomic.Int64 // max over all queries served
-	peakTrees      atomic.Int64 // max over all queries served
-
-	// Per-worker aggregates across every parallel query served,
-	// index-aligned (worker 0 of each search sums into entry 0). Guarded
-	// by workerMu: parallel queries are orders of magnitude rarer events
-	// than the atomics above, so a mutex is fine here.
-	workerMu  sync.Mutex
-	workerAgg []workerAgg
+	// It is touched once per executed request (never on a cache hit), so a
+	// mutex around the one struct is enough.
+	searchMu sync.Mutex
+	search   ctpquery.SearchStats
 
 	// Observability: the tracer owns the span pipeline and the
 	// /debug/traces flight recorder; reg renders /metrics; met holds the
@@ -163,32 +155,18 @@ type Server struct {
 	met    *serveMetrics
 }
 
-// workerAgg accumulates one worker index's effort across queries.
-type workerAgg struct {
-	Ops     int64
-	Kept    int64
-	Shipped int64
-	Stolen  int64
-	BusyNS  int64
-}
-
-// noteWorkers folds a query's per-worker stats into the server totals.
-func (s *Server) noteWorkers(ws []ctpquery.WorkerSearchStats) {
-	if len(ws) == 0 {
-		return
+// noteSearch folds one executed query's report into the server totals.
+func (s *Server) noteSearch(st ctpquery.SearchStats) {
+	s.searchMu.Lock()
+	defer s.searchMu.Unlock()
+	// Across queries PeakTrees is a high-water mark, not the sum Add keeps
+	// for the clauses of one query.
+	peak := s.search.PeakTrees
+	if st.PeakTrees > peak {
+		peak = st.PeakTrees
 	}
-	s.workerMu.Lock()
-	defer s.workerMu.Unlock()
-	for i, w := range ws {
-		if i >= len(s.workerAgg) {
-			s.workerAgg = append(s.workerAgg, workerAgg{})
-		}
-		s.workerAgg[i].Ops += int64(w.Ops)
-		s.workerAgg[i].Kept += int64(w.Kept)
-		s.workerAgg[i].Shipped += int64(w.Shipped)
-		s.workerAgg[i].Stolen += int64(w.Stolen)
-		s.workerAgg[i].BusyNS += w.BusyNS
-	}
+	s.search.Add(st)
+	s.search.PeakTrees = peak
 }
 
 // resolveParallelism resolves a request's worker-count override against
@@ -219,16 +197,6 @@ func ClampParallelism(requested, max int) int {
 		requested = max
 	}
 	return requested
-}
-
-// maxInt64 CAS-raises an atomic high-water mark.
-func maxInt64(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }
 
 // New builds a server over db.
@@ -611,7 +579,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if res, ok := db.Peek(q); ok {
 			class = admission.Cheap.String()
 			sp.AttrBool("cache_bypass", true)
-			resp := s.finishResponse(res, ctpquery.CacheInfo{Enabled: true, Hit: true}, db, req, start, sp)
+			resp := s.finishResponse(res, res.SearchStats(), ctpquery.CacheInfo{Enabled: true, Hit: true}, db, req, start, sp)
 			resp.Admission = &admissionJSON{Class: admission.Cheap.String(), CacheBypass: true}
 			writeJSON(w, http.StatusOK, resp)
 			return
@@ -666,18 +634,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		sp.AttrBool("timed_out", true)
 	}
 	sp.AttrBool("cache_hit", cinfo.Hit).AttrBool("coalesced", cinfo.Coalesced)
+	st := res.SearchStats()
 	// Feed the estimator and the /stats effort aggregates only when this
 	// request actually executed a search: a cache hit (or a coalesced
 	// waiter) re-reports the leader's SearchStats and would inflate both
 	// with work that never happened.
 	if !cinfo.Hit && !cinfo.Coalesced {
-		st := res.SearchStats()
-		s.treesGenerated.Add(int64(st.TreesGenerated))
-		s.treesRecycled.Add(int64(st.TreesRecycled))
-		s.allocations.Add(st.Allocations)
-		maxInt64(&s.peakQueueLen, int64(st.PeakQueueLen))
-		maxInt64(&s.peakTrees, int64(st.PeakTrees))
-		s.noteWorkers(st.Workers)
+		s.noteSearch(st)
 		if s.est != nil {
 			actual := st.CostUnits()
 			s.est.Observe(estSig, actual)
@@ -690,14 +653,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	sp.AttrInt("rows", int64(res.Len()))
 
-	resp := s.finishResponse(res, cinfo, db, req, start, sp)
+	resp := s.finishResponse(res, st, cinfo, db, req, start, sp)
 	resp.Admission = adm
 	writeJSON(w, http.StatusOK, resp)
 }
 
 // finishResponse encodes results with the request's row cap and cache
 // report applied, under an "encode" child span of the request's root.
-func (s *Server) finishResponse(res *ctpquery.Results, cinfo ctpquery.CacheInfo, db *ctpquery.DB, req queryRequest, start time.Time, sp *obs.Span) queryResponse {
+func (s *Server) finishResponse(res *ctpquery.Results, st ctpquery.SearchStats, cinfo ctpquery.CacheInfo, db *ctpquery.DB, req queryRequest, start time.Time, sp *obs.Span) queryResponse {
 	maxRows := s.maxRows
 	if req.MaxRows > 0 && (maxRows == 0 || req.MaxRows < maxRows) {
 		maxRows = req.MaxRows
@@ -708,7 +671,7 @@ func (s *Server) finishResponse(res *ctpquery.Results, cinfo ctpquery.CacheInfo,
 	// the span past the containment middleware.
 	defer encSpan.End()
 	encStart := time.Now()
-	resp := s.encodeResults(res, db.Options().Algorithm, maxRows, req.OmitTrees, req.IncludeKeys, time.Since(start))
+	resp := s.encodeResults(res, st, db.Options().Algorithm, maxRows, req.OmitTrees, req.IncludeKeys, time.Since(start))
 	s.met.stageDur.With("encode").Observe(time.Since(encStart).Seconds())
 	encSpan.End()
 	if cinfo.Enabled {
@@ -770,7 +733,7 @@ func (s *Server) shed(w http.ResponseWriter, r *http.Request, class admission.Cl
 	})
 }
 
-func (s *Server) encodeResults(res *ctpquery.Results, algorithm string, maxRows int, omitTrees, includeKeys bool, total time.Duration) queryResponse {
+func (s *Server) encodeResults(res *ctpquery.Results, st ctpquery.SearchStats, algorithm string, maxRows int, omitTrees, includeKeys bool, total time.Duration) queryResponse {
 	probeQueryEncode.Hit()
 	resp := queryResponse{
 		Columns:   res.Columns(),
@@ -785,7 +748,6 @@ func (s *Server) encodeResults(res *ctpquery.Results, algorithm string, maxRows 
 	resp.TimingsMS.CTP = ms(ctp)
 	resp.TimingsMS.Join = ms(join)
 	resp.TimingsMS.Total = ms(total)
-	st := res.SearchStats()
 	resp.Search = searchJSON{
 		TreesGenerated: st.TreesGenerated,
 		TreesKept:      st.TreesKept,
@@ -895,12 +857,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"algorithm":       snap.algorithm,
 		"algorithms":      ctpquery.Algorithms(),
 		"search": map[string]any{
-			"trees_generated": snap.treesGenerated,
-			"trees_recycled":  snap.treesRecycled,
-			"allocations":     snap.allocations,
-			"peak_queue_len":  snap.peakQueueLen,
-			"peak_trees":      snap.peakTrees,
-			"workers":         workersJSON(snap.workers),
+			"trees_generated": snap.search.TreesGenerated,
+			"trees_recycled":  snap.search.TreesRecycled,
+			"allocations":     snap.search.Allocations,
+			"peak_queue_len":  snap.search.PeakQueueLen,
+			"peak_trees":      snap.search.PeakTrees,
+			"workers":         workersJSON(snap.search.Workers),
 		},
 	}
 	if snap.store != nil {
@@ -957,7 +919,7 @@ func classStatsJSON(cs admission.ClassStats) map[string]any {
 }
 
 // workersJSON renders the per-worker aggregates for /stats.
-func workersJSON(agg []workerAgg) []map[string]any {
+func workersJSON(agg []ctpquery.WorkerSearchStats) []map[string]any {
 	out := make([]map[string]any, len(agg))
 	for i, w := range agg {
 		out[i] = map[string]any{

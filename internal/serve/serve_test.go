@@ -298,6 +298,71 @@ func TestHealthAndStats(t *testing.T) {
 	}
 }
 
+// /stats "search" is the fold of the per-query reports the server sent:
+// counters sum (a two-clause query already sums its clauses), queue and
+// tree peaks are high-water marks over queries, workers sum per index.
+// The repeat of the first query is a cache hit and must add nothing.
+func TestStatsFoldPerQueryReports(t *testing.T) {
+	_, ts := newTestServer(t)
+	two, four := 2, 4
+	var want searchJSON
+	for _, req := range []queryRequest{
+		{Query: "SELECT ?w WHERE { CONNECT n1 n2 AS ?w MAX 16 LIMIT 1 . }"},
+		{Query: "SELECT ?v ?w WHERE { CONNECT n3 n4 AS ?v MAX 4 . CONNECT n5 n6 AS ?w MAX 4 . }"},
+		{Query: "SELECT ?w WHERE { CONNECT n7 n8 AS ?w MAX 5 . }", Parallelism: &four},
+		{Query: "SELECT ?w WHERE { CONNECT n9 n10 AS ?w MAX 5 . }", Parallelism: &two},
+		{Query: "SELECT ?w WHERE { CONNECT n1 n2 AS ?w MAX 16 LIMIT 1 . }"},
+	} {
+		code, out, fail := postQuery(t, ts.URL, req)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", req.Query, code, fail.Error)
+		}
+		if out.Cache.Hit {
+			continue
+		}
+		got := out.Search
+		want.TreesGenerated += got.TreesGenerated
+		want.TreesRecycled += got.TreesRecycled
+		want.PeakQueueLen = max(want.PeakQueueLen, got.PeakQueueLen)
+		want.PeakTrees = max(want.PeakTrees, got.PeakTrees)
+		for i, w := range got.Workers {
+			if i == len(want.Workers) {
+				want.Workers = append(want.Workers, workerJSON{})
+			}
+			want.Workers[i].Ops += w.Ops
+			want.Workers[i].Kept += w.Kept
+		}
+	}
+	if len(want.Workers) != 4 || want.Workers[3].Ops == 0 {
+		t.Fatalf("test premise broken: per-query workers folded to %+v", want.Workers)
+	}
+
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats struct {
+		Search searchJSON `json:"search"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	got := stats.Search
+	if got.TreesGenerated != want.TreesGenerated || got.TreesRecycled != want.TreesRecycled ||
+		got.PeakQueueLen != want.PeakQueueLen || got.PeakTrees != want.PeakTrees {
+		t.Errorf("/stats search = %+v, want the fold %+v", got, want)
+	}
+	if len(got.Workers) != len(want.Workers) {
+		t.Fatalf("/stats workers = %d entries, want %d", len(got.Workers), len(want.Workers))
+	}
+	for i, w := range want.Workers {
+		if got.Workers[i].Ops != w.Ops || got.Workers[i].Kept != w.Kept {
+			t.Errorf("/stats worker %d = %+v, want ops %d kept %d", i, got.Workers[i], w.Ops, w.Kept)
+		}
+	}
+}
+
 // TestPprofEndpoint: the handler serves /debug/pprof/ when enabled and
 // 404s it when not.
 func TestPprofEndpoint(t *testing.T) {
@@ -503,7 +568,7 @@ func TestCacheSingleflightServer(t *testing.T) {
 	// "Exactly one search" is also visible in the server's aggregated
 	// effort: hits and coalesced waiters do not re-add the leader's
 	// SearchStats, so the total equals one execution's report.
-	if got, want := s.treesGenerated.Load(), int64(responses[0].Search.TreesGenerated); got != want {
+	if got, want := s.snapshot().search.TreesGenerated, responses[0].Search.TreesGenerated; got != want {
 		t.Errorf("aggregated trees_generated = %d, want one search's %d", got, want)
 	}
 }

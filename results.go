@@ -233,8 +233,8 @@ type SearchStats struct {
 	// TreesKept counts the provenances retained (the paper's Figure 11
 	// metric).
 	TreesKept int
-	// TreesRecycled counts rejected candidates whose buffers went back to
-	// the pool instead of the garbage collector.
+	// TreesRecycled counts rejected candidates — duplicates whose space
+	// the search's arena took back, or that were never built.
 	TreesRecycled int
 	// PeakTrees is the largest number of live provenances at any instant,
 	// summed over CONNECT clauses.
@@ -304,42 +304,76 @@ func (s SearchStats) CostUnits() float64 {
 	return u
 }
 
+// Add folds o into s: effort counters and stage times sum, PeakQueueLen
+// and Parallelism keep the larger value, and workers sum index-aligned.
+// PeakTrees sums too — the searches of one query may be live together;
+// TraceID stays the receiver's. It is the one fold behind both a query's
+// report (over its CONNECT clauses) and a server's totals (over queries).
+func (s *SearchStats) Add(o SearchStats) {
+	s.TreesGenerated += o.TreesGenerated
+	s.TreesKept += o.TreesKept
+	s.TreesRecycled += o.TreesRecycled
+	s.PeakTrees += o.PeakTrees
+	if o.PeakQueueLen > s.PeakQueueLen {
+		s.PeakQueueLen = o.PeakQueueLen
+	}
+	s.Allocations += o.Allocations
+	if o.Parallelism > s.Parallelism {
+		s.Parallelism = o.Parallelism
+	}
+	for i, w := range o.Workers {
+		s.addWorker(i, w)
+	}
+	s.BGPExamined += o.BGPExamined
+	s.BGPRows += o.BGPRows
+	s.BGPNS += o.BGPNS
+	s.CTPNS += o.CTPNS
+	s.JoinNS += o.JoinNS
+}
+
+// addWorker sums w into the i-th worker entry, growing Workers to hold it.
+func (s *SearchStats) addWorker(i int, w WorkerSearchStats) {
+	for i >= len(s.Workers) {
+		s.Workers = append(s.Workers, WorkerSearchStats{})
+	}
+	t := &s.Workers[i]
+	t.Ops += w.Ops
+	t.Kept += w.Kept
+	t.Shipped += w.Shipped
+	t.Stolen += w.Stolen
+	t.BusyNS += w.BusyNS
+	t.WallNS += w.WallNS
+}
+
 // SearchStats aggregates the per-CONNECT search statistics of the query.
 func (r *Results) SearchStats() SearchStats {
-	var out SearchStats
+	out := SearchStats{
+		BGPExamined: r.res.BGPExamined,
+		BGPRows:     r.res.BGPRows,
+		BGPNS:       int64(r.res.BGPTime),
+		CTPNS:       int64(r.res.CTPTime),
+		JoinNS:      int64(r.res.JoinTime),
+		TraceID:     r.traceID,
+	}
 	for _, st := range r.res.CTPStats {
 		if st == nil {
 			continue
 		}
-		out.TreesGenerated += st.Created
-		out.TreesKept += st.Kept()
-		out.TreesRecycled += st.Recycled
-		out.PeakTrees += st.PeakTrees
-		if st.PeakQueueLen > out.PeakQueueLen {
-			out.PeakQueueLen = st.PeakQueueLen
-		}
-		out.Allocations += st.Allocations
-		if st.Parallelism > out.Parallelism {
-			out.Parallelism = st.Parallelism
-		}
+		out.Add(SearchStats{
+			TreesGenerated: st.Created,
+			TreesKept:      st.Kept(),
+			TreesRecycled:  st.Recycled,
+			PeakTrees:      st.PeakTrees,
+			PeakQueueLen:   st.PeakQueueLen,
+			Allocations:    st.Allocations,
+			Parallelism:    st.Parallelism,
+		})
+		// Folded here rather than through Add's Workers, which would need
+		// the core slice converted into a fresh one first.
 		for i, ws := range st.Workers {
-			if i >= len(out.Workers) {
-				out.Workers = append(out.Workers, WorkerSearchStats{})
-			}
-			out.Workers[i].Ops += ws.Ops
-			out.Workers[i].Kept += ws.Kept
-			out.Workers[i].Shipped += ws.Shipped
-			out.Workers[i].Stolen += ws.Stolen
-			out.Workers[i].BusyNS += ws.BusyNS
-			out.Workers[i].WallNS += ws.WallNS
+			out.addWorker(i, WorkerSearchStats(ws))
 		}
 	}
-	out.BGPExamined = r.res.BGPExamined
-	out.BGPRows = r.res.BGPRows
-	out.BGPNS = int64(r.res.BGPTime)
-	out.CTPNS = int64(r.res.CTPTime)
-	out.JoinNS = int64(r.res.JoinTime)
-	out.TraceID = r.traceID
 	return out
 }
 

@@ -187,7 +187,7 @@ func (t *HTTPTransport) Probe(ctx context.Context) (HealthReport, error) {
 
 // LocalTransport dispatches straight into an in-process http.Handler —
 // a serve.Server handler — making a single-process multi-shard cluster
-// possible for tests, benchmarks, and the ctpload cluster smoke. It
+// possible for tests, benchmarks, and TestClusterSmoke. It
 // goes through the same JSON wire format as HTTPTransport, so the two
 // are interchangeable behind a Shard.
 type LocalTransport struct {

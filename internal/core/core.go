@@ -211,9 +211,12 @@ type WorkerStats struct {
 	Ops     int   // grow ops and exchanged tasks processed
 	Kept    int   // provenances this worker kept
 	Shipped int   // tasks routed to other workers' shards
-	Stolen  int   // ops stolen from other workers' queues
 	BusyNS  int64 // thread CPU time inside the worker loop (0 where unsupported)
 	WallNS  int64 // wall time inside the worker loop (spawn to drain)
+
+	// Stolen is always 0: workers do not steal. It stays because the
+	// benchmark harness (benchmarks/layers.go) reads it for exec.stolen.
+	Stolen int
 }
 
 // created counts a freshly constructed provenance and tracks the live

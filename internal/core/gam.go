@@ -73,7 +73,7 @@ func (s *Setup) NewCollector() *ResultCollector { return newResultCollector(s.g,
 // Scheduler is the seam between the kernel and whatever drives it: all
 // that differs between running a search on the caller's goroutine
 // (callerSched below: plain fields, one queue) and across root-sharded
-// workers (internal/exec: atomics, a lock-striped history, mailboxes).
+// workers (internal/exec: atomics, a lock-striped history, inboxes).
 // Every method is called from the goroutine that owns the Kernel.
 type Scheduler interface {
 	// Stopped reports whether the run has ended, by a filter, a failure
@@ -328,23 +328,21 @@ func (s *callerSched) run(setup *Setup) {
 			break
 		}
 		probeGamPop.Hit()
-		if t := k.Construct(op); t != nil {
-			k.Admit(t)
-		}
+		k.Grow(op)
 	}
 }
 
-// Construct counts a queue pop and turns the popped Grow opportunity into
-// its candidate tree, for Admit on the Kernel owning the new root. It
-// returns nil after stopping the run when the deadline has passed.
-func (k *Kernel) Construct(op GrowOp) *tree.Tree {
+// Grow counts a queue pop, builds the popped Grow opportunity's candidate
+// — rooted in this shard, since the op was routed to the new root's owner
+// — and admits it; past the deadline it stops the run instead.
+func (k *Kernel) Grow(op GrowOp) {
 	k.Stats.QueuePops++
 	if k.dl.expired() {
 		k.sched.Timeout()
-		return nil
+		return
 	}
 	newRoot := k.s.g.Other(op.E, op.T.Root)
-	return k.arena.NewGrow(op.T, op.E, newRoot, k.s.si.mask(newRoot))
+	k.Admit(k.arena.NewGrow(op.T, op.E, newRoot, k.s.si.mask(newRoot)))
 }
 
 // Admit runs a freshly built Init or Grow tree rooted in this shard

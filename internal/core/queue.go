@@ -17,8 +17,8 @@ type GrowOp struct {
 }
 
 // OpHeap is a min-heap of GrowOps ordered by (Prio, Seq) — the one grow
-// queue layout, wrapped by the single- and multi-queue below and by
-// exec's stealable per-worker queue. The sift operations are hand-rolled
+// queue layout, wrapped by the single- and multi-queue below and used
+// as-is by each exec worker. The sift operations are hand-rolled
 // rather than delegated to container/heap: pushing a GrowOp through
 // heap.Push boxes the struct into an interface, one heap allocation per
 // queued op — the dominant allocator in GAM's main loop before this

@@ -253,7 +253,6 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *eql.Query) (res *Result,
 					obs.Attr{Key: "ops", Val: strconv.Itoa(ws.Ops)},
 					obs.Attr{Key: "kept", Val: strconv.Itoa(ws.Kept)},
 					obs.Attr{Key: "shipped", Val: strconv.Itoa(ws.Shipped)},
-					obs.Attr{Key: "stolen", Val: strconv.Itoa(ws.Stolen)},
 					obs.Attr{Key: "busy_ms", Val: strconv.FormatFloat(float64(ws.BusyNS)/1e6, 'f', 3, 64)})
 			}
 		}

@@ -22,7 +22,6 @@ var execProbes = []string{
 	"exec.worker.process_tree",
 	"exec.worker.process_mo",
 	"exec.worker.drain_mail",
-	"exec.worker.steal",
 	"exec.collector.add",
 }
 

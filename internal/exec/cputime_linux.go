@@ -11,8 +11,9 @@ import (
 // exactly, even on machines with fewer cores than workers (where wall-
 // clock intervals overcount by the timeslicing factor). The maximum over
 // workers is the search's span — the wall time a machine with >= K free
-// cores would observe — which is what the benchmark sweep reports
-// alongside measured wall time.
+// cores would observe. BusyNS is read by ctpmark's exec.busy_share, the
+// busy_ms fields of /query, /stats and the worker spans, and
+// ctp_exec_worker_busy_seconds_total.
 
 const clockThreadCPUTimeID = 3 // CLOCK_THREAD_CPUTIME_ID, linux/time.h
 

@@ -22,7 +22,7 @@ import (
 // result set, so their result multisets must be identical. These tests
 // assert that against the sequential kernel over random graphs, seed
 // sets, filters, and worker counts; run them with -race to exercise the
-// exchange, stealing, and striped-dedup machinery under the detector.
+// exchange and striped-dedup machinery under the detector.
 
 // resultMultiset canonicalizes a result set: one key per result
 // (deduplicated edge set or single node), sorted.

@@ -20,21 +20,16 @@
 //     same way.
 //
 // Everything else reaches a kernel through core.Scheduler, which each
-// worker implements. Work flows between shards through per-pair exchange
-// mailboxes: a Grow opportunity (t, e) is routed at push time to the
-// owner of the new root, and Mo re-rootings ship the constructed tree to
-// the new root's owner. Only two structures remain shared: the ESP edge-set history, an
+// worker implements. Work flows between shards through one inbox per
+// worker: a Grow opportunity (t, e) is routed at push time to the owner
+// of the new root, and Mo re-rootings ship the constructed tree to the
+// new root's owner. A worker's grow queue is touched by its owner only;
+// a worker with nothing queued parks until a peer's delivery wakes it.
+// Only two structures remain shared: the ESP edge-set history, an
 // XOR-signature-partitioned array of lock-striped core.SigSet shards
 // (the package's only concurrent dedup entry point), and the result
 // collector, a mutex-serialized sink that orders its output
 // deterministically at the end.
-//
-// When a worker's queue drains it steals ops from its peers' queues. A
-// stolen op's tree still belongs to the victim's shard, so the thief
-// performs only the schedule-free part — candidate construction
-// (slice merging + signature arithmetic, the bulk of a grow's cost) —
-// and ships the built candidate back to its owner for deduplication and
-// merging.
 //
 // # Determinism and equivalence
 //
@@ -80,7 +75,6 @@ var (
 	probeProcessTree  = fault.Register("exec.worker.process_tree")
 	probeProcessMo    = fault.Register("exec.worker.process_mo")
 	probeDrainMail    = fault.Register("exec.worker.drain_mail")
-	probeSteal        = fault.Register("exec.worker.steal")
 	probeCollectorAdd = fault.Register("exec.collector.add")
 )
 
@@ -157,11 +151,10 @@ type run struct {
 }
 
 // runState is the part of a run the next one reuses: the workers with
-// their kernels (arena, tables) and queues, the exchange boxes and the
-// shared history. release empties it under a retention bound.
+// their kernels (arena, tables), queues and inboxes, and the shared
+// history. release empties it under a retention bound.
 type runState struct {
 	workers []*worker
-	mail    []mailbox // k*k per-pair exchange boxes; mail[from*k+to]
 	hist    shardedSigSet
 }
 
@@ -169,7 +162,7 @@ var statePool core.Pool[runState]
 
 // Retention: a state with more workers than maxPooledWorkers is not kept;
 // each kernel bounds its own arena and tables, core.Emptied the queues
-// and exchange buffers.
+// and inbox buffers.
 const maxPooledWorkers = 8
 
 func newRun(st *runState, g *graph.Graph, seeds []core.SeedSet, opts core.Options, k int) *run {
@@ -178,7 +171,6 @@ func newRun(st *runState, g *graph.Graph, seeds []core.SeedSet, opts core.Option
 		for i := range st.workers {
 			st.workers[i] = &worker{id: i, wake: make(chan struct{}, 1), k: new(core.Kernel)}
 		}
-		st.mail = make([]mailbox, k*k)
 	}
 	r := &run{
 		setup:    core.NewSetup(g, seeds, opts),
@@ -201,11 +193,8 @@ func newRun(st *runState, g *graph.Graph, seeds []core.SeedSet, opts core.Option
 func (r *run) release() {
 	for _, w := range r.workers {
 		w.k.Reset()
-		*w = worker{id: w.id, wake: w.wake, k: w.k, q: lockedQueue{h: core.Emptied(w.q.h)}}
-	}
-	for i := range r.mail {
-		mb := &r.mail[i]
-		mb.items, mb.free = core.Emptied(mb.items), core.Emptied(mb.free)
+		*w = worker{id: w.id, wake: w.wake, k: w.k, q: core.Emptied(w.q),
+			in: inbox{items: core.Emptied(w.in.items), free: core.Emptied(w.in.free)}}
 	}
 	for i := range r.hist.shards {
 		r.hist.shards[i].set.Reset()
@@ -221,13 +210,13 @@ func (r *run) owner(n graph.NodeID) int {
 	return int(hash64.Mix(uint64(uint32(n))) % uint64(r.k))
 }
 
-// seedInits deposits each Init tree in its owner's mailbox before any
+// seedInits deposits each Init tree in its owner's inbox before any
 // worker starts, so pending is exact from the first tick.
 func (r *run) seedInits() {
 	// Worker 0's arena holds the Init trees; no worker runs yet.
 	r.workers[0].k.Inits(func(t *tree.Tree) bool {
 		r.pending.Add(1)
-		r.deposit(0, r.owner(t.Root), task{kind: taskInit, t: t})
+		r.deposit(r.owner(t.Root), task{kind: taskInit, t: t})
 		return true
 	})
 }
@@ -254,18 +243,16 @@ func (r *run) fail(pe *fault.PanicError) {
 	r.shutdown()
 }
 
-// drainPoisoned empties every exchange mailbox and zeroes the pending
-// count after a failed search. All workers have exited by now.
-// Undelivered trees may be mid-mutation, so they — and the whole state
-// of the run — are dropped for the GC; releasing the pending count keeps
-// the termination invariant (pending == 0 after shutdown) intact for
-// any observer.
+// drainPoisoned empties every inbox and zeroes the pending count after a
+// failed search. All workers have exited by now. Undelivered trees may be
+// mid-mutation, so they — and the whole state of the run — are dropped
+// for the GC; releasing the pending count keeps the termination invariant
+// (pending == 0 after shutdown) intact for any observer.
 func (r *run) drainPoisoned() {
-	for i := range r.mail {
-		mb := &r.mail[i]
-		mb.mu.Lock()
-		mb.items, mb.free = nil, nil
-		mb.mu.Unlock()
+	for _, w := range r.workers {
+		w.in.mu.Lock()
+		w.in.items, w.in.free = nil, nil
+		w.in.mu.Unlock()
 	}
 	r.pending.Store(0)
 }
@@ -277,15 +264,14 @@ func (r *run) startWorkers() {
 	}
 }
 
-// deposit appends a task to the from->to mailbox and wakes the receiver.
-// Workers never deposit to themselves (local work takes the direct path);
-// the coordinator uses slot 0 for the initial seeding.
-func (r *run) deposit(from, to int, tk task) {
-	mb := &r.mail[from*r.k+to]
-	mb.mu.Lock()
-	mb.items = append(mb.items, tk)
-	mb.mu.Unlock()
+// deposit appends a task to worker to's inbox and wakes it. Workers never
+// deposit to themselves (local work takes the direct path); the
+// coordinator deposits the initial seeding.
+func (r *run) deposit(to int, tk task) {
 	w := r.workers[to]
+	w.in.mu.Lock()
+	w.in.items = append(w.in.items, tk)
+	w.in.mu.Unlock()
 	w.mail.Add(1)
 	select {
 	case w.wake <- struct{}{}:
@@ -337,7 +323,6 @@ func (r *run) assembleStats(k int) *core.Stats {
 			Ops:     w.ops,
 			Kept:    ws.Kept(),
 			Shipped: w.shipped,
-			Stolen:  w.stolen,
 			BusyNS:  w.busyNS,
 			WallNS:  w.wallNS,
 		})

@@ -1,11 +1,15 @@
 package exec
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"ctpquery/internal/core"
+	"ctpquery/internal/eql"
 	"ctpquery/internal/graph"
+	"ctpquery/internal/hash64"
 )
 
 // The striped signature set must grant exactly one claim per identity no
@@ -50,36 +54,6 @@ func TestShardedSigSetSingleClaim(t *testing.T) {
 	}
 }
 
-// stealTail must keep the remaining slice a valid min-heap and take at
-// most half the queue.
-func TestLockedQueueStealTail(t *testing.T) {
-	var q lockedQueue
-	for i := 0; i < 100; i++ {
-		q.push(core.GrowOp{Prio: float64((i * 37) % 100), Seq: uint64(i)})
-	}
-	stolen := q.stealTail(stealBatch)
-	if len(stolen) != 50 {
-		t.Fatalf("stole %d ops, want 50", len(stolen))
-	}
-	// Remaining pops must come out in nondecreasing (prio, seq) order.
-	prev := -1.0
-	for {
-		op, ok := q.pop()
-		if !ok {
-			break
-		}
-		if op.Prio < prev {
-			t.Fatalf("heap order violated after steal: %f after %f", op.Prio, prev)
-		}
-		prev = op.Prio
-	}
-	// A one-element queue is never stolen empty.
-	q.push(core.GrowOp{Prio: 1})
-	if got := q.stealTail(stealBatch); len(got) != 0 {
-		t.Fatalf("stole %d from a single-op queue, want 0", len(got))
-	}
-}
-
 // Worker ownership must cover every worker for a spread of node IDs, so
 // shards actually balance.
 func TestOwnerSpread(t *testing.T) {
@@ -95,6 +69,45 @@ func TestOwnerSpread(t *testing.T) {
 	for w := 0; w < 8; w++ {
 		if seen[w] < 10000/8/2 {
 			t.Fatalf("worker %d owns only %d of 10000 nodes — sharding is skewed", w, seen[w])
+		}
+	}
+}
+
+// A K = 2 search whose every root is owned by worker 0: no balancing path
+// moves work to worker 1, so it must park, stay idle and exit with the
+// run, and the answer must still be exactly the K = 0 one.
+func TestAllRootsOnOneWorker(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	b := graph.NewBuilder()
+	first := b.AddNodes(64)
+	var ids []graph.NodeID // the nodes owner() gives worker 0; the rest stay isolated
+	for n := first; n < first+64; n++ {
+		if hash64.Mix(uint64(uint32(n)))%2 == 0 {
+			ids = append(ids, n)
+		}
+	}
+	labels := []string{"a", "b"}
+	for i := 1; i < len(ids); i++ {
+		b.AddEdge(ids[rng.Intn(i)], labels[rng.Intn(2)], ids[i])
+	}
+	for i := 0; i < len(ids)/2; i++ {
+		b.AddEdge(ids[rng.Intn(len(ids))], labels[rng.Intn(2)], ids[rng.Intn(len(ids))])
+	}
+	g := b.Build()
+	seeds := core.Explicit(ids[:1], ids[len(ids)/2:len(ids)/2+1], ids[len(ids)-1:])
+	for _, alg := range []core.Algorithm{core.GAM, core.MoLESP} {
+		opts := core.Options{Algorithm: alg, Filters: eql.Filters{MaxEdges: 6}}
+		want := fmt.Sprint(resultMultiset(searchOrFatal(t, g, seeds, opts)))
+		opts.Parallelism = 2
+		rs, st, err := core.Search(g, seeds, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(resultMultiset(rs)); got != want || rs.Len() == 0 {
+			t.Fatalf("%v: K=2 answers differ from K=0\nwant %s\ngot  %s", alg, want, got)
+		}
+		if w0, w1 := st.Workers[0], st.Workers[1]; w0.Ops == 0 || w1.Ops != 0 || w0.Shipped+w1.Shipped != 0 {
+			t.Fatalf("%v: work left worker 0: %+v %+v", alg, w0, w1)
 		}
 	}
 }

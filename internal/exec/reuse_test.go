@@ -185,7 +185,7 @@ func TestChaosFailedRunStateIsNotPooled(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			st := statePool.Get()
 			for _, w := range st.workers {
-				if w.r != nil || w.q.len() != 0 || w.ops != 0 {
+				if w.r != nil || len(w.q) != 0 || w.ops != 0 {
 					t.Fatalf("after=%d: the pool holds a state its run never released", after)
 				}
 			}

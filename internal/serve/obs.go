@@ -192,7 +192,6 @@ func (s *Server) registerCollectors() {
 				{"ctp_exec_worker_ops_total", "Grow ops and exchanged tasks processed, per worker index.", func(a ctpquery.WorkerSearchStats) float64 { return float64(a.Ops) }},
 				{"ctp_exec_worker_kept_total", "Provenances kept, per worker index.", func(a ctpquery.WorkerSearchStats) float64 { return float64(a.Kept) }},
 				{"ctp_exec_worker_shipped_total", "Tasks routed to other workers' shards, per worker index.", func(a ctpquery.WorkerSearchStats) float64 { return float64(a.Shipped) }},
-				{"ctp_exec_worker_stolen_total", "Ops stolen from peers' queues, per worker index.", func(a ctpquery.WorkerSearchStats) float64 { return float64(a.Stolen) }},
 				{"ctp_exec_worker_busy_seconds_total", "Thread CPU seconds inside the worker loop, per worker index.", func(a ctpquery.WorkerSearchStats) float64 { return float64(a.BusyNS) / 1e9 }},
 			} {
 				w.Family(f.name, f.help, "counter")

@@ -1,6 +1,7 @@
 // Package serve is the HTTP query server behind cmd/ctpserve, factored
-// out so the workload generator (cmd/ctpload) and tests can run the
-// exact production serving path in-process against httptest listeners.
+// out so the benchmark harness (benchmarks/, ctpmark), the smoke tests of
+// internal/load and other tests can run the exact production serving path
+// in-process against httptest listeners.
 //
 // The server serves concurrent EQL queries over one immutable graph,
 // optionally defended by an admission layer (internal/admission): every
@@ -199,8 +200,17 @@ func ClampParallelism(requested, max int) int {
 	return requested
 }
 
-// New builds a server over db.
+// New builds a server over db. A GOMAXPROCS default (negative
+// Parallelism) is resolved here, once, so every comparison against the
+// degradation ceiling sees a worker count.
 func New(db *ctpquery.DB, cfg Config) (*Server, error) {
+	if opts := db.Options(); opts.Parallelism < 0 {
+		opts.Parallelism = ClampParallelism(opts.Parallelism, 0)
+		var err error
+		if db, err = db.WithOptions(opts); err != nil {
+			return nil, err
+		}
+	}
 	s := &Server{
 		base:           db,
 		defaultTimeout: cfg.DefaultTimeout,
@@ -446,7 +456,6 @@ type workerJSON struct {
 	Ops     int     `json:"ops"`
 	Kept    int     `json:"kept"`
 	Shipped int     `json:"shipped"`
-	Stolen  int     `json:"stolen"`
 	BusyMS  float64 `json:"busy_ms"`
 }
 
@@ -764,7 +773,6 @@ func (s *Server) encodeResults(res *ctpquery.Results, st ctpquery.SearchStats, a
 			Ops:     ws.Ops,
 			Kept:    ws.Kept,
 			Shipped: ws.Shipped,
-			Stolen:  ws.Stolen,
 			BusyMS:  float64(ws.BusyNS) / 1e6,
 		})
 	}
@@ -926,7 +934,6 @@ func workersJSON(agg []ctpquery.WorkerSearchStats) []map[string]any {
 			"ops":     w.Ops,
 			"kept":    w.Kept,
 			"shipped": w.Shipped,
-			"stolen":  w.Stolen,
 			"busy_ms": float64(w.BusyNS) / 1e6,
 		}
 	}

@@ -131,6 +131,38 @@ func TestChaosWatchdogLadder(t *testing.T) {
 	}
 }
 
+// TestWatchdogCeilingCapsGOMAXPROCSDefault: a server whose default is the
+// GOMAXPROCS sentinel (-1) runs one worker per search at the hard
+// watermark — from the default, and from a request override the policy
+// (MaxParallelism 0) turns back into that default.
+func TestWatchdogCeilingCapsGOMAXPROCSDefault(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	g := ctpquery.RandomGraph(800, 2400, []string{"knows", "cites", "funds"}, 42)
+	db, err := ctpquery.Open(g, &ctpquery.Options{Parallelism: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(db, Config{DefaultTimeout: 5 * time.Second, MemSoftBytes: 100 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler(false))
+	defer ts.Close()
+	s.wd.check(250 << 20)
+	eight := 8
+	for _, par := range []*int{nil, &eight} {
+		code, out, fail := postQuery(t, ts.URL, queryRequest{Query: chaosServeQuery, Parallelism: par})
+		if code != http.StatusOK {
+			t.Fatalf("query under hard pressure: %d %s", code, fail.Error)
+		}
+		if out.Search.Parallelism != 1 {
+			t.Fatalf("override=%v: ran with %d workers at the hard watermark, want 1", par != nil, out.Search.Parallelism)
+		}
+	}
+}
+
 // TestChaosDrainingWinsOverPressure: once draining, neither pressure nor
 // recovery may change the health state, and /healthz answers 503.
 func TestChaosDrainingWinsOverPressure(t *testing.T) {

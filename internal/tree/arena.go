@@ -17,8 +17,7 @@ import (
 //     first; a search that failed never Resets (its state is dropped).
 //   - Release un-bumps only the arena's latest tree, which is what a
 //     candidate rejected straight after construction always is. Any other
-//     tree (a thief's candidate rejected on another shard) stays until
-//     Reset.
+//     tree (a Mo copy rejected on its owner's shard) stays until Reset.
 //   - A nil *Arena allocates from the heap: hand-built trees (tests, the
 //     BFT baselines' minimized results) need no arena.
 type Arena struct {

@@ -279,8 +279,6 @@ type WorkerSearchStats struct {
 	Kept int
 	// Shipped counts tasks routed to other workers' shards.
 	Shipped int
-	// Stolen counts ops taken from other workers' queues while idle.
-	Stolen int
 	// BusyNS is the worker's thread CPU time (0 where unsupported); the
 	// max over workers approximates the search's critical path.
 	BusyNS int64
@@ -340,7 +338,6 @@ func (s *SearchStats) addWorker(i int, w WorkerSearchStats) {
 	t.Ops += w.Ops
 	t.Kept += w.Kept
 	t.Shipped += w.Shipped
-	t.Stolen += w.Stolen
 	t.BusyNS += w.BusyNS
 	t.WallNS += w.WallNS
 }
@@ -371,7 +368,7 @@ func (r *Results) SearchStats() SearchStats {
 		// Folded here rather than through Add's Workers, which would need
 		// the core slice converted into a fresh one first.
 		for i, ws := range st.Workers {
-			out.addWorker(i, WorkerSearchStats(ws))
+			out.addWorker(i, WorkerSearchStats{Ops: ws.Ops, Kept: ws.Kept, Shipped: ws.Shipped, BusyNS: ws.BusyNS, WallNS: ws.WallNS})
 		}
 	}
 	return out

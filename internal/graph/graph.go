@@ -45,11 +45,11 @@ type Edge struct {
 // expansion path of a connection search never allocates and scans
 // contiguous memory.
 //
-// An epoch view of a Store additionally carries a frozen delta overlay
-// (ov != nil): accessors consult the overlay's materialized per-node and
-// per-label lists for nodes and labels the delta touched, and fall through
-// to the base CSR arrays — copied into this struct — for everything else.
-// Frozen graphs pay one nil-check per accessor for this.
+// An epoch view of a Store additionally carries a delta overlay
+// (ov != nil): accessors consult the overlay's per-node and per-label
+// records for nodes and labels the delta touched, and fall through to the
+// base CSR arrays — copied into this struct — for everything else. Frozen
+// graphs pay one nil-check per accessor for this.
 type Graph struct {
 	labels *Dict
 
@@ -90,15 +90,15 @@ type Graph struct {
 	// frozen by Build.
 	epoch uint64
 
-	// ov is the frozen delta overlay of a Store epoch view; nil for graphs
-	// frozen by Build and for views whose delta is empty.
+	// ov is the delta overlay of a Store epoch view; nil for graphs frozen
+	// by Build and for views whose delta is empty.
 	ov *overlay
 }
 
 // NumNodes returns the number of nodes.
 func (g *Graph) NumNodes() int {
 	if g.ov != nil {
-		return g.ov.numNodes
+		return len(g.nodeLabel) + len(g.ov.addedLabel)
 	}
 	return len(g.nodeLabel)
 }
@@ -110,7 +110,7 @@ func (g *Graph) NumNodes() int {
 // contain dead edges.
 func (g *Graph) NumEdges() int {
 	if g.ov != nil {
-		return g.ov.numEdges
+		return len(g.edges) + len(g.ov.deltaEdges)
 	}
 	return len(g.edges)
 }
@@ -123,7 +123,7 @@ func (g *Graph) EdgeAlive(e EdgeID) bool {
 	if g.ov == nil {
 		return true
 	}
-	return !g.ov.dead(e)
+	return !g.ov.isDead(e)
 }
 
 // Epoch returns the Store epoch this view was published at, 0 for graphs
@@ -133,7 +133,7 @@ func (g *Graph) Epoch() uint64 { return g.epoch }
 // NodeLabelID returns the interned label of node n.
 func (g *Graph) NodeLabelID(n NodeID) LabelID {
 	if g.ov != nil {
-		if d := int(n) - g.ov.baseNodes; d >= 0 {
+		if d := int(n) - len(g.nodeLabel); d >= 0 {
 			return g.ov.addedLabel[d]
 		}
 	}
@@ -152,7 +152,7 @@ func (g *Graph) EdgeLabel(e EdgeID) string { return g.labels.String(g.Edge(e).La
 // Edge returns the endpoints and label of e.
 func (g *Graph) Edge(e EdgeID) Edge {
 	if g.ov != nil {
-		if d := int(e) - g.ov.baseEdges; d >= 0 {
+		if d := int(e) - len(g.edges); d >= 0 {
 			return g.ov.deltaEdges[d]
 		}
 	}
@@ -183,11 +183,8 @@ func (g *Graph) Other(e EdgeID, n NodeID) NodeID {
 // is shared; callers must not modify it.
 func (g *Graph) IncidentEdges(n NodeID) []EdgeID {
 	if g.ov != nil {
-		if s, ok := g.ov.adj[n]; ok {
-			return s
-		}
-		if int(n) >= g.ov.baseNodes {
-			return nil
+		if r := g.ov.nodes.get(int(n)); r != nil {
+			return r.adj
 		}
 	}
 	return g.adjEdges[g.adjOff[n]:g.adjOff[n+1]:g.adjOff[n+1]]
@@ -196,11 +193,8 @@ func (g *Graph) IncidentEdges(n NodeID) []EdgeID {
 // OutEdges returns the edges whose source is n (zero-alloc sub-slice).
 func (g *Graph) OutEdges(n NodeID) []EdgeID {
 	if g.ov != nil {
-		if s, ok := g.ov.out[n]; ok {
-			return s
-		}
-		if int(n) >= g.ov.baseNodes {
-			return nil
+		if r := g.ov.nodes.get(int(n)); r != nil {
+			return r.out
 		}
 	}
 	return g.outEdges[g.outOff[n]:g.outOff[n+1]:g.outOff[n+1]]
@@ -209,11 +203,8 @@ func (g *Graph) OutEdges(n NodeID) []EdgeID {
 // InEdges returns the edges whose target is n (zero-alloc sub-slice).
 func (g *Graph) InEdges(n NodeID) []EdgeID {
 	if g.ov != nil {
-		if s, ok := g.ov.in[n]; ok {
-			return s
-		}
-		if int(n) >= g.ov.baseNodes {
-			return nil
+		if r := g.ov.nodes.get(int(n)); r != nil {
+			return r.in
 		}
 	}
 	return g.inEdges[g.inOff[n]:g.inOff[n+1]:g.inOff[n+1]]
@@ -232,11 +223,8 @@ func (g *Graph) In(n NodeID) []EdgeID { return g.InEdges(n) }
 // direction. Section 4.6 uses it in the LESP pruning exemption.
 func (g *Graph) Degree(n NodeID) int {
 	if g.ov != nil {
-		if s, ok := g.ov.adj[n]; ok {
-			return len(s)
-		}
-		if int(n) >= g.ov.baseNodes {
-			return 0
+		if r := g.ov.nodes.get(int(n)); r != nil {
+			return len(r.adj)
 		}
 	}
 	return int(g.adjOff[n+1] - g.adjOff[n])
@@ -253,8 +241,8 @@ func (g *Graph) LabelIDOf(s string) (LabelID, bool) { return g.labels.Lookup(s) 
 // indexed: NodesWithLabel(NoLabel) is empty.
 func (g *Graph) NodesWithLabel(l LabelID) []NodeID {
 	if g.ov != nil {
-		if s, ok := g.ov.labelNodes[l]; ok {
-			return s
+		if r := g.ov.labels.get(int(l)); r != nil {
+			return r.nodes
 		}
 	}
 	if l <= NoLabel || int(l) >= len(g.labelNodeOff)-1 {
@@ -267,8 +255,8 @@ func (g *Graph) NodesWithLabel(l LabelID) []NodeID {
 // edge ID, as a zero-alloc CSR sub-slice. The slice is shared.
 func (g *Graph) EdgesWithLabel(l LabelID) []EdgeID {
 	if g.ov != nil {
-		if s, ok := g.ov.labelEdges[l]; ok {
-			return s
+		if r := g.ov.labels.get(int(l)); r != nil {
+			return r.edges
 		}
 	}
 	if l < 0 || int(l) >= len(g.labelEdgeOff)-1 {
@@ -281,8 +269,8 @@ func (g *Graph) EdgesWithLabel(l LabelID) []EdgeID {
 // a zero-alloc CSR sub-slice. The slice is shared.
 func (g *Graph) NodesWithType(t LabelID) []NodeID {
 	if g.ov != nil {
-		if s, ok := g.ov.typeNodes[t]; ok {
-			return s
+		if r := g.ov.labels.get(int(t)); r != nil {
+			return r.typed
 		}
 	}
 	if t < 0 || int(t) >= len(g.typeNodeOff)-1 {
@@ -294,11 +282,8 @@ func (g *Graph) NodesWithType(t LabelID) []NodeID {
 // NodeTypes returns the sorted type IDs of n (nil when none).
 func (g *Graph) NodeTypes(n NodeID) []LabelID {
 	if g.ov != nil {
-		if ts, ok := g.ov.nodeTypes[n]; ok {
-			return ts
-		}
-		if int(n) >= g.ov.baseNodes {
-			return nil
+		if r := g.ov.nodes.get(int(n)); r != nil {
+			return r.types
 		}
 	}
 	return g.nodeTypes[n]

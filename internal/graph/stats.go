@@ -23,12 +23,7 @@ type Stats struct {
 func ComputeStats(g *Graph) Stats {
 	edges := g.NumEdges()
 	if g.ov != nil {
-		edges = 0
-		for i := 0; i < g.NumEdges(); i++ {
-			if g.EdgeAlive(EdgeID(i)) {
-				edges++
-			}
-		}
+		edges -= g.ov.deadBase + g.ov.deadDelta
 	}
 	s := Stats{
 		Nodes:  g.NumNodes(),

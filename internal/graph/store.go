@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,17 +18,18 @@ import (
 // asserts.
 var compactPoint = fault.Register("graph.compact")
 
-// Store is a live graph: an immutable CSR base plus a mutable delta
-// overlay (node/edge/type additions and edge deletions), published to
-// readers as a sequence of immutable epoch views.
+// Store is a live graph: an immutable CSR base plus a delta overlay
+// (node/edge/type additions and edge deletions), published to readers as
+// a sequence of immutable epoch views.
 //
-// Every Mutate applies one atomic batch, bumps the epoch, chains the
-// fingerprint, and publishes a fresh view; View (and Snapshot) return the
-// current view with one atomic load. A reader holds its view for the
-// duration of a query — that is the entire pinning protocol: views are
-// immutable, unreferenced ones are reclaimed by the garbage collector, and
-// no reader can ever observe a half-applied batch because the swap is a
-// single pointer store.
+// Every Mutate applies one atomic batch to a private successor of the
+// current view — bumping the epoch and chaining the fingerprint — and
+// publishes it; View (and Snapshot) return the current view with one
+// atomic load. A reader holds its view for the duration of a query — that
+// is the entire pinning protocol: views are immutable, unreferenced ones
+// are reclaimed by the garbage collector, and no reader can ever observe a
+// half-applied batch because the swap is a single pointer store. The
+// published view's overlay is the only copy of the delta.
 //
 // Once the accumulated delta crosses CompactThreshold logical operations,
 // a background goroutine rebuilds a fresh CSR base from the current view
@@ -39,26 +39,8 @@ var compactPoint = fault.Register("graph.compact")
 // may renumber — in-flight queries are unaffected because they hold the
 // pre-compaction view).
 type Store struct {
-	mu  sync.Mutex
+	mu  sync.Mutex // serializes writers: Mutate and the compaction swap
 	cur atomic.Pointer[Graph]
-
-	// Authoritative delta state, guarded by mu. The published view holds
-	// frozen copies — nothing here is reachable from a view except via
-	// copy-on-write slices.
-	base         *Graph
-	labels       *Dict
-	epoch        uint64
-	fp           uint64
-	addedLabel   []LabelID
-	addedByLabel map[LabelID][]NodeID
-	mergedTypes  map[NodeID][]LabelID // full sorted type list per delta-touched node
-	typeAdds     map[LabelID][]NodeID // nodes that gained type t in the delta
-	deltaEdges   []Edge
-	deltaDead    []bool
-	baseDead     map[EdgeID]struct{}
-	deadCount    int
-	typeAddCount int
-	ops          int // logical delta operations since the last compaction
 
 	// batchLog holds every batch applied since the current base was built,
 	// so a compaction can replay the suffix that arrived while it rebuilt.
@@ -176,25 +158,16 @@ type CompactionInfo struct {
 // NewStore wraps base — which must be a graph frozen by Build, or any
 // epoch view (compacted first) — into a live Store at epoch 0.
 func NewStore(base *Graph, opts StoreOptions) *Store {
-	if base.ov != nil {
-		base = rebuildBase(base)
-	}
+	base = base.Compact()
 	th := opts.CompactThreshold
 	if th == 0 {
 		th = DefaultCompactThreshold
 	}
-	s := &Store{
-		base:         base,
-		labels:       base.labels,
-		fp:           base.Fingerprint(),
-		addedByLabel: make(map[LabelID][]NodeID),
-		mergedTypes:  make(map[NodeID][]LabelID),
-		typeAdds:     make(map[LabelID][]NodeID),
-		baseDead:     make(map[EdgeID]struct{}),
-		threshold:    th,
-	}
+	s := &Store{threshold: th}
 	v := *base
 	v.epoch = 0
+	// The store's epochs grow their own dictionary, never base's.
+	v.labels = base.labels.flatten()
 	s.cur.Store(&v)
 	return s
 }
@@ -232,29 +205,27 @@ func (s *Store) notifyCompaction(info CompactionInfo) {
 func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	live := 0
-	for _, d := range s.deltaDead {
-		if !d {
-			live++
-		}
-	}
-	return StoreStats{
-		Epoch:            s.epoch,
-		Fingerprint:      s.fp,
+	v := s.cur.Load()
+	st := StoreStats{
+		Epoch:            v.epoch,
+		Fingerprint:      v.fingerprint,
 		BaseGen:          s.baseGen,
-		BaseNodes:        s.base.NumNodes(),
-		BaseEdges:        len(s.base.edges),
-		AddedNodes:       len(s.addedLabel),
-		DeltaEdges:       live,
-		DeadEdges:        s.deadCount,
-		TypesAdded:       s.typeAddCount,
-		PendingOps:       s.ops,
+		BaseNodes:        len(v.nodeLabel),
+		BaseEdges:        len(v.edges),
 		CompactThreshold: s.threshold,
 		Compacting:       s.compacting,
 		Compactions:      s.compactions,
 		CompactAborts:    s.compactAborts,
 		LastCompactNS:    s.lastCompactNS,
 	}
+	if ov := v.ov; ov != nil {
+		st.AddedNodes = len(ov.addedLabel)
+		st.DeltaEdges = len(ov.deltaEdges) - ov.deadDelta
+		st.DeadEdges = ov.deadBase + ov.deadDelta
+		st.TypesAdded = ov.typesAdded
+		st.PendingOps = ov.pendingOps()
+	}
+	return st
 }
 
 // Mutate applies one batch atomically, publishes the next epoch view, and
@@ -262,21 +233,30 @@ func (s *Store) Stats() StoreStats {
 // is unchanged.
 func (s *Store) Mutate(b Batch) (MutateResult, error) {
 	s.mu.Lock()
-	plan, err := s.planLocked(b)
+	defer s.mu.Unlock()
+	cur := s.cur.Load()
+	next := cur.successor(cur.epoch + 1)
+	res, err := next.apply(b)
 	if err != nil {
-		s.mu.Unlock()
 		return MutateResult{}, err
 	}
-	res := s.commitLocked(plan)
-	s.epoch++
-	s.fp = hash64.Mix(s.fp ^ batchDigest(b))
+	next.fingerprint = hash64.Mix(cur.fingerprint ^ batchDigest(b))
+	res.Epoch, res.Fingerprint = next.epoch, next.fingerprint
 	s.batchLog = append(s.batchLog, b)
-	res.Epoch = s.epoch
-	res.Fingerprint = s.fp
-	s.freezeLocked()
+	s.publishLocked(next)
 	s.maybeCompactLocked()
-	s.mu.Unlock()
 	return res, nil
+}
+
+// publishLocked makes v the current view. An empty delta (a fresh store,
+// or right after a compaction that absorbed everything) publishes no
+// overlay: the view IS the base, and readers pay only the accessors'
+// nil-check.
+func (s *Store) publishLocked(v *Graph) {
+	if v.ov != nil && v.ov.pendingOps() == 0 {
+		v.ov = nil
+	}
+	s.cur.Store(v)
 }
 
 // Quiesce blocks until any in-flight background compaction finishes.
@@ -284,480 +264,15 @@ func (s *Store) Mutate(b Batch) (MutateResult, error) {
 func (s *Store) Quiesce() { s.wg.Wait() }
 
 // ---------------------------------------------------------------------------
-// Batch planning: resolve every operation against the current state without
-// modifying anything, so a validation error leaves the store untouched.
-
-type plannedNode struct {
-	label LabelID
-	types []LabelID
-}
-
-type plannedType struct {
-	n NodeID
-	t LabelID
-}
-
-type mutationPlan struct {
-	dict     *Dict
-	dictGrew bool
-
-	newNodes []plannedNode
-	byLabel  map[LabelID]NodeID // batch-created nodes, for intra-batch references
-	typeAdds []plannedType
-	newEdges []Edge
-	delBase  []EdgeID
-	delDelta []int
-	delNew   []int
-
-	delBaseSet  map[EdgeID]bool
-	delDeltaSet map[int]bool
-	delNewSet   map[int]bool
-}
-
-func (s *Store) planLocked(b Batch) (*mutationPlan, error) {
-	p := &mutationPlan{
-		dict:        s.labels,
-		byLabel:     make(map[LabelID]NodeID),
-		delBaseSet:  make(map[EdgeID]bool),
-		delDeltaSet: make(map[int]bool),
-		delNewSet:   make(map[int]bool),
-	}
-	for _, na := range b.AddNodes {
-		if na.Label == "" {
-			p.createNode(s, NoLabel, p.internTypes(s, na.Types))
-			continue
-		}
-		id, count := s.resolveLocked(p, na.Label)
-		switch {
-		case count > 1:
-			return nil, fmt.Errorf("graph: AddNode %q: label is ambiguous (%d nodes)", na.Label, count)
-		case count == 1:
-			// Upsert: attach the types the node does not have yet.
-			for _, t := range p.internTypes(s, na.Types) {
-				p.typeAdds = append(p.typeAdds, plannedType{n: id, t: t})
-			}
-		default:
-			p.createNode(s, s.internLocked(p, na.Label), p.internTypes(s, na.Types))
-		}
-	}
-	for _, ta := range b.AddTypes {
-		id, count := s.resolveLocked(p, ta.Node)
-		if count == 0 {
-			return nil, fmt.Errorf("graph: AddType %q: unknown node %q", ta.Type, ta.Node)
-		}
-		if count > 1 {
-			return nil, fmt.Errorf("graph: AddType %q: node label %q is ambiguous (%d nodes)", ta.Type, ta.Node, count)
-		}
-		p.typeAdds = append(p.typeAdds, plannedType{n: id, t: s.internLocked(p, ta.Type)})
-	}
-	for _, ae := range b.AddEdges {
-		src, err := s.ensureNodeLocked(p, ae.Source)
-		if err != nil {
-			return nil, fmt.Errorf("graph: AddEdge %s-[%s]->%s: %w", ae.Source, ae.Label, ae.Target, err)
-		}
-		dst, err := s.ensureNodeLocked(p, ae.Target)
-		if err != nil {
-			return nil, fmt.Errorf("graph: AddEdge %s-[%s]->%s: %w", ae.Source, ae.Label, ae.Target, err)
-		}
-		p.newEdges = append(p.newEdges, Edge{Source: src, Target: dst, Label: s.internLocked(p, ae.Label)})
-	}
-	for _, de := range b.DelEdges {
-		if err := s.planDeleteLocked(p, de); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
-}
-
-// resolveLocked finds the node(s) labeled label across the base, the
-// delta, and the batch's own additions. It returns one representative and
-// the total count; it never interns.
-func (s *Store) resolveLocked(p *mutationPlan, label string) (NodeID, int) {
-	l, ok := p.dict.Lookup(label)
-	if !ok || l == NoLabel {
-		return 0, 0
-	}
-	var id NodeID
-	count := 0
-	if ns := s.base.NodesWithLabel(l); len(ns) > 0 {
-		id, count = ns[0], count+len(ns)
-	}
-	if ns := s.addedByLabel[l]; len(ns) > 0 {
-		id, count = ns[0], count+len(ns)
-	}
-	if n, ok := p.byLabel[l]; ok {
-		id, count = n, count+1
-	}
-	return id, count
-}
-
-// ensureNodeLocked resolves label to a unique node, creating one when the
-// label names none (the triples loader's implicit-node rule).
-func (s *Store) ensureNodeLocked(p *mutationPlan, label string) (NodeID, error) {
-	if label == "" {
-		return 0, fmt.Errorf("empty node label")
-	}
-	id, count := s.resolveLocked(p, label)
-	switch {
-	case count > 1:
-		return 0, fmt.Errorf("node label %q is ambiguous (%d nodes)", label, count)
-	case count == 1:
-		return id, nil
-	}
-	return p.createNode(s, s.internLocked(p, label), nil), nil
-}
-
-func (p *mutationPlan) createNode(s *Store, label LabelID, types []LabelID) NodeID {
-	id := NodeID(s.base.NumNodes() + len(s.addedLabel) + len(p.newNodes))
-	p.newNodes = append(p.newNodes, plannedNode{label: label, types: types})
-	if label != NoLabel {
-		p.byLabel[label] = id
-	}
-	return id
-}
-
-func (p *mutationPlan) internTypes(s *Store, types []string) []LabelID {
-	if len(types) == 0 {
-		return nil
-	}
-	out := make([]LabelID, 0, len(types))
-	for _, t := range types {
-		out = append(out, s.internLocked(p, t))
-	}
-	return out
-}
-
-func (s *Store) internLocked(p *mutationPlan, str string) LabelID {
-	if id, ok := p.dict.Lookup(str); ok {
-		return id
-	}
-	// First new label of the batch: clone so published views keep reading
-	// the old dictionary without racing the growth.
-	if !p.dictGrew {
-		p.dict = p.dict.Clone()
-		p.dictGrew = true
-	}
-	return p.dict.Intern(str)
-}
-
-// planDeleteLocked marks every live edge matching the triple for deletion
-// (across base, delta, and edges this batch added). Zero matches is fine.
-func (s *Store) planDeleteLocked(p *mutationPlan, t Triple) error {
-	src, scount := s.resolveLocked(p, t.Source)
-	if scount > 1 {
-		return fmt.Errorf("graph: DelEdge %s-[%s]->%s: source label is ambiguous", t.Source, t.Label, t.Target)
-	}
-	dst, dcount := s.resolveLocked(p, t.Target)
-	if dcount > 1 {
-		return fmt.Errorf("graph: DelEdge %s-[%s]->%s: target label is ambiguous", t.Source, t.Label, t.Target)
-	}
-	l, lok := p.dict.Lookup(t.Label)
-	if scount == 0 || dcount == 0 || !lok {
-		return nil
-	}
-	if int(src) < s.base.NumNodes() {
-		for _, e := range s.base.OutEdges(src) {
-			ed := s.base.edges[e]
-			if ed.Target != dst || ed.Label != l {
-				continue
-			}
-			if _, dead := s.baseDead[e]; dead || p.delBaseSet[e] {
-				continue
-			}
-			p.delBase = append(p.delBase, e)
-			p.delBaseSet[e] = true
-		}
-	}
-	for i, de := range s.deltaEdges {
-		if s.deltaDead[i] || p.delDeltaSet[i] {
-			continue
-		}
-		if de.Source == src && de.Target == dst && de.Label == l {
-			p.delDelta = append(p.delDelta, i)
-			p.delDeltaSet[i] = true
-		}
-	}
-	for i, de := range p.newEdges {
-		if p.delNewSet[i] {
-			continue
-		}
-		if de.Source == src && de.Target == dst && de.Label == l {
-			p.delNew = append(p.delNew, i)
-			p.delNewSet[i] = true
-		}
-	}
-	return nil
-}
-
-// commitLocked applies a validated plan to the authoritative delta state.
-// It cannot fail.
-func (s *Store) commitLocked(p *mutationPlan) MutateResult {
-	var res MutateResult
-	s.labels = p.dict
-	baseN := s.base.NumNodes()
-	for _, nn := range p.newNodes {
-		id := NodeID(baseN + len(s.addedLabel))
-		s.addedLabel = append(s.addedLabel, nn.label)
-		if nn.label != NoLabel {
-			s.addedByLabel[nn.label] = append(s.addedByLabel[nn.label], id)
-		}
-		if len(nn.types) > 0 {
-			ts := dedupSortedLabels(nn.types)
-			s.mergedTypes[id] = ts
-			for _, t := range ts {
-				s.typeAdds[t] = append(s.typeAdds[t], id)
-			}
-			res.TypesAdded += len(ts)
-			s.typeAddCount += len(ts)
-			s.ops += len(ts)
-		}
-		res.NodesAdded++
-		s.ops++
-	}
-	for _, ta := range p.typeAdds {
-		cur := s.currentTypesLocked(ta.n)
-		if containsLabel(cur, ta.t) {
-			continue
-		}
-		// Copy-on-write: published views may share cur.
-		nts := make([]LabelID, 0, len(cur)+1)
-		nts = append(nts, cur...)
-		nts = append(nts, ta.t)
-		sort.Slice(nts, func(i, j int) bool { return nts[i] < nts[j] })
-		s.mergedTypes[ta.n] = nts
-		s.typeAdds[ta.t] = append(s.typeAdds[ta.t], ta.n)
-		res.TypesAdded++
-		s.typeAddCount++
-		s.ops++
-	}
-	newOff := len(s.deltaEdges)
-	for _, e := range p.newEdges {
-		s.deltaEdges = append(s.deltaEdges, e)
-		s.deltaDead = append(s.deltaDead, false)
-		res.EdgesAdded++
-		s.ops++
-	}
-	for _, e := range p.delBase {
-		s.baseDead[e] = struct{}{}
-		s.deadCount++
-		res.EdgesDeleted++
-		s.ops++
-	}
-	for _, i := range p.delDelta {
-		s.deltaDead[i] = true
-		s.deadCount++
-		res.EdgesDeleted++
-		s.ops++
-	}
-	for _, i := range p.delNew {
-		s.deltaDead[newOff+i] = true
-		s.deadCount++
-		res.EdgesDeleted++
-		s.ops++
-	}
-	return res
-}
-
-func (s *Store) currentTypesLocked(n NodeID) []LabelID {
-	if ts, ok := s.mergedTypes[n]; ok {
-		return ts
-	}
-	if int(n) < s.base.NumNodes() {
-		return s.base.nodeTypes[n]
-	}
-	return nil
-}
-
-func containsLabel(ts []LabelID, t LabelID) bool {
-	for _, x := range ts {
-		if x == t {
-			return true
-		}
-	}
-	return false
-}
-
-func dedupSortedLabels(ts []LabelID) []LabelID {
-	out := append([]LabelID(nil), ts...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	k := 0
-	for i, t := range out {
-		if i == 0 || t != out[k-1] {
-			out[k] = t
-			k++
-		}
-	}
-	return out[:k]
-}
-
-// ---------------------------------------------------------------------------
-// Freeze: materialize the delta into an immutable overlay and publish the
-// next epoch view.
-
-func (s *Store) freezeLocked() {
-	v := *s.base
-	v.labels = s.labels
-	v.fingerprint = s.fp
-	v.epoch = s.epoch
-	v.ov = nil
-	if len(s.addedLabel) == 0 && len(s.deltaEdges) == 0 &&
-		len(s.mergedTypes) == 0 && s.deadCount == 0 {
-		// Empty delta (fresh store, or right after a compaction that
-		// absorbed everything): the view IS the base, with the epoch
-		// fingerprint — readers pay only the accessors' nil-check.
-		s.cur.Store(&v)
-		return
-	}
-
-	baseN := s.base.NumNodes()
-	baseE := len(s.base.edges)
-	ov := &overlay{
-		baseNodes:  baseN,
-		baseEdges:  baseE,
-		numNodes:   baseN + len(s.addedLabel),
-		numEdges:   baseE + len(s.deltaEdges),
-		addedLabel: append([]LabelID(nil), s.addedLabel...),
-		deltaEdges: append([]Edge(nil), s.deltaEdges...),
-	}
-
-	if s.deadCount > 0 {
-		ov.deadBits = make([]uint64, (ov.numEdges+63)/64)
-		for e := range s.baseDead {
-			ov.markDead(e)
-		}
-		for i, d := range s.deltaDead {
-			if d {
-				ov.markDead(EdgeID(baseE + i))
-			}
-		}
-	}
-
-	// Adjacency: every endpoint of a live delta edge and of a deleted base
-	// edge gets a materialized, merged list. Base prefix first (filtered),
-	// then the delta edges in ID order — IDs stay ascending because every
-	// delta ID exceeds every base ID.
-	touched := make(map[NodeID]struct{})
-	for i, de := range s.deltaEdges {
-		if s.deltaDead[i] {
-			continue
-		}
-		touched[de.Source] = struct{}{}
-		touched[de.Target] = struct{}{}
-	}
-	for e := range s.baseDead {
-		ed := s.base.edges[e]
-		touched[ed.Source] = struct{}{}
-		touched[ed.Target] = struct{}{}
-	}
-	ov.adj = make(map[NodeID][]EdgeID, len(touched))
-	ov.out = make(map[NodeID][]EdgeID, len(touched))
-	ov.in = make(map[NodeID][]EdgeID, len(touched))
-	for n := range touched {
-		if int(n) < baseN {
-			ov.out[n] = filterEdges(s.base.OutEdges(n), s.baseDead)
-			ov.in[n] = filterEdges(s.base.InEdges(n), s.baseDead)
-			ov.adj[n] = filterEdges(s.base.IncidentEdges(n), s.baseDead)
-		} else {
-			// Added node: entry presence short-circuits the base fallback.
-			ov.out[n], ov.in[n], ov.adj[n] = nil, nil, nil
-		}
-	}
-	for i, de := range s.deltaEdges {
-		if s.deltaDead[i] {
-			continue
-		}
-		id := EdgeID(baseE + i)
-		ov.out[de.Source] = append(ov.out[de.Source], id)
-		ov.in[de.Target] = append(ov.in[de.Target], id)
-		ov.adj[de.Source] = append(ov.adj[de.Source], id)
-		if de.Target != de.Source {
-			ov.adj[de.Target] = append(ov.adj[de.Target], id)
-		}
-	}
-
-	// Edge label index: labels of live delta edges and of deleted base
-	// edges changed membership.
-	touchedEL := make(map[LabelID]struct{})
-	for i, de := range s.deltaEdges {
-		if !s.deltaDead[i] {
-			touchedEL[de.Label] = struct{}{}
-		}
-	}
-	for e := range s.baseDead {
-		touchedEL[s.base.edges[e].Label] = struct{}{}
-	}
-	ov.labelEdges = make(map[LabelID][]EdgeID, len(touchedEL))
-	for l := range touchedEL {
-		ov.labelEdges[l] = filterEdges(s.base.EdgesWithLabel(l), s.baseDead)
-	}
-	for i, de := range s.deltaEdges {
-		if !s.deltaDead[i] {
-			ov.labelEdges[de.Label] = append(ov.labelEdges[de.Label], EdgeID(baseE+i))
-		}
-	}
-
-	// Node label index: only added nodes change it (nodes are never
-	// deleted or relabeled). Added IDs all exceed base IDs, so appending
-	// keeps the list ascending.
-	ov.labelNodes = make(map[LabelID][]NodeID, len(s.addedByLabel))
-	for l, ns := range s.addedByLabel {
-		base := s.base.NodesWithLabel(l)
-		merged := make([]NodeID, 0, len(base)+len(ns))
-		merged = append(merged, base...)
-		merged = append(merged, ns...)
-		ov.labelNodes[l] = merged
-	}
-
-	// Type index: a base node gaining a type may interleave with the base
-	// membership, so this one is a real sorted merge.
-	ov.typeNodes = make(map[LabelID][]NodeID, len(s.typeAdds))
-	for t, ns := range s.typeAdds {
-		adds := append([]NodeID(nil), ns...)
-		sort.Slice(adds, func(i, j int) bool { return adds[i] < adds[j] })
-		base := s.base.NodesWithType(t)
-		merged := make([]NodeID, 0, len(base)+len(adds))
-		bi := 0
-		for _, a := range adds {
-			for bi < len(base) && base[bi] < a {
-				merged = append(merged, base[bi])
-				bi++
-			}
-			merged = append(merged, a)
-		}
-		merged = append(merged, base[bi:]...)
-		ov.typeNodes[t] = merged
-	}
-
-	// Per-node type lists: share the copy-on-write slices.
-	ov.nodeTypes = make(map[NodeID][]LabelID, len(s.mergedTypes))
-	for n, ts := range s.mergedTypes {
-		ov.nodeTypes[n] = ts
-	}
-
-	v.ov = ov
-	s.cur.Store(&v)
-}
-
-func filterEdges(list []EdgeID, dead map[EdgeID]struct{}) []EdgeID {
-	out := make([]EdgeID, 0, len(list))
-	for _, e := range list {
-		if _, d := dead[e]; !d {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
 // Compaction: rebuild a fresh CSR base from the current view, then replay
 // whatever arrived mid-rebuild.
 
 func (s *Store) maybeCompactLocked() {
-	if s.threshold < 0 || s.compacting || s.ops < s.threshold {
+	pinned := s.cur.Load()
+	if s.threshold < 0 || s.compacting || pinned.ov == nil || pinned.ov.pendingOps() < s.threshold {
 		return
 	}
 	s.compacting = true
-	pinned := s.cur.Load()
 	logLen := len(s.batchLog)
 	s.wg.Add(1)
 	go func() {
@@ -796,7 +311,7 @@ func (s *Store) compact(pinned *Graph, logLen int) error {
 		s.lastCompactNS = time.Since(start).Nanoseconds()
 	}
 	info := CompactionInfo{
-		Epoch:    s.epoch,
+		Epoch:    s.cur.Load().epoch,
 		BaseGen:  s.baseGen,
 		Duration: time.Since(start),
 		Aborted:  err != nil,
@@ -828,109 +343,44 @@ func rebuildSafe(pinned *Graph) (g *Graph, err error) {
 	return rebuildBase(pinned), nil
 }
 
-// swapBase installs the rebuilt base, resets the delta, and replays the
-// batches that arrived after the rebuild pinned its view. Replay re-runs
-// the normal plan/commit path — batches are expressed in labels, so they
-// resolve identically against the logically-identical new base — without
-// touching the epoch, fingerprint, or batch log head. On a replay error
-// (which would take a logic bug, not bad input: every batch here applied
-// cleanly once) the previous state is restored wholesale.
+// swapBase installs the rebuilt base and replays, onto one successor of
+// it, the batches that arrived after the rebuild pinned its view — batches
+// are expressed in labels, so they resolve identically against the
+// logically-identical new base — keeping the epoch and fingerprint. A
+// replay error (which would take a logic bug, not bad input: every batch
+// here applied cleanly once) drops the successor: the published view and
+// the batch log are untouched.
 func (s *Store) swapBase(newBase *Graph, logLen int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	saved := deltaState{
-		base:         s.base,
-		labels:       s.labels,
-		addedLabel:   s.addedLabel,
-		addedByLabel: s.addedByLabel,
-		mergedTypes:  s.mergedTypes,
-		typeAdds:     s.typeAdds,
-		deltaEdges:   s.deltaEdges,
-		deltaDead:    s.deltaDead,
-		baseDead:     s.baseDead,
-		deadCount:    s.deadCount,
-		typeAddCount: s.typeAddCount,
-		ops:          s.ops,
-		batchLog:     s.batchLog,
-		baseGen:      s.baseGen,
-	}
+	cur := s.cur.Load()
+	v := *newBase
+	v.epoch, v.fingerprint = cur.epoch, cur.fingerprint
+	next := &v
 	replay := s.batchLog[logLen:]
-
-	s.base = newBase
-	s.labels = newBase.labels
-	s.addedLabel = nil
-	s.addedByLabel = make(map[LabelID][]NodeID)
-	s.mergedTypes = make(map[NodeID][]LabelID)
-	s.typeAdds = make(map[LabelID][]NodeID)
-	s.deltaEdges = nil
-	s.deltaDead = nil
-	s.baseDead = make(map[EdgeID]struct{})
-	s.deadCount = 0
-	s.typeAddCount = 0
-	s.ops = 0
+	if len(replay) > 0 {
+		next = next.successor(cur.epoch)
+		for _, b := range replay {
+			if _, err := next.apply(b); err != nil {
+				return fmt.Errorf("graph: compaction replay: %w", err)
+			}
+		}
+	}
 	s.batchLog = append([]Batch(nil), replay...)
 	s.baseGen++
-
-	for _, b := range replay {
-		plan, err := s.planLocked(b)
-		if err == nil {
-			s.commitLocked(plan)
-			continue
-		}
-		// Restore the pre-swap state; the published view was not touched
-		// and still matches it. The reset above installed fresh maps and
-		// slices, so the saved references are intact.
-		s.restoreLocked(saved)
-		return fmt.Errorf("graph: compaction replay: %w", err)
-	}
-	s.freezeLocked()
+	s.publishLocked(next)
 	return nil
-}
-
-// deltaState is the restorable portion of a Store — everything swapBase
-// rewrites when installing a rebuilt base.
-type deltaState struct {
-	base         *Graph
-	labels       *Dict
-	addedLabel   []LabelID
-	addedByLabel map[LabelID][]NodeID
-	mergedTypes  map[NodeID][]LabelID
-	typeAdds     map[LabelID][]NodeID
-	deltaEdges   []Edge
-	deltaDead    []bool
-	baseDead     map[EdgeID]struct{}
-	deadCount    int
-	typeAddCount int
-	ops          int
-	batchLog     []Batch
-	baseGen      uint64
-}
-
-func (s *Store) restoreLocked(saved deltaState) {
-	s.base = saved.base
-	s.labels = saved.labels
-	s.addedLabel = saved.addedLabel
-	s.addedByLabel = saved.addedByLabel
-	s.mergedTypes = saved.mergedTypes
-	s.typeAdds = saved.typeAdds
-	s.deltaEdges = saved.deltaEdges
-	s.deltaDead = saved.deltaDead
-	s.baseDead = saved.baseDead
-	s.deadCount = saved.deadCount
-	s.typeAddCount = saved.typeAddCount
-	s.ops = saved.ops
-	s.batchLog = saved.batchLog
-	s.baseGen = saved.baseGen
 }
 
 // rebuildBase materializes v's logical content into a fresh frozen base:
 // node IDs are preserved, dead edges are squeezed out (renumbering live
-// ones), and the label dictionary is shared. Callers holding older views
-// are unaffected — they keep their own arrays.
+// ones), and label IDs are kept. Callers holding older views are
+// unaffected — they keep their own arrays. The fingerprint is the
+// caller's: a compaction keeps the view's, Compact computes it.
 func rebuildBase(v *Graph) *Graph {
 	n := v.NumNodes()
 	g := &Graph{
-		labels:    v.labels,
+		labels:    v.labels.flatten(),
 		nodeLabel: make([]LabelID, n),
 		nodeTypes: make([][]LabelID, n),
 		nodeProps: v.nodeProps, // node IDs are stable and props frozen: share
@@ -970,7 +420,6 @@ func rebuildBase(v *Graph) *Graph {
 		}
 	}
 	freezeIndexes(g)
-	g.fingerprint = g.computeFingerprint()
 	return g
 }
 
@@ -983,7 +432,9 @@ func (g *Graph) Compact() *Graph {
 	if g.ov == nil {
 		return g
 	}
-	return rebuildBase(g)
+	c := rebuildBase(g)
+	c.fingerprint = c.computeFingerprint()
+	return c
 }
 
 // batchDigest hashes a batch's operations, order-sensitively, for the

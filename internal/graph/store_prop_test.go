@@ -10,19 +10,55 @@ import (
 	"ctpquery/internal/fault"
 )
 
-// randBatch builds a batch that cannot fail validation: adds between
-// labels known unique (the base line-graph labels plus nodes this
-// generator created), brand-new uniquely-labeled nodes, idempotent
-// deletes, and type attachments on known nodes.
+// batchGen generates batch streams. next builds a batch that cannot fail
+// validation: adds between labels known unique (the base labels plus
+// nodes this generator created), brand-new uniquely-labeled nodes,
+// idempotent deletes, and type attachments on known nodes. varied adds
+// the cases next never produces.
 type batchGen struct {
 	r      *rand.Rand
 	labels []string // unique node labels, grows as nodes are added
+	nBase  int      // labels[:nBase] name base nodes
+	base   []Triple // base edges, for varied's duplicates
 	added  []Triple // edges added so far, eligible for deletion
 	nextID int
 }
 
 func newBatchGen(seed int64, baseLabels []string) *batchGen {
-	return &batchGen{r: rand.New(rand.NewSource(seed)), labels: append([]string(nil), baseLabels...)}
+	return &batchGen{r: rand.New(rand.NewSource(seed)), labels: append([]string(nil), baseLabels...), nBase: len(baseLabels)}
+}
+
+// varied extends next's batch with one of: a second copy of a base
+// triple, a second copy of an added triple, two copies of a fresh triple
+// and a deletion of it in the same batch, an upsert of types onto a base
+// node, or a type attachment to a node that does not exist — which fails
+// the batch after its earlier ops ran.
+func (g *batchGen) varied() Batch {
+	b := g.next()
+	switch g.r.Intn(5) {
+	case 0:
+		if len(g.base) > 0 {
+			t := g.base[g.r.Intn(len(g.base))]
+			b.AddEdges = append(b.AddEdges, t)
+			g.added = append(g.added, t)
+		}
+	case 1:
+		if len(g.added) > 0 {
+			t := g.added[g.r.Intn(len(g.added))]
+			b.AddEdges = append(b.AddEdges, t)
+			g.added = append(g.added, t)
+		}
+	case 2:
+		t := Triple{Source: g.pick(), Label: "twice", Target: g.pick()}
+		b.AddEdges = append(b.AddEdges, t, t)
+		b.DelEdges = append(b.DelEdges, t)
+	case 3:
+		l := g.labels[g.r.Intn(g.nBase)]
+		b.AddNodes = append(b.AddNodes, NodeAdd{Label: l, Types: []string{"upserted", "generated"}})
+	default:
+		b.AddTypes = append(b.AddTypes, TypeAdd{Node: "nobody", Type: "touched"})
+	}
+	return b
 }
 
 func (g *batchGen) pick() string { return g.labels[g.r.Intn(len(g.labels))] }

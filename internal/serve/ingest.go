@@ -104,7 +104,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		res, err := s.base.Mutate(b)
 		if err != nil {
 			// Batches before i are applied and stay applied (each is its
-			// own epoch); report how far we got alongside the error.
+			// own epoch): count them, and report how far we got alongside
+			// the error.
+			s.countIngest(&resp)
 			status = "bad_request"
 			s.ingestFailures.Add(1)
 			sp.Error(err)
@@ -120,14 +122,21 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		resp.EdgesDeleted += res.EdgesDeleted
 		resp.TypesAdded += res.TypesAdded
 	}
-	ops := int64(resp.NodesAdded + resp.EdgesAdded + resp.EdgesDeleted + resp.TypesAdded)
-	s.ingestBatches.Add(int64(resp.Batches))
-	s.ingestOps.Add(ops)
+	ops := s.countIngest(&resp)
 	sp.AttrInt("batches", int64(resp.Batches)).AttrInt("ops", ops).AttrInt("epoch", int64(resp.Epoch))
 	if st, ok := g.StoreStats(); ok {
 		resp.Store = storeJSON(st)
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// countIngest adds the batches and ops resp reports applied to the
+// ingest counters, and returns the ops.
+func (s *Server) countIngest(resp *ingestResponse) int64 {
+	ops := int64(resp.NodesAdded + resp.EdgesAdded + resp.EdgesDeleted + resp.TypesAdded)
+	s.ingestBatches.Add(int64(resp.Batches))
+	s.ingestOps.Add(ops)
+	return ops
 }
 
 // storeJSON renders StoreStats for /ingest responses and /stats.

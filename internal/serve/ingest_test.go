@@ -227,6 +227,34 @@ func TestIngestPartialFailure(t *testing.T) {
 	if got := s.base.Graph().Epoch(); got != 1 {
 		t.Fatalf("epoch = %d, want 1 (first batch applied, second rejected)", got)
 	}
+
+	// The applied batch counts, on /stats and on /metrics.
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if ingest, _ := stats["ingest"].(map[string]any); ingest["batches"] != float64(1) || ingest["ops"] != float64(1) {
+		t.Fatalf("/stats ingest = %v, want 1 batch and 1 op", stats["ingest"])
+	}
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"ctp_ingest_batches_total 1", "ctp_ingest_ops_total 1"} {
+		if !strings.Contains(string(raw), want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
 }
 
 // TestIngestChaosFault arms the serve.ingest probe: the request answers

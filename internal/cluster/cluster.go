@@ -43,6 +43,7 @@ import (
 
 	"ctpquery/internal/fault"
 	"ctpquery/internal/obs"
+	"ctpquery/internal/wire"
 )
 
 // Transport-level probe points (inert unless armed via internal/fault):
@@ -57,61 +58,15 @@ var (
 	probeHealth = fault.Register("cluster.health.probe")
 )
 
-// Request is the wire query a coordinator scatters — field-for-field the
-// body of ctpserve's POST /query.
-type Request struct {
-	Query       string `json:"query"`
-	TimeoutMS   int64  `json:"timeout_ms,omitempty"`
-	Algorithm   string `json:"algorithm,omitempty"`
-	Parallelism *int   `json:"parallelism,omitempty"`
-	MaxRows     int    `json:"max_rows,omitempty"`
-	OmitTrees   bool   `json:"omit_trees,omitempty"`
-	// IncludeKeys asks the shard for per-row canonical merge keys. The
-	// coordinator forces it on multi-group gathers (the merge needs the
-	// keys) and strips the keys from the client answer unless the client
-	// asked for them itself.
-	IncludeKeys bool `json:"include_keys,omitempty"`
-}
-
-// Timings mirrors the per-phase evaluation times of a shard response.
-type Timings struct {
-	BGP   float64 `json:"bgp"`
-	CTP   float64 `json:"ctp"`
-	Join  float64 `json:"join"`
-	Total float64 `json:"total"`
-}
+// Request is the query a coordinator scatters: ctpserve's POST /query
+// body.
+type Request = wire.Request
 
 // Response is one decoded shard answer. Rows stay raw JSON — the
-// coordinator merges and forwards them without re-interpreting cells.
-// StatusCode and RetryAfterS are transport metadata, not wire fields.
-type Response struct {
-	StatusCode int `json:"-"`
-
-	Columns       []string          `json:"columns"`
-	Rows          []json.RawMessage `json:"rows"`
-	RowKeys       []string          `json:"row_keys,omitempty"`
-	RowCount      int               `json:"row_count"`
-	RowsTruncated bool              `json:"rows_truncated,omitempty"`
-	TimedOut      bool              `json:"timed_out"`
-	Truncated     bool              `json:"truncated,omitempty"`
-	Algorithm     string            `json:"algorithm,omitempty"`
-	TimingsMS     Timings           `json:"timings_ms"`
-	// Search/Cache/Admission pass through the shard's per-query reports
-	// opaquely (single-group answers keep them; merges drop them in favor
-	// of the per-shard cluster block).
-	Search    json.RawMessage `json:"search,omitempty"`
-	Cache     json.RawMessage `json:"cache,omitempty"`
-	Admission json.RawMessage `json:"admission,omitempty"`
-	// Error is the structured message of non-200 answers; RetryAfterS
-	// mirrors their Retry-After (429 saturation, 503 draining).
-	Error       string `json:"error,omitempty"`
-	RetryAfterS int    `json:"retry_after_s,omitempty"`
-	// TraceID is the shard's flight-recorder trace for this query. Under
-	// a tracing coordinator it equals the coordinator's trace ID (the
-	// shard adopts the propagated Traceparent), which is how the two
-	// recorders' span trees join.
-	TraceID string `json:"trace_id,omitempty"`
-}
+// coordinator merges and forwards them without re-interpreting cells —
+// and StatusCode and RetryAfterS carry the transport's status line and
+// Retry-After header.
+type Response = wire.Response[json.RawMessage]
 
 // Transport delivers wire requests to one backend. Send returns an
 // error only for transport-level failures (connection refused, decode
@@ -264,7 +219,7 @@ func (r *recorder) status() int {
 }
 
 // decodeResponse turns one HTTP answer into a Response. Non-200 bodies
-// are the server's errorResponse shape, whose fields Response shares.
+// are a wire.Error, whose fields Response shares.
 func decodeResponse(code int, hdr http.Header, body io.Reader) (*Response, error) {
 	resp := &Response{StatusCode: code}
 	if err := json.NewDecoder(body).Decode(resp); err != nil {

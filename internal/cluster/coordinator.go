@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"ctpquery/internal/obs"
+	"ctpquery/internal/wire"
 )
 
 // Config tunes a Coordinator. Zero values take the documented defaults.
@@ -181,7 +182,7 @@ func New(cfg Config, groups []Group) (*Coordinator, error) {
 		c.groupNames = append(c.groupNames, name)
 		c.groups = append(c.groups, shards)
 	}
-	c.registerCollectors()
+	c.reg.Collect(func(e *obs.Exposition) { e.Table(c.table()) })
 	return c, nil
 }
 
@@ -323,8 +324,8 @@ func (c *Coordinator) Gather(ctx context.Context, req *Request) *GatherResponse 
 		resp = mergeResponses(parts, req.MaxRows)
 		info.Merged = true
 	} else {
-		// Replica pass-through: the answer is byte-identical to what the
-		// single surviving shard produced.
+		// Replica pass-through: the shard's answer is forwarded as decoded,
+		// its rows byte for byte (wire.WriteJSON escapes nothing).
 		resp = parts[0].resp
 	}
 	if !req.IncludeKeys {
@@ -569,25 +570,18 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("/stats", c.handleStats)
 	mux.HandleFunc("/metrics", c.reg.ServeMetrics)
 	mux.HandleFunc("/debug/traces", c.tracer.ServeTraces)
-	return c.recoverMiddleware(mux)
+	return wire.Recover(mux, c.onPanic)
 }
 
-func (c *Coordinator) recoverMiddleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				c.panics.Add(1)
-				writeJSON(w, http.StatusInternalServerError,
-					map[string]string{"error": fmt.Sprintf("internal error: %v", rec)})
-			}
-		}()
-		next.ServeHTTP(w, r)
-	})
+// onPanic is the recover middleware's accounting (wire.Recover).
+func (c *Coordinator) onPanic(_ *http.Request, rec any) string {
+	c.panics.Add(1)
+	return fmt.Sprintf("internal error: %v", rec)
 }
 
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "POST only"})
+		wire.WriteJSON(w, http.StatusMethodNotAllowed, wire.Error{Error: "POST only"})
 		return
 	}
 	if c.draining.Load() {
@@ -596,17 +590,17 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 			retry = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		writeJSON(w, http.StatusServiceUnavailable,
-			map[string]any{"error": "draining: coordinator is shutting down", "retry_after_s": retry})
+		wire.WriteJSON(w, http.StatusServiceUnavailable,
+			wire.Error{Error: "draining: coordinator is shutting down", RetryAfterS: retry})
 		return
 	}
 	var req Request
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
+		wire.WriteJSON(w, http.StatusBadRequest, wire.Error{Error: "bad request body: " + err.Error()})
 		return
 	}
 	if strings.TrimSpace(req.Query) == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "empty query"})
+		wire.WriteJSON(w, http.StatusBadRequest, wire.Error{Error: "empty query"})
 		return
 	}
 	// The gather's root span; an incoming Traceparent (a client or an
@@ -634,7 +628,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if gr.StatusCode == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, gr.StatusCode, gr)
+	wire.WriteJSON(w, gr.StatusCode, gr)
 }
 
 func (c *Coordinator) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -642,7 +636,7 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	if code == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, code, map[string]string{"status": status})
+	wire.WriteJSON(w, code, HealthReport{Status: status})
 }
 
 // clusterHealth folds shard colors up to the coordinator's own 3-state
@@ -682,26 +676,5 @@ func (c *Coordinator) clusterHealth() (string, int) {
 }
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, _ *http.Request) {
-	// One consistent snapshot, shared with the /metrics collector, so
-	// the two surfaces can't disagree on the same counter mid-traffic.
-	snap := c.snapshot()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"uptime_s":         snap.uptimeS,
-		"health":           snap.health,
-		"queries":          snap.queries,
-		"degraded_gathers": snap.degraded,
-		"failed_gathers":   snap.failed,
-		"hedges":           snap.hedges,
-		"hedge_wins":       snap.hedgeW,
-		"retries":          snap.retries,
-		"health_probes":    snap.probes,
-		"panics_contained": snap.panics,
-		"groups":           snap.groups,
-	})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	wire.WriteJSON(w, http.StatusOK, obs.JSON(c.table()))
 }

@@ -7,9 +7,8 @@ import (
 	"ctpquery/internal/obs"
 )
 
-// coordMetrics is the coordinator's hot-path instrument set; the
-// counter families on /metrics derive from the same snapshot /stats
-// renders.
+// coordMetrics is the coordinator's hot-path instrument set; everything
+// else on /metrics is the counter table (Coordinator.table).
 type coordMetrics struct {
 	// gatherDur is the end-to-end POST /query latency, by terminal
 	// outcome ("ok", "degraded", "failed", "error").
@@ -30,60 +29,10 @@ func newCoordMetrics(reg *obs.Registry) *coordMetrics {
 	}
 }
 
-// groupSnap is one group's shard stats inside a coordSnapshot.
+// groupSnap is one group's shard stats, an element of /stats "groups".
 type groupSnap struct {
 	Group  string       `json:"group"`
 	Shards []shardStats `json:"shards"`
-}
-
-// coordSnapshot is one consistent cut of the coordinator counters,
-// shared by /stats and the /metrics collector so the two surfaces agree.
-type coordSnapshot struct {
-	uptimeS  float64
-	health   string
-	queries  int64
-	degraded int64
-	failed   int64
-	hedges   int64
-	hedgeW   int64
-	retries  int64
-	probes   int64
-	panics   int64
-	groups   []groupSnap
-}
-
-func (c *Coordinator) snapshot() coordSnapshot {
-	status, _ := c.clusterHealth()
-	snap := coordSnapshot{
-		uptimeS:  time.Since(c.started).Seconds(),
-		health:   status,
-		queries:  c.queries.Load(),
-		degraded: c.degraded.Load(),
-		failed:   c.failed.Load(),
-		hedges:   c.hedges.Load(),
-		hedgeW:   c.hedgeWins.Load(),
-		retries:  c.retries.Load(),
-		probes:   c.probes.Load(),
-		panics:   c.panics.Load(),
-	}
-	for i, g := range c.groups {
-		gs := groupSnap{Group: c.groupNames[i]}
-		for _, sh := range g {
-			gs.Shards = append(gs.Shards, sh.stats())
-		}
-		snap.groups = append(snap.groups, gs)
-	}
-	return snap
-}
-
-// eachShard walks the snapshot's shards flat, for the per-shard
-// metric families.
-func (snap coordSnapshot) eachShard(f func(shardStats)) {
-	for _, g := range snap.groups {
-		for _, s := range g.Shards {
-			f(s)
-		}
-	}
 }
 
 // healthValue maps the folded cluster health to a numeric gauge.
@@ -100,67 +49,71 @@ func healthValue(status string) float64 {
 	}
 }
 
-// registerCollectors wires the snapshot-derived families: one Collect
-// callback, one snapshot per scrape.
-func (c *Coordinator) registerCollectors() {
-	c.reg.Collect(func(w *obs.Exposition) {
-		snap := c.snapshot()
-		gauge := func(name, help string, v float64) {
-			w.Family(name, help, "gauge")
-			w.Sample("", nil, v)
+// table is the coordinator's counter table (obs.Stat): /stats renders
+// its keys, /metrics its families, each value loaded once per render.
+func (c *Coordinator) table() []obs.Stat {
+	status, _ := c.clusterHealth()
+	var groups []groupSnap
+	var shards []shardStats
+	for i, g := range c.groups {
+		gs := groupSnap{Group: c.groupNames[i]}
+		for _, sh := range g {
+			gs.Shards = append(gs.Shards, sh.stats())
 		}
-		counter := func(name, help string, v float64) {
-			w.Family(name, help, "counter")
-			w.Sample("", nil, v)
+		groups = append(groups, gs)
+		shards = append(shards, gs.Shards...)
+	}
+	rows := []obs.Stat{
+		{Key: "uptime_s", Name: "ctpcoord_uptime_seconds", Help: "Seconds since the coordinator started.", Type: "gauge", Value: time.Since(c.started).Seconds()},
+		{Key: "health", Value: status},
+		{Name: "ctpcoord_health_state", Help: "Folded cluster health (0 ok, 1 degraded, 2 draining, 3 down).", Type: "gauge", Value: healthValue(status)},
+		{Key: "queries", Name: "ctpcoord_queries_total", Help: "Gathers executed.", Type: "counter", Value: c.queries.Load()},
+		{Key: "degraded_gathers", Name: "ctpcoord_degraded_gathers_total", Help: "200s answered with a degraded block.", Type: "counter", Value: c.degraded.Load()},
+		{Key: "failed_gathers", Name: "ctpcoord_failed_gathers_total", Help: "Gathers with zero answering groups.", Type: "counter", Value: c.failed.Load()},
+		{Key: "hedges", Name: "ctpcoord_hedges_total", Help: "Hedged second requests launched.", Type: "counter", Value: c.hedges.Load()},
+		{Key: "hedge_wins", Name: "ctpcoord_hedge_wins_total", Help: "Hedges that answered first.", Type: "counter", Value: c.hedgeWins.Load()},
+		{Key: "retries", Name: "ctpcoord_retries_total", Help: "Attempts beyond the first, per group.", Type: "counter", Value: c.retries.Load()},
+		{Key: "health_probes", Name: "ctpcoord_health_probes_total", Help: "Background /healthz probes issued.", Type: "counter", Value: c.probes.Load()},
+		{Key: "panics_contained", Name: "ctpcoord_panics_contained_total", Help: "Panics contained by the HTTP middleware.", Type: "counter", Value: c.panics.Load()},
+		{Key: "groups", Value: groups},
+	}
+	for _, f := range []struct {
+		name, help, typ string
+		get             func(shardStats) float64
+	}{
+		{"ctpcoord_shard_health", "Shard health color (0 unknown, 1 ok, 2 degraded, 3 draining, 4 down).", "gauge",
+			func(s shardStats) float64 { return shardHealthValue(s.Health) }},
+		{"ctpcoord_shard_breaker_state", "Shard breaker position (0 closed, 1 open, 2 half-open).", "gauge",
+			func(s shardStats) float64 { return breakerStateValue(s.Breaker) }},
+		{"ctpcoord_shard_breaker_opens_total", "Times the shard's breaker tripped open.", "counter",
+			func(s shardStats) float64 { return float64(s.BreakerOpens) }},
+		{"ctpcoord_shard_sent_total", "Attempts delivered to the shard.", "counter",
+			func(s shardStats) float64 { return float64(s.Sent) }},
+		{"ctpcoord_shard_failures_total", "Attempts classified as shard failures.", "counter",
+			func(s shardStats) float64 { return float64(s.Failures) }},
+		{"ctpcoord_shard_cancelled_total", "Attempts abandoned by the coordinator.", "counter",
+			func(s shardStats) float64 { return float64(s.Cancelled) }},
+		{"ctpcoord_shard_hedges_total", "Attempts launched as hedges against the shard.", "counter",
+			func(s shardStats) float64 { return float64(s.Hedges) }},
+		{"ctpcoord_shard_ewma_latency_seconds", "Smoothed successful-attempt latency.", "gauge",
+			func(s shardStats) float64 { return s.EwmaMS / 1e3 }},
+	} {
+		for _, s := range shards {
+			rows = append(rows, obs.Stat{Name: f.name, Help: f.help, Type: f.typ,
+				Labels: []obs.Label{{Name: "shard", Value: s.Shard}}, Value: f.get(s)})
 		}
-		gauge("ctpcoord_uptime_seconds", "Seconds since the coordinator started.", snap.uptimeS)
-		gauge("ctpcoord_health_state", "Folded cluster health (0 ok, 1 degraded, 2 draining, 3 down).", healthValue(snap.health))
-		counter("ctpcoord_queries_total", "Gathers executed.", float64(snap.queries))
-		counter("ctpcoord_degraded_gathers_total", "200s answered with a degraded block.", float64(snap.degraded))
-		counter("ctpcoord_failed_gathers_total", "Gathers with zero answering groups.", float64(snap.failed))
-		counter("ctpcoord_hedges_total", "Hedged second requests launched.", float64(snap.hedges))
-		counter("ctpcoord_hedge_wins_total", "Hedges that answered first.", float64(snap.hedgeW))
-		counter("ctpcoord_retries_total", "Attempts beyond the first, per group.", float64(snap.retries))
-		counter("ctpcoord_health_probes_total", "Background /healthz probes issued.", float64(snap.probes))
-		counter("ctpcoord_panics_contained_total", "Panics contained by the HTTP middleware.", float64(snap.panics))
+	}
 
-		type sf struct {
-			name, help, typ string
-			get             func(shardStats) float64
-		}
-		for _, f := range []sf{
-			{"ctpcoord_shard_health", "Shard health color (0 unknown, 1 ok, 2 degraded, 3 draining, 4 down).", "gauge",
-				func(s shardStats) float64 { return shardHealthValue(s.Health) }},
-			{"ctpcoord_shard_breaker_state", "Shard breaker position (0 closed, 1 open, 2 half-open).", "gauge",
-				func(s shardStats) float64 { return breakerStateValue(s.Breaker) }},
-			{"ctpcoord_shard_breaker_opens_total", "Times the shard's breaker tripped open.", "counter",
-				func(s shardStats) float64 { return float64(s.BreakerOpens) }},
-			{"ctpcoord_shard_sent_total", "Attempts delivered to the shard.", "counter",
-				func(s shardStats) float64 { return float64(s.Sent) }},
-			{"ctpcoord_shard_failures_total", "Attempts classified as shard failures.", "counter",
-				func(s shardStats) float64 { return float64(s.Failures) }},
-			{"ctpcoord_shard_cancelled_total", "Attempts abandoned by the coordinator.", "counter",
-				func(s shardStats) float64 { return float64(s.Cancelled) }},
-			{"ctpcoord_shard_hedges_total", "Attempts launched as hedges against the shard.", "counter",
-				func(s shardStats) float64 { return float64(s.Hedges) }},
-			{"ctpcoord_shard_ewma_latency_seconds", "Smoothed successful-attempt latency.", "gauge",
-				func(s shardStats) float64 { return s.EwmaMS / 1e3 }},
-		} {
-			w.Family(f.name, f.help, f.typ)
-			snap.eachShard(func(s shardStats) {
-				w.Sample("", []obs.Label{{Name: "shard", Value: s.Shard}}, f.get(s))
-			})
-		}
-
-		started, ended, dropped := c.tracer.SpanCounts()
-		counter("ctpcoord_trace_spans_started_total", "Spans started by the coordinator tracer.", float64(started))
-		counter("ctpcoord_trace_spans_ended_total", "Spans ended (started==ended once settled).", float64(ended))
-		counter("ctpcoord_trace_spans_dropped_total", "Spans ended after their trace finalized (hedge losers).", float64(dropped))
-		tStarted, tFinished, tSlow := c.tracer.TraceCounts()
-		counter("ctpcoord_traces_started_total", "Gather traces started.", float64(tStarted))
-		counter("ctpcoord_traces_finished_total", "Gather traces finalized into the flight recorder.", float64(tFinished))
-		counter("ctpcoord_traces_slow_total", "Gather traces past the slow-query threshold.", float64(tSlow))
-	})
+	started, ended, dropped := c.tracer.SpanCounts()
+	tStarted, tFinished, tSlow := c.tracer.TraceCounts()
+	return append(rows,
+		obs.Stat{Name: "ctpcoord_trace_spans_started_total", Help: "Spans started by the coordinator tracer.", Type: "counter", Value: started},
+		obs.Stat{Name: "ctpcoord_trace_spans_ended_total", Help: "Spans ended (started==ended once settled).", Type: "counter", Value: ended},
+		obs.Stat{Name: "ctpcoord_trace_spans_dropped_total", Help: "Spans ended after their trace finalized (hedge losers).", Type: "counter", Value: dropped},
+		obs.Stat{Name: "ctpcoord_traces_started_total", Help: "Gather traces started.", Type: "counter", Value: tStarted},
+		obs.Stat{Name: "ctpcoord_traces_finished_total", Help: "Gather traces finalized into the flight recorder.", Type: "counter", Value: tFinished},
+		obs.Stat{Name: "ctpcoord_traces_slow_total", Help: "Gather traces past the slow-query threshold.", Type: "counter", Value: tSlow},
+	)
 }
 
 func shardHealthValue(s string) float64 {

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"ctpquery/internal/wire"
 )
 
 // IngestResult is the write-path half of a mixed read/write replay:
@@ -129,9 +131,7 @@ loop:
 					res.Failures++
 					return
 				}
-				var out struct {
-					Epoch uint64 `json:"epoch"`
-				}
+				var out wire.Ingest
 				derr := json.NewDecoder(resp.Body).Decode(&out)
 				resp.Body.Close()
 				if resp.StatusCode != http.StatusOK || derr != nil {

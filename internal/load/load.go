@@ -11,9 +11,10 @@
 // multi-member enumerations in the spirit of the paper's Figure 11
 // grid (member count m drives the 2^(m-1) provenance explosion), and a
 // burst plan that floods a steady cheap baseline with an analytical
-// spike. The package is a client only: it imports nothing of the server
-// it drives, so ctpload measures a remote ctpserve the way any other
-// client would. Its tests drive whole in-process stacks with it.
+// spike. The package is a client only: of the server it drives it imports
+// just the wire contract (internal/wire), so ctpload measures a remote
+// ctpserve the way any other client would. Its tests drive whole
+// in-process stacks with it.
 package load
 
 import (
@@ -30,6 +31,7 @@ import (
 	"time"
 
 	"ctpquery/internal/obs"
+	"ctpquery/internal/wire"
 )
 
 // Request is one generated query posting.
@@ -312,19 +314,6 @@ type Result struct {
 	ShedLatency ClassSummary `json:"shed_latency"`
 }
 
-// replayResponse is the slice of the server's response the harness
-// reads.
-type replayResponse struct {
-	TimedOut bool `json:"timed_out"`
-	Cache    *struct {
-		Hit       bool `json:"hit"`
-		Coalesced bool `json:"coalesced"`
-	} `json:"cache"`
-	Admission *struct {
-		CacheBypass bool `json:"cache_bypass"`
-	} `json:"admission"`
-}
-
 // Replay runs the plan against the server at url, open-loop: a request
 // launches at every arrival tick whether or not earlier ones came back.
 // The rng drives every generator draw, so a (plan, seed) pair replays
@@ -389,12 +378,7 @@ func Replay(ctx context.Context, url string, plan Plan, seed int64, pol RetryPol
 // reported latency spans the whole attempt sequence including backoff
 // waits — that is the latency the notional end user saw.
 func post(ctx context.Context, client *http.Client, url string, req Request, pol RetryPolicy, budgets *retryBudgets, jitterSeed int64) (s sample) {
-	body, _ := json.Marshal(map[string]any{
-		"query":      req.Query,
-		"timeout_ms": req.TimeoutMS,
-		"omit_trees": true,
-		"max_rows":   1,
-	})
+	body, _ := json.Marshal(wire.Request{Query: req.Query, TimeoutMS: req.TimeoutMS, OmitTrees: true, MaxRows: 1})
 	jrng := rand.New(rand.NewSource(jitterSeed))
 	s = sample{class: req.Class}
 	t0 := time.Now()
@@ -411,7 +395,7 @@ func post(ctx context.Context, client *http.Client, url string, req Request, pol
 		s.code = resp.StatusCode
 		retryAfter := 0
 		if resp.StatusCode == http.StatusOK {
-			var out replayResponse
+			var out wire.Response[json.RawMessage]
 			if derr := json.NewDecoder(resp.Body).Decode(&out); derr == nil {
 				s.timedOut = out.TimedOut
 				if out.Cache != nil {

@@ -29,10 +29,10 @@ type Label struct {
 
 // Registry owns a set of metric families and renders them in
 // Prometheus text exposition format (version 0.0.4). Two kinds of
-// sources coexist: always-on instruments (Counter, Gauge, CounterVec,
-// Histogram, HistogramVec — plain atomics, safe on every hot path) and
-// Collect callbacks that derive families from a consistent server
-// snapshot at scrape time only.
+// sources coexist: always-on labeled instruments (CounterVec,
+// HistogramVec — plain atomics, safe on every hot path) and Collect
+// callbacks that render a server's counter table (Stat) at scrape time
+// only.
 type Registry struct {
 	mu   sync.Mutex
 	cols []func(w *Exposition)
@@ -74,59 +74,19 @@ func (r *Registry) ServeMetrics(w http.ResponseWriter, req *http.Request) {
 	r.Write(w)
 }
 
-// Counter is a monotone uint64 counter.
+// Counter is one monotone cell of a CounterVec.
 type Counter struct {
-	name, help string
-	v          atomic.Uint64
-}
-
-// NewCounter registers a counter family with one unlabeled sample.
-func (r *Registry) NewCounter(name, help string) *Counter {
-	c := &Counter{name: name, help: help}
-	r.Collect(func(w *Exposition) {
-		w.Family(name, help, "counter")
-		w.Sample("", nil, float64(c.v.Load()))
-	})
-	return c
+	v atomic.Uint64
 }
 
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a settable float64 gauge.
-type Gauge struct {
-	name, help string
-	bits       atomic.Uint64
-}
-
-// NewGauge registers a gauge family with one unlabeled sample.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	g := &Gauge{name: name, help: help}
-	r.Collect(func(w *Exposition) {
-		w.Family(name, help, "gauge")
-		w.Sample("", nil, g.Value())
-	})
-	return g
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // CounterVec is a counter family keyed by label values.
 type CounterVec struct {
-	name, help string
-	labels     []string
-	mu         sync.Mutex
-	m          map[string]*vecCounter
+	labels []string
+	mu     sync.Mutex
+	m      map[string]*vecCounter
 }
 
 type vecCounter struct {
@@ -136,7 +96,7 @@ type vecCounter struct {
 
 // NewCounterVec registers a labeled counter family.
 func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVec {
-	v := &CounterVec{name: name, help: help, labels: labels, m: make(map[string]*vecCounter)}
+	v := &CounterVec{labels: labels, m: make(map[string]*vecCounter)}
 	r.Collect(func(w *Exposition) {
 		w.Family(name, help, "counter")
 		for _, e := range v.sorted() {
@@ -168,53 +128,34 @@ func (v *CounterVec) With(values ...string) *Counter {
 	v.mu.Lock()
 	e, ok := v.m[key]
 	if !ok {
-		ls := make([]Label, len(v.labels))
-		for i, n := range v.labels {
-			val := ""
-			if i < len(values) {
-				val = values[i]
-			}
-			ls[i] = Label{Name: n, Value: val}
-		}
-		e = &vecCounter{labels: ls}
-		e.name = v.name
+		e = &vecCounter{labels: labelSet(v.labels, values)}
 		v.m[key] = e
 	}
 	v.mu.Unlock()
 	return &e.Counter
 }
 
-// Histogram is a fixed-bucket histogram. Observations are atomic and
-// lock-free; buckets are cumulative only at exposition time.
+// labelSet pairs a vec's label names with one cell's values; a missing
+// value is empty.
+func labelSet(names, values []string) []Label {
+	ls := make([]Label, len(names))
+	for i, n := range names {
+		ls[i].Name = n
+		if i < len(values) {
+			ls[i].Value = values[i]
+		}
+	}
+	return ls
+}
+
+// Histogram is one fixed-bucket cell of a HistogramVec. Observations
+// are atomic and lock-free; buckets are cumulative only at exposition
+// time.
 type Histogram struct {
-	name, help string
-	bounds     []float64       // ascending upper bounds; +Inf is implicit
-	counts     []atomic.Uint64 // len(bounds)+1, last is the +Inf overflow
-	sumBits    atomic.Uint64
-	count      atomic.Uint64
-}
-
-func newHistogram(name, help string, buckets []float64) *Histogram {
-	if len(buckets) == 0 {
-		buckets = LatencyBuckets
-	}
-	return &Histogram{
-		name:   name,
-		help:   help,
-		bounds: buckets,
-		counts: make([]atomic.Uint64, len(buckets)+1),
-	}
-}
-
-// NewHistogram registers an unlabeled histogram family. A nil bucket
-// slice selects LatencyBuckets.
-func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
-	h := newHistogram(name, help, buckets)
-	r.Collect(func(w *Exposition) {
-		w.Family(name, help, "histogram")
-		h.write(w, nil)
-	})
-	return h
+	bounds  []float64       // ascending upper bounds; +Inf is implicit
+	counts  []atomic.Uint64 // len(bounds)+1, last is the +Inf overflow
+	sumBits atomic.Uint64
+	count   atomic.Uint64
 }
 
 // Observe records one value.
@@ -231,12 +172,9 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Snapshot returns the cumulative bucket counts (one per bound, plus
+// snapshot returns the cumulative bucket counts (one per bound, plus
 // +Inf last), the total count, and the sum.
-func (h *Histogram) Snapshot() (cumulative []uint64, count uint64, sum float64) {
+func (h *Histogram) snapshot() (cumulative []uint64, count uint64, sum float64) {
 	cumulative = make([]uint64, len(h.counts))
 	var c uint64
 	for i := range h.counts {
@@ -248,7 +186,7 @@ func (h *Histogram) Snapshot() (cumulative []uint64, count uint64, sum float64) 
 
 // write emits the _bucket/_sum/_count samples with extra labels.
 func (h *Histogram) write(w *Exposition, labels []Label) {
-	cum, count, sum := h.Snapshot()
+	cum, count, sum := h.snapshot()
 	bl := make([]Label, len(labels)+1)
 	copy(bl, labels)
 	for i, b := range h.bounds {
@@ -264,11 +202,10 @@ func (h *Histogram) write(w *Exposition, labels []Label) {
 // HistogramVec is a histogram family keyed by label values, sharing
 // one bucket layout.
 type HistogramVec struct {
-	name, help string
-	labels     []string
-	buckets    []float64
-	mu         sync.Mutex
-	m          map[string]*vecHistogram
+	labels  []string
+	buckets []float64
+	mu      sync.Mutex
+	m       map[string]*vecHistogram
 }
 
 type vecHistogram struct {
@@ -282,7 +219,7 @@ func (r *Registry) NewHistogramVec(name, help string, buckets []float64, labels 
 	if len(buckets) == 0 {
 		buckets = LatencyBuckets
 	}
-	v := &HistogramVec{name: name, help: help, labels: labels, buckets: buckets, m: make(map[string]*vecHistogram)}
+	v := &HistogramVec{labels: labels, buckets: buckets, m: make(map[string]*vecHistogram)}
 	r.Collect(func(w *Exposition) {
 		w.Family(name, help, "histogram")
 		v.mu.Lock()
@@ -310,15 +247,8 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	v.mu.Lock()
 	e, ok := v.m[key]
 	if !ok {
-		ls := make([]Label, len(v.labels))
-		for i, n := range v.labels {
-			val := ""
-			if i < len(values) {
-				val = values[i]
-			}
-			ls[i] = Label{Name: n, Value: val}
-		}
-		e = &vecHistogram{labels: ls, h: newHistogram(v.name, v.help, v.buckets)}
+		e = &vecHistogram{labels: labelSet(v.labels, values),
+			h: &Histogram{bounds: v.buckets, counts: make([]atomic.Uint64, len(v.buckets)+1)}}
 		v.m[key] = e
 	}
 	v.mu.Unlock()

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
 	"net/http/httptest"
 	"strings"
@@ -26,17 +27,21 @@ func scrape(t *testing.T, r *Registry) []*MetricFamily {
 // buckets cumulative with le="+Inf" agreeing with _count.
 func TestExpositionRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("ctp_test_total", "A test counter.")
-	g := r.NewGauge("ctp_test_depth", "A test gauge.")
+	r.Collect(func(e *Exposition) {
+		e.Table([]Stat{
+			{Name: "ctp_test_total", Help: "A test counter.", Type: "counter", Value: int64(3)},
+			{Name: "ctp_test_depth", Help: "A test gauge.", Type: "gauge", Value: -2.5},
+		})
+	})
 	cv := r.NewCounterVec("ctp_test_responses_total", "Labeled counter.", "class", "status")
-	h := r.NewHistogram("ctp_test_duration_seconds", "A histogram.", nil)
+	h := r.NewHistogramVec("ctp_test_duration_seconds", "A histogram.", nil).With()
 	hv := r.NewHistogramVec("ctp_test_stage_seconds", "Labeled histogram.", []float64{0.1, 1}, "stage")
 
-	c.Add(3)
-	g.Set(-2.5)
 	cv.With("cheap", "ok").Inc()
 	cv.With("cheap", "ok").Inc()
-	cv.With("analytical", `we"ird\label`+"\n").Add(5)
+	for i := 0; i < 5; i++ {
+		cv.With("analytical", `we"ird\label`+"\n").Inc()
+	}
 	for _, v := range []float64{0.0001, 0.003, 0.003, 0.7, 99} {
 		h.Observe(v)
 	}
@@ -85,15 +90,62 @@ func TestExpositionRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStatTable: one counter table renders both surfaces — keys nest
+// into the /stats object, consecutive rows of one family share a single
+// HELP/TYPE header, and each surface skips the other's rows.
+func TestStatTable(t *testing.T) {
+	lbl := func(v string) []Label { return []Label{{Name: "class", Value: v}} }
+	rows := []Stat{
+		{Key: "requests", Name: "ctp_t_requests_total", Help: "Requests.", Type: "counter", Value: int64(4)},
+		{Key: "health", Value: "ok"},
+		{Key: "admission.cheap.running", Name: "ctp_t_running", Help: "Running.", Type: "gauge", Labels: lbl("cheap"), Value: 1},
+		{Key: "admission.cheap.avg_wait_ms", Value: 0.5},
+		{Key: "admission.analytical.running", Name: "ctp_t_running", Help: "Running.", Type: "gauge", Labels: lbl("analytical"), Value: 2},
+		{Name: "ctp_t_compacting", Help: "Compacting.", Type: "gauge", Value: true},
+	}
+	doc, err := json.Marshal(JSON(rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantDoc = `{"admission":{"analytical":{"running":2},"cheap":{"avg_wait_ms":0.5,"running":1}},"health":"ok","requests":4}`
+	if string(doc) != wantDoc {
+		t.Fatalf("/stats = %s\nwant %s", doc, wantDoc)
+	}
+
+	r := NewRegistry()
+	r.Collect(func(e *Exposition) { e.Table(rows) })
+	var b strings.Builder
+	if err := r.Write(&b); err != nil {
+		t.Fatal(err)
+	}
+	const wantMetrics = `# HELP ctp_t_requests_total Requests.
+# TYPE ctp_t_requests_total counter
+ctp_t_requests_total 4
+# HELP ctp_t_running Running.
+# TYPE ctp_t_running gauge
+ctp_t_running{class="cheap"} 1
+ctp_t_running{class="analytical"} 2
+# HELP ctp_t_compacting Compacting.
+# TYPE ctp_t_compacting gauge
+ctp_t_compacting 1
+`
+	if b.String() != wantMetrics {
+		t.Fatalf("/metrics =\n%s\nwant\n%s", b.String(), wantMetrics)
+	}
+}
+
 // TestCountersMonotone scrapes twice around increments and asserts no
 // sample ever decreases — the monotonicity the parser can't see from a
 // single scrape.
 func TestCountersMonotone(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("ctp_mono_total", "x")
-	h := r.NewHistogram("ctp_mono_seconds", "x", nil)
+	c := r.NewCounterVec("ctp_mono_total", "x", "class")
+	h := r.NewHistogramVec("ctp_mono_seconds", "x", nil).With()
+	c.With("cheap").Inc()
 	before := scrape(t, r)
-	c.Add(7)
+	for i := 0; i < 7; i++ {
+		c.With("cheap").Inc()
+	}
 	h.Observe(0.01)
 	h.Observe(3)
 	after := scrape(t, r)
@@ -133,7 +185,7 @@ func TestParserRejectsMalformed(t *testing.T) {
 
 func TestServeMetrics(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounter("ctp_http_total", "x").Inc()
+	r.NewCounterVec("ctp_http_total", "x", "status").With("ok").Inc()
 	rr := httptest.NewRecorder()
 	r.ServeMetrics(rr, httptest.NewRequest("GET", "/metrics", nil))
 	if ct := rr.Header().Get("Content-Type"); !strings.Contains(ct, "text/plain") {

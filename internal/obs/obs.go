@@ -1,15 +1,15 @@
 // Package obs is the engine's zero-dependency observability layer:
 // lightweight spans with a flight-recorder ring (trace.go), hand-rolled
-// Prometheus-text-format metrics (metrics.go), and a strict exposition
-// parser used by the tests and the scrape smoke (expfmt.go).
+// Prometheus-text-format metrics (metrics.go), the counter table one
+// server's /stats and /metrics both render (table.go), and a strict
+// exposition parser used by the tests and the scrape smoke (expfmt.go).
 //
 // The package follows the same discipline as internal/fault: when
 // tracing is disabled the entire span API costs one atomic load —
 // Tracer.Start returns a nil *Span and every method on a nil span is a
 // no-op — so instrumentation can stay threaded through the hot serving
 // path unconditionally. Metrics instruments are plain atomics and are
-// always on; per-scrape families derived from server snapshots are
-// produced by Collect callbacks at scrape time only.
+// always on; the counter table is built at scrape time only.
 //
 // Cross-process propagation uses a `traceparent`-style header
 // (00-<trace id>-<span id>-01): the cluster coordinator stamps each

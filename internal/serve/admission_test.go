@@ -12,6 +12,7 @@ import (
 
 	"ctpquery"
 	"ctpquery/internal/admission"
+	"ctpquery/internal/wire"
 )
 
 // The admission e2e suite runs the production serving path against a
@@ -85,7 +86,7 @@ func waitUntil(t *testing.T, msg string, cond func() bool) {
 
 // postRaw posts a query and returns the full HTTP response with decoded
 // body, keeping headers (Retry-After) visible.
-func postRaw(t *testing.T, url string, req queryRequest) (code int, header http.Header, out queryResponse, fail errorResponse) {
+func postRaw(t *testing.T, url string, req wire.Request) (code int, header http.Header, out wire.Response[wire.Row], fail wire.Error) {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(url+"/query", "application/json", bytes.NewReader(body))
@@ -113,19 +114,19 @@ func TestAdmissionSaturationCheapSurvives(t *testing.T) {
 
 	type reply struct {
 		code int
-		out  queryResponse
+		out  wire.Response[wire.Row]
 	}
 	a1 := make(chan reply, 1)
 	a2 := make(chan reply, 1)
 	go func() {
-		code, _, out, _ := postRaw(t, ts.URL, queryRequest{Query: analyticalQuery(1), TimeoutMS: 20000})
+		code, _, out, _ := postRaw(t, ts.URL, wire.Request{Query: analyticalQuery(1), TimeoutMS: 20000})
 		a1 <- reply{code, out}
 	}()
 	waitUntil(t, "first analytical to occupy its slot", func() bool {
 		return s.ctrl.Stats().Analytical.Running == 1
 	})
 	go func() {
-		code, _, out, _ := postRaw(t, ts.URL, queryRequest{Query: analyticalQuery(2), TimeoutMS: 20000})
+		code, _, out, _ := postRaw(t, ts.URL, wire.Request{Query: analyticalQuery(2), TimeoutMS: 20000})
 		a2 <- reply{code, out}
 	}()
 	waitUntil(t, "second analytical to queue", func() bool {
@@ -134,7 +135,7 @@ func TestAdmissionSaturationCheapSurvives(t *testing.T) {
 
 	// (a) The queue is full: the third analytical request sheds NOW, with
 	// the backoff hint in both the header and the body.
-	code, header, _, fail := postRaw(t, ts.URL, queryRequest{Query: analyticalQuery(3), TimeoutMS: 20000})
+	code, header, _, fail := postRaw(t, ts.URL, wire.Request{Query: analyticalQuery(3), TimeoutMS: 20000})
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("third analytical: status %d, want 429 (%+v)", code, fail)
 	}
@@ -147,7 +148,7 @@ func TestAdmissionSaturationCheapSurvives(t *testing.T) {
 	// exists to protect. The 5s bound is generous; without the reserve it
 	// would wait the full 30s MaxQueueWait behind the queued analytical.
 	start := time.Now()
-	code, _, cheap, fail := postRaw(t, ts.URL, queryRequest{Query: cheapQuery, TimeoutMS: 5000})
+	code, _, cheap, fail := postRaw(t, ts.URL, wire.Request{Query: cheapQuery, TimeoutMS: 5000})
 	if code != http.StatusOK {
 		t.Fatalf("cheap under saturation: status %d: %+v", code, fail)
 	}
@@ -228,7 +229,7 @@ func TestAdmissionQueuedDeadlineExpires(t *testing.T) {
 	s, ts, release := newAdmissionServer(t, 60*time.Second)
 	done := make(chan int, 1)
 	go func() {
-		code, _, _, _ := postRaw(t, ts.URL, queryRequest{Query: analyticalQuery(1), TimeoutMS: 20000})
+		code, _, _, _ := postRaw(t, ts.URL, wire.Request{Query: analyticalQuery(1), TimeoutMS: 20000})
 		done <- code
 	}()
 	waitUntil(t, "first analytical to occupy its slot", func() bool {
@@ -236,7 +237,7 @@ func TestAdmissionQueuedDeadlineExpires(t *testing.T) {
 	})
 	// 80ms deadline, 60s MaxQueueWait: only the request's own deadline
 	// can end the wait.
-	code, header, _, _ := postRaw(t, ts.URL, queryRequest{Query: analyticalQuery(2), TimeoutMS: 80})
+	code, header, _, _ := postRaw(t, ts.URL, wire.Request{Query: analyticalQuery(2), TimeoutMS: 80})
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("expired-in-queue request: status %d, want 429", code)
 	}
@@ -258,13 +259,13 @@ func TestAdmissionMaxQueueWaitExpires(t *testing.T) {
 	s, ts, release := newAdmissionServer(t, 50*time.Millisecond)
 	done := make(chan int, 1)
 	go func() {
-		code, _, _, _ := postRaw(t, ts.URL, queryRequest{Query: analyticalQuery(1), TimeoutMS: 20000})
+		code, _, _, _ := postRaw(t, ts.URL, wire.Request{Query: analyticalQuery(1), TimeoutMS: 20000})
 		done <- code
 	}()
 	waitUntil(t, "first analytical to occupy its slot", func() bool {
 		return s.ctrl.Stats().Analytical.Running == 1
 	})
-	code, _, _, _ := postRaw(t, ts.URL, queryRequest{Query: analyticalQuery(2), TimeoutMS: 20000})
+	code, _, _, _ := postRaw(t, ts.URL, wire.Request{Query: analyticalQuery(2), TimeoutMS: 20000})
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("max-queue-wait request: status %d, want 429", code)
 	}
@@ -285,14 +286,14 @@ func TestShedRequestsPolluteNothing(t *testing.T) {
 	a1 := make(chan int, 1)
 	a2 := make(chan int, 1)
 	go func() {
-		code, _, _, _ := postRaw(t, ts.URL, queryRequest{Query: analyticalQuery(1), TimeoutMS: 20000})
+		code, _, _, _ := postRaw(t, ts.URL, wire.Request{Query: analyticalQuery(1), TimeoutMS: 20000})
 		a1 <- code
 	}()
 	waitUntil(t, "first analytical to occupy its slot", func() bool {
 		return s.ctrl.Stats().Analytical.Running == 1
 	})
 	go func() {
-		code, _, _, _ := postRaw(t, ts.URL, queryRequest{Query: analyticalQuery(2), TimeoutMS: 20000})
+		code, _, _, _ := postRaw(t, ts.URL, wire.Request{Query: analyticalQuery(2), TimeoutMS: 20000})
 		a2 <- code
 	}()
 	waitUntil(t, "second analytical to queue", func() bool {
@@ -300,7 +301,7 @@ func TestShedRequestsPolluteNothing(t *testing.T) {
 	})
 
 	shedQ := analyticalQuery(3)
-	code, _, _, _ := postRaw(t, ts.URL, queryRequest{Query: shedQ, TimeoutMS: 20000})
+	code, _, _, _ := postRaw(t, ts.URL, wire.Request{Query: shedQ, TimeoutMS: 20000})
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("shed target: status %d, want 429", code)
 	}
@@ -308,7 +309,7 @@ func TestShedRequestsPolluteNothing(t *testing.T) {
 	// Nothing has executed yet (the admitted analyticals are parked at
 	// the gate), so every aggregate downstream of execution must be zero:
 	// a shed that contributed to any of them would show here.
-	if got := s.snapshot().search.TreesGenerated; got != 0 {
+	if got := s.searchTotals().TreesGenerated; got != 0 {
 		t.Fatalf("search effort aggregated before any execution: %d trees", got)
 	}
 	if cs, _ := s.base.CacheStats(); cs.Misses != 0 || cs.Entries != 0 {
@@ -328,7 +329,7 @@ func TestShedRequestsPolluteNothing(t *testing.T) {
 
 	// The shed query re-issued must be a genuine miss that executes — a
 	// polluted cache would serve it a hit for a run that never happened.
-	code, _, out, fail := postRaw(t, ts.URL, queryRequest{Query: shedQ, TimeoutMS: 20000})
+	code, _, out, fail := postRaw(t, ts.URL, wire.Request{Query: shedQ, TimeoutMS: 20000})
 	if code != http.StatusOK {
 		t.Fatalf("re-issued shed query: status %d: %+v", code, fail)
 	}
@@ -361,9 +362,9 @@ func TestAdmissionCacheBypass(t *testing.T) {
 	// Warm an analytical-class query while the server is idle. The gate
 	// parks it, so run it from a goroutine and open the gate just for it.
 	warmQ := analyticalQuery(7)
-	warm := make(chan queryResponse, 1)
+	warm := make(chan wire.Response[wire.Row], 1)
 	go func() {
-		_, _, out, _ := postRaw(t, ts.URL, queryRequest{Query: warmQ, TimeoutMS: 20000})
+		_, _, out, _ := postRaw(t, ts.URL, wire.Request{Query: warmQ, TimeoutMS: 20000})
 		warm <- out
 	}()
 	waitUntil(t, "warm query to occupy its slot", func() bool {
@@ -402,13 +403,13 @@ func TestAdmissionCacheBypass(t *testing.T) {
 	// shape the estimator has NOT learned yet (5 members, not 4): the
 	// warming run taught it that the 4-member shape is cheap here.
 	coldQ := "SELECT ?w WHERE { CONNECT qa8 qb qc qd qe AS ?w . }"
-	code, _, _, _ := postRaw(t, ts.URL, queryRequest{Query: coldQ, TimeoutMS: 20000})
+	code, _, _, _ := postRaw(t, ts.URL, wire.Request{Query: coldQ, TimeoutMS: 20000})
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("cold analytical under saturation: status %d, want 429", code)
 	}
 
 	// The warm query is answered from cache without touching the queue.
-	code, _, out, fail := postRaw(t, ts.URL, queryRequest{Query: warmQ, TimeoutMS: 20000})
+	code, _, out, fail := postRaw(t, ts.URL, wire.Request{Query: warmQ, TimeoutMS: 20000})
 	if code != http.StatusOK {
 		t.Fatalf("warm query under saturation: status %d: %+v", code, fail)
 	}
@@ -432,7 +433,7 @@ func TestAdmissionActualUnitsCountBGPWork(t *testing.T) {
 	_, ts, release := newAdmissionServer(t, 30*time.Second)
 	release()
 
-	code, _, out, fail := postRaw(t, ts.URL, queryRequest{Query: "SELECT ?a ?b WHERE { ?a knows ?b . }", TimeoutMS: 20000})
+	code, _, out, fail := postRaw(t, ts.URL, wire.Request{Query: "SELECT ?a ?b WHERE { ?a knows ?b . }", TimeoutMS: 20000})
 	if code != http.StatusOK {
 		t.Fatalf("BGP-only query: status %d: %+v", code, fail)
 	}
@@ -443,7 +444,7 @@ func TestAdmissionActualUnitsCountBGPWork(t *testing.T) {
 		t.Fatalf("BGP-only query: admission %+v, want actual_units %v (> 1)", out.Admission, want)
 	}
 
-	code, _, out, fail = postRaw(t, ts.URL, queryRequest{Query: "SELECT ?w WHERE { CONNECT n1 n2 AS ?w MAX 4 . }", TimeoutMS: 20000})
+	code, _, out, fail = postRaw(t, ts.URL, wire.Request{Query: "SELECT ?w WHERE { CONNECT n1 n2 AS ?w MAX 4 . }", TimeoutMS: 20000})
 	if code != http.StatusOK {
 		t.Fatalf("CONNECT-only query: status %d: %+v", code, fail)
 	}

@@ -12,6 +12,7 @@ import (
 	"ctpquery/internal/admission"
 	"ctpquery/internal/fault"
 	"ctpquery/internal/testutil"
+	"ctpquery/internal/wire"
 )
 
 const chaosServeQuery = "SELECT ?w WHERE { CONNECT n1 n400 AS ?w MAX 16 LIMIT 1 . }"
@@ -42,7 +43,7 @@ func TestChaosPanicReleasesAdmissionSlot(t *testing.T) {
 	if err := fault.Arm("serve.query.admitted", fault.Fault{Kind: fault.Panic}); err != nil {
 		t.Fatal(err)
 	}
-	code, _, fail := postQuery(t, ts.URL, queryRequest{Query: chaosServeQuery})
+	code, _, fail := postQuery(t, ts.URL, wire.Request{Query: chaosServeQuery})
 	if code != http.StatusInternalServerError {
 		t.Fatalf("panicking request answered %d, want 500", code)
 	}
@@ -56,7 +57,7 @@ func TestChaosPanicReleasesAdmissionSlot(t *testing.T) {
 	// Disarmed, the next request must get the slot — it was released
 	// during the panic unwind, not leaked.
 	fault.Reset()
-	code, out, fail := postQuery(t, ts.URL, queryRequest{Query: chaosServeQuery})
+	code, out, fail := postQuery(t, ts.URL, wire.Request{Query: chaosServeQuery})
 	if code != http.StatusOK {
 		t.Fatalf("post-panic request answered %d (%s): the admission slot leaked", code, fail.Error)
 	}
@@ -95,7 +96,7 @@ func TestChaosEveryProbeThroughServer(t *testing.T) {
 			}
 			// Distinct node pair per probe so the result cache can't answer
 			// from an earlier sweep iteration and mask the probe's path.
-			q := queryRequest{Query: fmt.Sprintf(
+			q := wire.Request{Query: fmt.Sprintf(
 				"SELECT ?w WHERE { CONNECT n%d n%d AS ?w MAX 16 LIMIT 1 . }", 2+i, 200+i)}
 			code, _, fail := postQuery(t, ts.URL, q)
 			fired := fault.Fired(point)
@@ -110,7 +111,7 @@ func TestChaosEveryProbeThroughServer(t *testing.T) {
 
 			// The server must still be alive for a clean follow-up.
 			fault.Reset()
-			code, _, fail = postQuery(t, ts.URL, queryRequest{Query: chaosServeQuery})
+			code, _, fail = postQuery(t, ts.URL, wire.Request{Query: chaosServeQuery})
 			if code != http.StatusOK {
 				t.Fatalf("server wedged after %s: %d %s", point, code, fail.Error)
 			}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ctpquery"
+	"ctpquery/internal/wire"
 )
 
 // These tests pin the serve-side half of the cluster contract: the
@@ -17,7 +18,7 @@ import (
 
 // rawPost posts a query and returns the full *http.Response so headers
 // (Retry-After) can be asserted alongside the body.
-func rawPost(t *testing.T, url string, req queryRequest) *http.Response {
+func rawPost(t *testing.T, url string, req wire.Request) *http.Response {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(url+"/query", "application/json", bytes.NewReader(body))
@@ -47,14 +48,14 @@ func TestDrainingRefusalCarriesRetryAfter(t *testing.T) {
 
 	s.SetDraining()
 
-	resp := rawPost(t, ts.URL, queryRequest{Query: "SELECT ?w WHERE { CONNECT n1 n2 AS ?w MAX 4 LIMIT 1 . }"})
+	resp := rawPost(t, ts.URL, wire.Request{Query: "SELECT ?w WHERE { CONNECT n1 n2 AS ?w MAX 4 LIMIT 1 . }"})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining /query answered %d, want 503", resp.StatusCode)
 	}
 	if got := resp.Header.Get("Retry-After"); got != "5" {
 		t.Fatalf("Retry-After = %q, want \"5\" (the drain grace)", got)
 	}
-	var fail errorResponse
+	var fail wire.Error
 	if err := json.NewDecoder(resp.Body).Decode(&fail); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestDrainingRetryAfterRoundsUp(t *testing.T) {
 		}
 		ts := httptest.NewServer(s.Handler(false))
 		s.SetDraining()
-		resp := rawPost(t, ts.URL, queryRequest{Query: "SELECT ?w WHERE { CONNECT n1 n2 AS ?w MAX 4 LIMIT 1 . }"})
+		resp := rawPost(t, ts.URL, wire.Request{Query: "SELECT ?w WHERE { CONNECT n1 n2 AS ?w MAX 4 LIMIT 1 . }"})
 		if resp.Header.Get("Retry-After") != tc.want {
 			t.Fatalf("grace %v: Retry-After = %q, want %q",
 				tc.grace, resp.Header.Get("Retry-After"), tc.want)
@@ -119,7 +120,7 @@ func TestIncludeKeysEmitsCanonicalRowKeys(t *testing.T) {
 	const q = "SELECT ?w WHERE { CONNECT n3 n400 AS ?w MAX 6 LIMIT 500 . }"
 	par := 2
 
-	code, out, fail := postQuery(t, ts.URL, queryRequest{Query: q, IncludeKeys: true, Parallelism: &par})
+	code, out, fail := postQuery(t, ts.URL, wire.Request{Query: q, IncludeKeys: true, Parallelism: &par})
 	if code != http.StatusOK {
 		t.Fatalf("query failed: %d %s", code, fail.Error)
 	}
@@ -136,7 +137,7 @@ func TestIncludeKeysEmitsCanonicalRowKeys(t *testing.T) {
 		}
 	}
 
-	code, out, fail = postQuery(t, ts.URL, queryRequest{Query: q})
+	code, out, fail = postQuery(t, ts.URL, wire.Request{Query: q})
 	if code != http.StatusOK {
 		t.Fatalf("query failed: %d %s", code, fail.Error)
 	}

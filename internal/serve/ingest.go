@@ -8,6 +8,7 @@ import (
 	"ctpquery"
 	"ctpquery/internal/fault"
 	"ctpquery/internal/obs"
+	"ctpquery/internal/wire"
 )
 
 // probeIngest sits between parsing an ingest body and applying its
@@ -15,24 +16,6 @@ import (
 // structured error, counts as an ingest failure, and leaves the graph at
 // its pre-request epoch.
 var probeIngest = fault.Register("serve.ingest")
-
-// ingestResponse is the JSON body answering POST /ingest: what was
-// applied and where the store stands now.
-type ingestResponse struct {
-	// Epoch after the last applied batch; each batch bumps it by one.
-	Epoch uint64 `json:"epoch"`
-	// Fingerprint of the new epoch, hex-encoded (it keys the query
-	// cache, so a client can tell whether two servers converged).
-	Fingerprint  string `json:"fingerprint"`
-	Batches      int    `json:"batches"`
-	NodesAdded   int    `json:"nodes_added"`
-	EdgesAdded   int    `json:"edges_added"`
-	EdgesDeleted int    `json:"edges_deleted"`
-	TypesAdded   int    `json:"types_added"`
-	// Store is the delta/compaction snapshot after this ingest — the same
-	// shape /stats reports under "store".
-	Store map[string]any `json:"store"`
-}
 
 // handleIngest applies mutation batches to the served graph. The request
 // body is the mutation stream text format (one op per line: "+n label
@@ -43,23 +26,17 @@ type ingestResponse struct {
 // the epoch they pinned at entry.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only"})
+		wire.WriteJSON(w, http.StatusMethodNotAllowed, wire.Error{Error: "POST only"})
 		return
 	}
 	if s.Health() == HealthDraining {
-		s.drained.Add(1)
-		retry := s.drainRetrySeconds()
-		w.Header().Set("Retry-After", fmt.Sprint(retry))
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{
-			Error:       "draining: server is shutting down",
-			RetryAfterS: retry,
-		})
+		s.refuseDraining(w)
 		return
 	}
 	g := s.base.Graph()
 	if !g.IsLive() {
 		s.ingestFailures.Add(1)
-		writeJSON(w, http.StatusConflict, errorResponse{
+		wire.WriteJSON(w, http.StatusConflict, wire.Error{
 			Error: "graph is frozen: start the server with -live to accept ingest",
 		})
 		return
@@ -99,7 +76,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var resp ingestResponse
+	var resp wire.Ingest
 	for i, b := range batches {
 		res, err := s.base.Mutate(b)
 		if err != nil {
@@ -125,38 +102,40 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	ops := s.countIngest(&resp)
 	sp.AttrInt("batches", int64(resp.Batches)).AttrInt("ops", ops).AttrInt("epoch", int64(resp.Epoch))
 	if st, ok := g.StoreStats(); ok {
-		resp.Store = storeJSON(st)
+		resp.Store = obs.JSON(storeRows("", st))
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 // countIngest adds the batches and ops resp reports applied to the
 // ingest counters, and returns the ops.
-func (s *Server) countIngest(resp *ingestResponse) int64 {
+func (s *Server) countIngest(resp *wire.Ingest) int64 {
 	ops := int64(resp.NodesAdded + resp.EdgesAdded + resp.EdgesDeleted + resp.TypesAdded)
 	s.ingestBatches.Add(int64(resp.Batches))
 	s.ingestOps.Add(ops)
 	return ops
 }
 
-// storeJSON renders StoreStats for /ingest responses and /stats.
-func storeJSON(st ctpquery.StoreStats) map[string]any {
-	return map[string]any{
-		"epoch":              st.Epoch,
-		"fingerprint":        fmt.Sprintf("%016x", st.Fingerprint),
-		"base_gen":           st.BaseGen,
-		"base_nodes":         st.BaseNodes,
-		"base_edges":         st.BaseEdges,
-		"added_nodes":        st.AddedNodes,
-		"delta_edges":        st.DeltaEdges,
-		"dead_edges":         st.DeadEdges,
-		"types_added":        st.TypesAdded,
-		"pending_ops":        st.PendingOps,
-		"compact_threshold":  st.CompactThreshold,
-		"compacting":         st.Compacting,
-		"compactions":        st.Compactions,
-		"compact_aborts":     st.CompactAborts,
-		"last_compaction_ms": float64(st.LastCompactNS) / 1e6,
+// storeRows is the store's part of the counter table, its keys under
+// prefix: "store." in /stats, none in an /ingest answer's store object.
+func storeRows(prefix string, st ctpquery.StoreStats) []obs.Stat {
+	return []obs.Stat{
+		{Key: prefix + "epoch", Name: "ctp_store_epoch", Help: "Current graph epoch (one per applied batch; compaction keeps it).", Type: "gauge", Value: st.Epoch},
+		{Key: prefix + "fingerprint", Value: fmt.Sprintf("%016x", st.Fingerprint)},
+		{Key: prefix + "base_gen", Name: "ctp_store_base_gen", Help: "Compacted-base generation (bumps when a compaction lands).", Type: "gauge", Value: st.BaseGen},
+		{Key: prefix + "base_nodes", Value: st.BaseNodes},
+		{Key: prefix + "base_edges", Value: st.BaseEdges},
+		{Key: prefix + "delta_edges", Name: "ctp_store_delta_edges", Help: "Edges resident in the delta overlay.", Type: "gauge", Value: st.DeltaEdges},
+		{Key: prefix + "added_nodes", Name: "ctp_store_added_nodes", Help: "Nodes added since the last compaction.", Type: "gauge", Value: st.AddedNodes},
+		{Key: prefix + "dead_edges", Name: "ctp_store_dead_edges", Help: "Base edges tombstoned since the last compaction.", Type: "gauge", Value: st.DeadEdges},
+		{Key: prefix + "types_added", Value: st.TypesAdded},
+		{Key: prefix + "pending_ops", Name: "ctp_store_pending_ops", Help: "Delta ops accumulated toward the compaction threshold.", Type: "gauge", Value: st.PendingOps},
+		{Key: prefix + "compact_threshold", Value: st.CompactThreshold},
+		{Key: prefix + "compacting", Name: "ctp_store_compacting", Help: "1 while a background compaction is rebuilding the base.", Type: "gauge", Value: st.Compacting},
+		{Key: prefix + "compactions", Name: "ctp_store_compactions_total", Help: "Background compactions that landed a new base.", Type: "counter", Value: st.Compactions},
+		{Key: prefix + "compact_aborts", Name: "ctp_store_compact_aborts_total", Help: "Compactions aborted by a contained panic or replay failure.", Type: "counter", Value: st.CompactAborts},
+		{Key: prefix + "last_compaction_ms", Value: float64(st.LastCompactNS) / 1e6},
+		{Name: "ctp_store_last_compaction_seconds", Help: "Wall time of the most recent compaction.", Type: "gauge", Value: float64(st.LastCompactNS) / 1e9},
 	}
 }
 

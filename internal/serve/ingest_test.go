@@ -11,6 +11,7 @@ import (
 
 	"ctpquery"
 	"ctpquery/internal/fault"
+	"ctpquery/internal/wire"
 )
 
 // newLiveTestServer serves a live (mutable) copy of the test graph, the
@@ -31,15 +32,15 @@ func newLiveTestServer(t *testing.T) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func postIngest(t *testing.T, url, body string) (int, ingestResponse, errorResponse) {
+func postIngest(t *testing.T, url, body string) (int, wire.Ingest, wire.Error) {
 	t.Helper()
 	resp, err := http.Post(url+"/ingest", "text/plain", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out ingestResponse
-	var fail errorResponse
+	var out wire.Ingest
+	var fail wire.Error
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatalf("decoding ingest response: %v", err)
@@ -61,7 +62,7 @@ func TestIngestEndToEnd(t *testing.T) {
 	// Warm the cache at epoch 0 so the post-ingest query proves
 	// fingerprint rotation (a stale hit would answer without "zed").
 	const q = `SELECT ?x WHERE { ?x funds zed . }`
-	code, out, fail := postQuery(t, ts.URL, queryRequest{Query: q})
+	code, out, fail := postQuery(t, ts.URL, wire.Request{Query: q})
 	if code != http.StatusOK {
 		t.Fatalf("pre-ingest query: %d: %s", code, fail.Error)
 	}
@@ -86,7 +87,7 @@ func TestIngestEndToEnd(t *testing.T) {
 		t.Fatalf("ingest response carries no store stats: %+v", ing.Store)
 	}
 
-	code, out, fail = postQuery(t, ts.URL, queryRequest{Query: q})
+	code, out, fail = postQuery(t, ts.URL, wire.Request{Query: q})
 	if code != http.StatusOK {
 		t.Fatalf("post-ingest query: %d: %s", code, fail.Error)
 	}

@@ -13,6 +13,7 @@ import (
 	"ctpquery/internal/fault"
 	"ctpquery/internal/obs"
 	"ctpquery/internal/testutil"
+	"ctpquery/internal/wire"
 )
 
 // obsServer builds a traced server over a small random graph.
@@ -38,7 +39,7 @@ func obsServer(t *testing.T) (*Server, *httptest.Server) {
 // the tentpole promises (parse, cache, engine eval with stage children).
 func TestObsQueryTrace(t *testing.T) {
 	_, ts := obsServer(t)
-	code, out, fail := postQuery(t, ts.URL, queryRequest{Query: chaosServeQuery})
+	code, out, fail := postQuery(t, ts.URL, wire.Request{Query: chaosServeQuery})
 	if code != http.StatusOK {
 		t.Fatalf("query answered %d: %s", code, fail.Error)
 	}
@@ -78,7 +79,7 @@ func TestObsQueryTrace(t *testing.T) {
 func TestObsMetricsAgreeWithStats(t *testing.T) {
 	_, ts := obsServer(t)
 	for i := 0; i < 3; i++ {
-		q := queryRequest{Query: fmt.Sprintf("SELECT ?w WHERE { CONNECT n%d n%d AS ?w MAX 4 LIMIT 1 . }", 2+i, 300+i)}
+		q := wire.Request{Query: fmt.Sprintf("SELECT ?w WHERE { CONNECT n%d n%d AS ?w MAX 4 LIMIT 1 . }", 2+i, 300+i)}
 		if code, _, fail := postQuery(t, ts.URL, q); code != http.StatusOK {
 			t.Fatalf("warmup query %d answered %d: %s", i, code, fail.Error)
 		}
@@ -139,7 +140,7 @@ func TestChaosSpanLeakContract(t *testing.T) {
 		if err := fault.Arm(point, fault.Fault{Kind: fault.Panic}); err != nil {
 			t.Fatal(err)
 		}
-		q := queryRequest{Query: fmt.Sprintf(
+		q := wire.Request{Query: fmt.Sprintf(
 			"SELECT ?w WHERE { CONNECT n%d n%d AS ?w MAX 16 LIMIT 1 . }", 3+i, 400+i)}
 		postQuery(t, ts.URL, q) // outcome irrelevant; span accounting is the subject
 	}
@@ -172,7 +173,7 @@ func TestObsTracingDisabled(t *testing.T) {
 	ts := httptest.NewServer(s.Handler(false))
 	defer ts.Close()
 
-	code, out, fail := postQuery(t, ts.URL, queryRequest{Query: "SELECT ?w WHERE { CONNECT n1 n200 AS ?w MAX 8 LIMIT 1 . }"})
+	code, out, fail := postQuery(t, ts.URL, wire.Request{Query: "SELECT ?w WHERE { CONNECT n1 n200 AS ?w MAX 8 LIMIT 1 . }"})
 	if code != http.StatusOK {
 		t.Fatalf("query answered %d: %s", code, fail.Error)
 	}

@@ -29,6 +29,7 @@ import (
 	"ctpquery/internal/admission"
 	"ctpquery/internal/fault"
 	"ctpquery/internal/obs"
+	"ctpquery/internal/wire"
 )
 
 // Request-path probe points (inert unless armed via internal/fault):
@@ -156,6 +157,15 @@ type Server struct {
 	met    *serveMetrics
 }
 
+// searchTotals copies the server's search totals.
+func (s *Server) searchTotals() ctpquery.SearchStats {
+	s.searchMu.Lock()
+	defer s.searchMu.Unlock()
+	st := s.search
+	st.Workers = append([]ctpquery.WorkerSearchStats(nil), s.search.Workers...)
+	return st
+}
+
 // noteSearch folds one executed query's report into the server totals.
 func (s *Server) noteSearch(st ctpquery.SearchStats) {
 	s.searchMu.Lock()
@@ -234,7 +244,7 @@ func New(db *ctpquery.DB, cfg Config) (*Server, error) {
 	})
 	s.reg = obs.NewRegistry()
 	s.met = newServeMetrics(s.reg)
-	s.registerCollectors()
+	s.reg.Collect(func(e *obs.Exposition) { e.Table(s.table()) })
 	if g := db.Graph(); g.IsLive() {
 		g.OnCompaction(s.noteCompaction)
 	}
@@ -263,212 +273,20 @@ func (s *Server) Handler(enablePprof bool) http.Handler {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	return s.recoverMiddleware(mux)
+	return wire.Recover(mux, s.onPanic)
 }
 
-// statusWriter tracks whether a handler already wrote headers, so the
-// recover middleware knows whether a 500 can still be sent.
-type statusWriter struct {
-	http.ResponseWriter
-	wrote bool
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	sw.wrote = true
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-func (sw *statusWriter) Write(b []byte) (int, error) {
-	sw.wrote = true
-	return sw.ResponseWriter.Write(b)
-}
-
-// recoverMiddleware is the server's outermost containment boundary: a
-// panic escaping a handler answers 500 with a structured error body
-// (when the response hasn't started) instead of tearing down the
-// connection — and the process keeps serving. Handler-registered defers
-// (admission release, in-flight accounting) run during the unwind
-// before this recover, so a panicking request can never leak its
-// admission slot.
-func (s *Server) recoverMiddleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w}
-		defer func() {
-			rec := recover()
-			if rec == nil {
-				return
-			}
-			if rec == http.ErrAbortHandler {
-				// The stdlib's own deliberate abort; not ours to swallow.
-				panic(rec)
-			}
-			pe := fault.Recovered("serve: "+r.URL.Path, rec)
-			s.panics.Add(1)
-			s.failures.Add(1)
-			if !sw.wrote {
-				writeJSON(sw, http.StatusInternalServerError, errorResponse{Error: pe.Error()})
-			}
-		}()
-		next.ServeHTTP(sw, r)
-	})
-}
-
-// queryRequest is the JSON body of POST /query.
-type queryRequest struct {
-	// Query is the EQL query text (required).
-	Query string `json:"query"`
-	// TimeoutMS bounds this request's CTP searches, in milliseconds;
-	// capped by the server's -max-timeout. 0 uses the server default.
-	TimeoutMS int64 `json:"timeout_ms"`
-	// Algorithm overrides the server's CTP algorithm for this request
-	// (BFT, BFT-M, BFT-AM, GAM, ESP, MoESP, LESP, MoLESP).
-	Algorithm string `json:"algorithm"`
-	// Parallelism overrides the server's per-search worker count for this
-	// request: 0 forces the sequential kernel, -1 GOMAXPROCS, K > 1
-	// shards the search across K workers, clamped to the server's
-	// -max-parallelism. Absent = server default (-parallelism flag).
-	Parallelism *int `json:"parallelism"`
-	// MaxRows caps the rows serialized into the response; capped by the
-	// server's -max-rows. 0 uses the server default.
-	MaxRows int `json:"max_rows"`
-	// OmitTrees leaves connecting trees out of the response (tree cells
-	// then carry only the edge count), trimming payloads for callers that
-	// only need the bindings.
-	OmitTrees bool `json:"omit_trees"`
-	// IncludeKeys adds per-row canonical merge keys (row_keys) to the
-	// response — the scatter-gather merge contract a cluster coordinator
-	// (internal/cluster) orders and dedups gathered rows by.
-	IncludeKeys bool `json:"include_keys"`
-}
-
-// cell is one value of a result row: a node (ID + label) or, for CONNECT
-// tree variables, a connecting tree.
-type cell struct {
-	ID    *int32    `json:"id,omitempty"`
-	Label string    `json:"label,omitempty"`
-	Tree  *treeJSON `json:"tree,omitempty"`
-}
-
-type treeJSON struct {
-	Size  int        `json:"size"`
-	Root  string     `json:"root,omitempty"`
-	Edges []edgeJSON `json:"edges,omitempty"`
-}
-
-type edgeJSON struct {
-	Src   string `json:"src"`
-	Label string `json:"label"`
-	Dst   string `json:"dst"`
-}
-
-// queryResponse is the JSON body answering POST /query.
-type queryResponse struct {
-	Columns []string          `json:"columns"`
-	Rows    []map[string]cell `json:"rows"`
-	// RowKeys, present when the request set include_keys, carries one
-	// canonical merge key per serialized row (ctpquery.Results.MergeKey):
-	// identical logical rows on different replicas encode identically,
-	// and lexicographic key order is the collector's canonical result
-	// order, so a coordinator can merge gathered responses
-	// deterministically.
-	RowKeys []string `json:"row_keys,omitempty"`
-	// RowCount is the full result size; len(Rows) may be smaller when
-	// max_rows trimmed the payload (flagged by RowsTruncated).
-	RowCount      int    `json:"row_count"`
-	RowsTruncated bool   `json:"rows_truncated,omitempty"`
-	TimedOut      bool   `json:"timed_out"`
-	Truncated     bool   `json:"truncated,omitempty"`
-	Algorithm     string `json:"algorithm"`
-	TimingsMS     struct {
-		BGP   float64 `json:"bgp"`
-		CTP   float64 `json:"ctp"`
-		Join  float64 `json:"join"`
-		Total float64 `json:"total"`
-	} `json:"timings_ms"`
-	// Search reports the aggregated CTP search effort of this query. On a
-	// cache hit it is the effort of the run that populated the entry, not
-	// of this request (which searched nothing).
-	Search searchJSON `json:"search"`
-	// Cache reports how the result cache served this request; absent when
-	// the server runs without -cache-bytes.
-	Cache *cacheJSON `json:"cache,omitempty"`
-	// Admission reports how the admission layer scheduled this request;
-	// absent when the server runs without admission control.
-	Admission *admissionJSON `json:"admission,omitempty"`
-	// TraceID identifies this request's trace in the flight recorder
-	// (GET /debug/traces?id=); absent when tracing is disabled. Under a
-	// cluster coordinator it is the coordinator's trace ID, adopted from
-	// the propagated Traceparent header, so the shard's spans and the
-	// coordinator's gather join into one trace.
-	TraceID string `json:"trace_id,omitempty"`
-}
-
-// cacheJSON is the per-request cache report.
-type cacheJSON struct {
-	// Hit: served from a stored entry, no search ran.
-	Hit bool `json:"hit"`
-	// Coalesced: this request waited on an identical in-flight query
-	// instead of running its own search (singleflight).
-	Coalesced bool `json:"coalesced"`
-}
-
-// admissionJSON is the per-request admission report: what the request
-// was estimated to cost, what it actually cost, and what that cost it
-// in queueing.
-type admissionJSON struct {
-	// Class is the scheduling class ("cheap" or "analytical").
-	Class string `json:"class"`
-	// EstimatedUnits is the pre-execution cost estimate.
-	EstimatedUnits float64 `json:"estimated_units"`
-	// ActualUnits is the measured search effort (only for requests that
-	// executed a search — absent on cache hits and coalesced waiters).
-	ActualUnits float64 `json:"actual_units,omitempty"`
-	// Learned reports whether the estimate came from observed feedback
-	// rather than the static model.
-	Learned bool `json:"learned,omitempty"`
-	// QueueWaitMS is time spent waiting for an execution slot.
-	QueueWaitMS float64 `json:"queue_wait_ms"`
-	// CacheBypass: a warm cache entry answered this request without it
-	// ever entering the admission queue.
-	CacheBypass bool `json:"cache_bypass,omitempty"`
-}
-
-// searchJSON mirrors ctpquery.SearchStats for the wire.
-type searchJSON struct {
-	TreesGenerated int    `json:"trees_generated"`
-	TreesKept      int    `json:"trees_kept"`
-	TreesRecycled  int    `json:"trees_recycled"`
-	PeakTrees      int    `json:"peak_trees"`
-	PeakQueueLen   int    `json:"peak_queue_len"`
-	Allocations    uint64 `json:"allocations"`
-	// BGPExamined and BGPRows are the edges BGP evaluation examined and
-	// the rows it materialized (absent for queries without a BGP).
-	BGPExamined int `json:"bgp_examined,omitempty"`
-	BGPRows     int `json:"bgp_rows,omitempty"`
-	// Parallelism is the worker count the query's searches ran with (0 =
-	// sequential kernel); Workers breaks the effort down per worker.
-	Parallelism int          `json:"parallelism,omitempty"`
-	Workers     []workerJSON `json:"workers,omitempty"`
-}
-
-// workerJSON is one search worker's share of a query.
-type workerJSON struct {
-	Ops     int     `json:"ops"`
-	Kept    int     `json:"kept"`
-	Shipped int     `json:"shipped"`
-	BusyMS  float64 `json:"busy_ms"`
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-	// RetryAfterS mirrors the Retry-After header on 429 responses, for
-	// clients that only read bodies.
-	RetryAfterS int `json:"retry_after_s,omitempty"`
+// onPanic is the recover middleware's accounting (wire.Recover): a
+// panic escaping a handler counts as a panic and a failure.
+func (s *Server) onPanic(r *http.Request, rec any) string {
+	s.panics.Add(1)
+	s.failures.Add(1)
+	return fault.Recovered("serve: "+r.URL.Path, rec).Error()
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only"})
+		wire.WriteJSON(w, http.StatusMethodNotAllowed, wire.Error{Error: "POST only"})
 		return
 	}
 	// A draining server refuses new queries outright — in-flight ones
@@ -477,13 +295,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// drain grace) tells well-behaved clients — the cluster coordinator,
 	// ctpload's retry policy — to go elsewhere and when to come back.
 	if s.Health() == HealthDraining {
-		s.drained.Add(1)
-		retry := s.drainRetrySeconds()
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{
-			Error:       "draining: server is shutting down",
-			RetryAfterS: retry,
-		})
+		s.refuseDraining(w)
 		return
 	}
 	start := time.Now()
@@ -509,7 +321,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	parseSpan := sp.Child("parse")
-	var req queryRequest
+	var req wire.Request
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err := dec.Decode(&req); err != nil {
 		status = "bad_request"
@@ -578,7 +390,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	var adm *admissionJSON
+	var adm *wire.Admission
 	var estSig uint64
 	var waited time.Duration
 	if s.ctrl != nil {
@@ -589,8 +401,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			class = admission.Cheap.String()
 			sp.AttrBool("cache_bypass", true)
 			resp := s.finishResponse(res, res.SearchStats(), ctpquery.CacheInfo{Enabled: true, Hit: true}, db, req, start, sp)
-			resp.Admission = &admissionJSON{Class: admission.Cheap.String(), CacheBypass: true}
-			writeJSON(w, http.StatusOK, resp)
+			resp.Admission = &wire.Admission{Class: admission.Cheap.String(), CacheBypass: true}
+			wire.WriteJSON(w, http.StatusOK, resp)
 			return
 		}
 		est := s.est.Estimate(q.Shape(), timeout)
@@ -605,7 +417,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		waited = w8
 		defer release()
-		adm = &admissionJSON{
+		adm = &wire.Admission{
 			Class:          est.Class.String(),
 			EstimatedUnits: est.Units,
 			Learned:        est.Learned,
@@ -664,12 +476,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	resp := s.finishResponse(res, st, cinfo, db, req, start, sp)
 	resp.Admission = adm
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 // finishResponse encodes results with the request's row cap and cache
 // report applied, under an "encode" child span of the request's root.
-func (s *Server) finishResponse(res *ctpquery.Results, st ctpquery.SearchStats, cinfo ctpquery.CacheInfo, db *ctpquery.DB, req queryRequest, start time.Time, sp *obs.Span) queryResponse {
+func (s *Server) finishResponse(res *ctpquery.Results, st ctpquery.SearchStats, cinfo ctpquery.CacheInfo, db *ctpquery.DB, req wire.Request, start time.Time, sp *obs.Span) wire.Response[wire.Row] {
 	maxRows := s.maxRows
 	if req.MaxRows > 0 && (maxRows == 0 || req.MaxRows < maxRows) {
 		maxRows = req.MaxRows
@@ -684,7 +496,7 @@ func (s *Server) finishResponse(res *ctpquery.Results, st ctpquery.SearchStats, 
 	s.met.stageDur.With("encode").Observe(time.Since(encStart).Seconds())
 	encSpan.End()
 	if cinfo.Enabled {
-		resp.Cache = &cacheJSON{Hit: cinfo.Hit, Coalesced: cinfo.Coalesced}
+		resp.Cache = &wire.Cache{Hit: cinfo.Hit, Coalesced: cinfo.Coalesced}
 	}
 	resp.TraceID = sp.TraceID()
 	return resp
@@ -699,6 +511,18 @@ func (s *Server) drainRetrySeconds() int {
 		secs = 1
 	}
 	return secs
+}
+
+// refuseDraining answers a request a draining server will not take: 503
+// with the drain-derived Retry-After in the header and the body.
+func (s *Server) refuseDraining(w http.ResponseWriter) {
+	s.drained.Add(1)
+	retry := s.drainRetrySeconds()
+	w.Header().Set("Retry-After", strconv.Itoa(retry))
+	wire.WriteJSON(w, http.StatusServiceUnavailable, wire.Error{
+		Error:       "draining: server is shutting down",
+		RetryAfterS: retry,
+	})
 }
 
 // hardDegraded reports whether the memory watchdog currently sits at the
@@ -736,46 +560,25 @@ func (s *Server) shed(w http.ResponseWriter, r *http.Request, class admission.Cl
 		}
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(retry))
-	writeJSON(w, http.StatusTooManyRequests, errorResponse{
+	wire.WriteJSON(w, http.StatusTooManyRequests, wire.Error{
 		Error:       fmt.Sprintf("overloaded (%s class): %v", class, err),
 		RetryAfterS: retry,
 	})
 }
 
-func (s *Server) encodeResults(res *ctpquery.Results, st ctpquery.SearchStats, algorithm string, maxRows int, omitTrees, includeKeys bool, total time.Duration) queryResponse {
+func (s *Server) encodeResults(res *ctpquery.Results, st ctpquery.SearchStats, algorithm string, maxRows int, omitTrees, includeKeys bool, total time.Duration) wire.Response[wire.Row] {
 	probeQueryEncode.Hit()
-	resp := queryResponse{
+	resp := wire.Response[wire.Row]{
 		Columns:   res.Columns(),
-		Rows:      []map[string]cell{},
+		Rows:      []wire.Row{},
 		RowCount:  res.Len(),
 		TimedOut:  res.TimedOut(),
 		Truncated: res.Truncated(),
 		Algorithm: algorithm,
+		Search:    searchReport(st),
 	}
 	bgp, ctp, join := res.Timings()
-	resp.TimingsMS.BGP = ms(bgp)
-	resp.TimingsMS.CTP = ms(ctp)
-	resp.TimingsMS.Join = ms(join)
-	resp.TimingsMS.Total = ms(total)
-	resp.Search = searchJSON{
-		TreesGenerated: st.TreesGenerated,
-		TreesKept:      st.TreesKept,
-		TreesRecycled:  st.TreesRecycled,
-		PeakTrees:      st.PeakTrees,
-		PeakQueueLen:   st.PeakQueueLen,
-		Allocations:    st.Allocations,
-		BGPExamined:    st.BGPExamined,
-		BGPRows:        st.BGPRows,
-		Parallelism:    st.Parallelism,
-	}
-	for _, ws := range st.Workers {
-		resp.Search.Workers = append(resp.Search.Workers, workerJSON{
-			Ops:     ws.Ops,
-			Kept:    ws.Kept,
-			Shipped: ws.Shipped,
-			BusyMS:  float64(ws.BusyNS) / 1e6,
-		})
-	}
+	resp.TimingsMS = wire.Timings{BGP: ms(bgp), CTP: ms(ctp), Join: ms(join), Total: ms(total)}
 
 	n := res.Len()
 	if maxRows > 0 && n > maxRows {
@@ -787,34 +590,59 @@ func (s *Server) encodeResults(res *ctpquery.Results, st ctpquery.SearchStats, a
 			resp.RowKeys = append(resp.RowKeys, res.MergeKey(i))
 		}
 		row := res.Row(i)
-		out := make(map[string]cell, len(resp.Columns))
+		out := make(wire.Row, len(resp.Columns))
 		for _, col := range resp.Columns {
 			if !res.IsTreeColumn(col) {
 				id, _ := row.Node(col)
 				v := int32(id)
-				out[col] = cell{ID: &v, Label: row.Label(col)}
+				out[col] = wire.Cell{ID: &v, Label: row.Label(col)}
 				continue
 			}
 			t := row.Tree(col)
 			if t == nil {
-				out[col] = cell{}
+				out[col] = wire.Cell{}
 				continue
 			}
-			tj := &treeJSON{Size: t.Size()}
+			tj := &wire.Tree{Size: t.Size()}
 			if !omitTrees {
 				// Render against the run's own pinned view, not the server's
 				// live graph: a mutation landing between execution and
 				// encoding must not relabel (or misname) this result's nodes.
 				tj.Root = res.Graph().NodeLabel(t.Root())
 				for _, e := range t.Edges() {
-					tj.Edges = append(tj.Edges, edgeJSON{Src: e.SrcLabel, Label: e.Label, Dst: e.DstLabel})
+					tj.Edges = append(tj.Edges, wire.Edge{Src: e.SrcLabel, Label: e.Label, Dst: e.DstLabel})
 				}
 			}
-			out[col] = cell{Tree: tj}
+			out[col] = wire.Cell{Tree: tj}
 		}
 		resp.Rows = append(resp.Rows, out)
 	}
 	return resp
+}
+
+// searchReport renders a search report for the wire: one query's on
+// /query, the server's totals on /stats.
+func searchReport(st ctpquery.SearchStats) *wire.Search {
+	r := &wire.Search{
+		TreesGenerated: st.TreesGenerated,
+		TreesKept:      st.TreesKept,
+		TreesRecycled:  st.TreesRecycled,
+		PeakTrees:      st.PeakTrees,
+		PeakQueueLen:   st.PeakQueueLen,
+		Allocations:    st.Allocations,
+		BGPExamined:    st.BGPExamined,
+		BGPRows:        st.BGPRows,
+		Parallelism:    st.Parallelism,
+	}
+	for _, ws := range st.Workers {
+		r.Workers = append(r.Workers, wire.Worker{
+			Ops:     ws.Ops,
+			Kept:    ws.Kept,
+			Shipped: ws.Shipped,
+			BusyMS:  float64(ws.BusyNS) / 1e6,
+		})
+	}
+	return r
 }
 
 // handleHealth reports the degradation-ladder state: "ok" and
@@ -839,118 +667,18 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		payload["epoch"] = g.Epoch()
 	}
 	if s.wd != nil {
-		payload["memory"] = s.wd.snapshot()
+		payload["memory"] = obs.JSON(s.wd.rows())
 	}
-	writeJSON(w, code, payload)
+	wire.WriteJSON(w, code, payload)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	// One consistent snapshot backs the whole render — the same cut
-	// /metrics scrapes use — so no two fields of the payload can come
-	// from different instants.
-	snap := s.snapshot()
-	payload := map[string]any{
-		"uptime_s":        snap.uptimeS,
-		"health":          snap.health.String(),
-		"requests":        snap.requests,
-		"failures":        snap.failures,
-		"timeouts":        snap.timeouts,
-		"sheds":           snap.sheds,
-		"drained_rejects": snap.drained,
-		"panics":          snap.panics,
-		"internal_errors": snap.internalErrors,
-		"in_flight":       snap.inFlight,
-		"avg_latency_ms":  snap.avgLatencyMS,
-		"graph":           map[string]int{"nodes": snap.nodes, "edges": snap.edges},
-		"algorithm":       snap.algorithm,
-		"algorithms":      ctpquery.Algorithms(),
-		"search": map[string]any{
-			"trees_generated": snap.search.TreesGenerated,
-			"trees_recycled":  snap.search.TreesRecycled,
-			"allocations":     snap.search.Allocations,
-			"peak_queue_len":  snap.search.PeakQueueLen,
-			"peak_trees":      snap.search.PeakTrees,
-			"workers":         workersJSON(snap.search.Workers),
-		},
-	}
-	if snap.store != nil {
-		payload["store"] = storeJSON(*snap.store)
-		payload["ingest"] = map[string]any{
-			"batches":  snap.ingestBatches,
-			"ops":      snap.ingestOps,
-			"failures": snap.ingestFailures,
-		}
-	}
-	if snap.cache != nil {
-		cs := snap.cache
-		payload["cache"] = map[string]any{
-			"hits":      cs.Hits,
-			"misses":    cs.Misses,
-			"coalesced": cs.Coalesced,
-			"evictions": cs.Evictions,
-			"rejected":  cs.Rejected,
-			"entries":   cs.Entries,
-			"bytes":     cs.Bytes,
-			"max_bytes": cs.MaxBytes,
-		}
-	}
-	if snap.admission != nil {
-		cst := snap.admission
-		payload["admission"] = map[string]any{
-			"cheap":                classStatsJSON(cst.Cheap),
-			"analytical":           classStatsJSON(cst.Analytical),
-			"in_flight_cost_units": cst.InFlightCost,
-			"budget_scale":         cst.BudgetScale,
-			"estimator": map[string]any{
-				"estimates":      snap.estimator.Estimates,
-				"observations":   snap.estimator.Observations,
-				"learned_shapes": snap.estimator.LearnedShapes,
-			},
-		}
-	}
-	writeJSON(w, http.StatusOK, payload)
-}
-
-// classStatsJSON renders one admission class for /stats.
-func classStatsJSON(cs admission.ClassStats) map[string]any {
-	return map[string]any{
-		"running":      cs.Running,
-		"queued":       cs.Queued,
-		"peak_queued":  cs.PeakQueued,
-		"admitted":     cs.Admitted,
-		"shed_full":    cs.ShedFull,
-		"shed_expired": cs.ShedExpired,
-		"shed_budget":  cs.ShedBudget,
-		"shed":         cs.Shed(),
-		"avg_wait_ms":  cs.AvgWaitMS,
-	}
-}
-
-// workersJSON renders the per-worker aggregates for /stats.
-func workersJSON(agg []ctpquery.WorkerSearchStats) []map[string]any {
-	out := make([]map[string]any, len(agg))
-	for i, w := range agg {
-		out[i] = map[string]any{
-			"ops":     w.Ops,
-			"kept":    w.Kept,
-			"shipped": w.Shipped,
-			"busy_ms": float64(w.BusyNS) / 1e6,
-		}
-	}
-	return out
+	wire.WriteJSON(w, http.StatusOK, obs.JSON(s.table()))
 }
 
 func (s *Server) fail(w http.ResponseWriter, code int, err error) {
 	s.failures.Add(1)
-	writeJSON(w, code, errorResponse{Error: err.Error()})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	wire.WriteJSON(w, code, wire.Error{Error: err.Error()})
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"ctpquery"
+	"ctpquery/internal/wire"
 )
 
 // newTestServer serves a deterministic generated graph (800 nodes, 2400
@@ -37,7 +38,7 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func postQuery(t *testing.T, url string, req queryRequest) (int, queryResponse, errorResponse) {
+func postQuery(t *testing.T, url string, req wire.Request) (int, wire.Response[wire.Row], wire.Error) {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(url+"/query", "application/json", bytes.NewReader(body))
@@ -45,8 +46,8 @@ func postQuery(t *testing.T, url string, req queryRequest) (int, queryResponse, 
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out queryResponse
-	var fail errorResponse
+	var out wire.Response[wire.Row]
+	var fail wire.Error
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatalf("decoding response: %v", err)
@@ -76,7 +77,7 @@ func TestConcurrentQueries(t *testing.T) {
 			q := fmt.Sprintf(
 				"SELECT ?w WHERE { CONNECT n%d n%d AS ?w MAX 16 LIMIT 2 . }",
 				i+1, 400+i)
-			code, out, fail := postQuery(t, ts.URL, queryRequest{Query: q, TimeoutMS: 20000})
+			code, out, fail := postQuery(t, ts.URL, wire.Request{Query: q, TimeoutMS: 20000})
 			if code != http.StatusOK {
 				errs <- fmt.Errorf("query %d: status %d: %s", i, code, fail.Error)
 				return
@@ -113,7 +114,7 @@ func TestConcurrentQueries(t *testing.T) {
 func TestPerRequestTimeout(t *testing.T) {
 	s, ts := newTestServer(t)
 	start := time.Now()
-	code, out, fail := postQuery(t, ts.URL, queryRequest{
+	code, out, fail := postQuery(t, ts.URL, wire.Request{
 		Query:     "SELECT ?w WHERE { CONNECT n1 n2 n3 n4 n5 n6 AS ?w . }",
 		TimeoutMS: 25,
 	})
@@ -146,7 +147,7 @@ func TestMaxTimeoutCap(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler(false))
 	defer ts.Close()
-	code, _, fail := postQuery(t, ts.URL, queryRequest{
+	code, _, fail := postQuery(t, ts.URL, wire.Request{
 		Query:     "SELECT ?w WHERE { CONNECT Alice Bob AS ?w MAX 2 . }",
 		TimeoutMS: 3600_000,
 	})
@@ -157,7 +158,7 @@ func TestMaxTimeoutCap(t *testing.T) {
 
 func TestAlgorithmOverride(t *testing.T) {
 	_, ts := newTestServer(t)
-	code, out, fail := postQuery(t, ts.URL, queryRequest{
+	code, out, fail := postQuery(t, ts.URL, wire.Request{
 		Query:     "SELECT ?w WHERE { CONNECT n1 n400 AS ?w MAX 16 LIMIT 1 . }",
 		Algorithm: "bft",
 	})
@@ -168,7 +169,7 @@ func TestAlgorithmOverride(t *testing.T) {
 		t.Errorf("algorithm = %q, want BFT", out.Algorithm)
 	}
 
-	code, _, fail = postQuery(t, ts.URL, queryRequest{Query: "SELECT ?w WHERE { CONNECT n1 n2 AS ?w . }", Algorithm: "Dijkstra"})
+	code, _, fail = postQuery(t, ts.URL, wire.Request{Query: "SELECT ?w WHERE { CONNECT n1 n2 AS ?w . }", Algorithm: "Dijkstra"})
 	if code != http.StatusBadRequest {
 		t.Fatalf("unknown algorithm: status %d, want 400", code)
 	}
@@ -181,11 +182,11 @@ func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t)
 	for _, tc := range []struct {
 		name string
-		req  queryRequest
+		req  wire.Request
 	}{
-		{"empty", queryRequest{}},
-		{"parse error", queryRequest{Query: "SELECT ?w WHERE { CONNECT a b . }"}},
-		{"validation error", queryRequest{Query: "SELECT ?zzz WHERE { ?x knows ?y . }"}},
+		{"empty", wire.Request{}},
+		{"parse error", wire.Request{Query: "SELECT ?w WHERE { CONNECT a b . }"}},
+		{"validation error", wire.Request{Query: "SELECT ?zzz WHERE { ?x knows ?y . }"}},
 	} {
 		code, _, fail := postQuery(t, ts.URL, tc.req)
 		if code != http.StatusBadRequest {
@@ -208,7 +209,7 @@ func TestBadRequests(t *testing.T) {
 
 func TestMaxRowsTrim(t *testing.T) {
 	_, ts := newTestServer(t)
-	code, out, fail := postQuery(t, ts.URL, queryRequest{
+	code, out, fail := postQuery(t, ts.URL, wire.Request{
 		Query:   "SELECT ?w WHERE { CONNECT n1 n400 AS ?w MAX 16 LIMIT 5 . }",
 		MaxRows: 1,
 	})
@@ -242,7 +243,7 @@ func TestHealthAndStats(t *testing.T) {
 		t.Errorf("healthz = %+v", health)
 	}
 
-	code, out, fail := postQuery(t, ts.URL, queryRequest{Query: "SELECT ?w WHERE { CONNECT n1 n2 AS ?w MAX 16 LIMIT 1 . }"})
+	code, out, fail := postQuery(t, ts.URL, wire.Request{Query: "SELECT ?w WHERE { CONNECT n1 n2 AS ?w MAX 16 LIMIT 1 . }"})
 	if code != http.StatusOK {
 		t.Fatalf("query status %d: %s", code, fail.Error)
 	}
@@ -262,7 +263,7 @@ func TestHealthAndStats(t *testing.T) {
 	// zero delta. Probe the plumbing with a search heavy enough to cross
 	// GC cycles (which flush the per-P stat caches): a three-seed
 	// enumeration allocating tens of MB.
-	code, heavy, fail := postQuery(t, ts.URL, queryRequest{
+	code, heavy, fail := postQuery(t, ts.URL, wire.Request{
 		Query: "SELECT ?w WHERE { CONNECT n1 n2 n3 AS ?w MAX 14 . }", TimeoutMS: 500})
 	if code != http.StatusOK {
 		t.Fatalf("heavy query status %d: %s", code, fail.Error)
@@ -305,8 +306,8 @@ func TestHealthAndStats(t *testing.T) {
 func TestStatsFoldPerQueryReports(t *testing.T) {
 	_, ts := newTestServer(t)
 	two, four := 2, 4
-	var want searchJSON
-	for _, req := range []queryRequest{
+	var want wire.Search
+	for _, req := range []wire.Request{
 		{Query: "SELECT ?w WHERE { CONNECT n1 n2 AS ?w MAX 16 LIMIT 1 . }"},
 		{Query: "SELECT ?v ?w WHERE { CONNECT n3 n4 AS ?v MAX 4 . CONNECT n5 n6 AS ?w MAX 4 . }"},
 		{Query: "SELECT ?w WHERE { CONNECT n7 n8 AS ?w MAX 5 . }", Parallelism: &four},
@@ -327,7 +328,7 @@ func TestStatsFoldPerQueryReports(t *testing.T) {
 		want.PeakTrees = max(want.PeakTrees, got.PeakTrees)
 		for i, w := range got.Workers {
 			if i == len(want.Workers) {
-				want.Workers = append(want.Workers, workerJSON{})
+				want.Workers = append(want.Workers, wire.Worker{})
 			}
 			want.Workers[i].Ops += w.Ops
 			want.Workers[i].Kept += w.Kept
@@ -343,7 +344,7 @@ func TestStatsFoldPerQueryReports(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var stats struct {
-		Search searchJSON `json:"search"`
+		Search wire.Search `json:"search"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
@@ -404,7 +405,7 @@ func TestParallelismOverride(t *testing.T) {
 	s, ts := newTestServer(t)
 	q := `SELECT ?w WHERE { CONNECT n3 n11 AS ?w MAX 4 . }`
 
-	code, seq, fail := postQuery(t, ts.URL, queryRequest{Query: q})
+	code, seq, fail := postQuery(t, ts.URL, wire.Request{Query: q})
 	if code != http.StatusOK {
 		t.Fatalf("sequential query failed: %+v", fail)
 	}
@@ -413,7 +414,7 @@ func TestParallelismOverride(t *testing.T) {
 	}
 
 	par := 4
-	code, pres, fail := postQuery(t, ts.URL, queryRequest{Query: q, Parallelism: &par})
+	code, pres, fail := postQuery(t, ts.URL, wire.Request{Query: q, Parallelism: &par})
 	if code != http.StatusOK {
 		t.Fatalf("parallel query failed: %+v", fail)
 	}
@@ -428,7 +429,7 @@ func TestParallelismOverride(t *testing.T) {
 	// (16 in newTestServer): each worker pins an OS thread, so clients
 	// must not be able to spawn unbounded workers.
 	huge := 200
-	code, capped, fail := postQuery(t, ts.URL, queryRequest{Query: q, Parallelism: &huge})
+	code, capped, fail := postQuery(t, ts.URL, wire.Request{Query: q, Parallelism: &huge})
 	if code != http.StatusOK {
 		t.Fatalf("capped query failed: %+v", fail)
 	}
@@ -439,7 +440,7 @@ func TestParallelismOverride(t *testing.T) {
 	// Negative degrees resolve to GOMAXPROCS before the clamp, so they
 	// cannot sidestep the ceiling either.
 	neg := -1
-	code, negRes, fail := postQuery(t, ts.URL, queryRequest{Query: q, Parallelism: &neg})
+	code, negRes, fail := postQuery(t, ts.URL, wire.Request{Query: q, Parallelism: &neg})
 	if code != http.StatusOK {
 		t.Fatalf("negative-parallelism query failed: %+v", fail)
 	}
@@ -473,7 +474,7 @@ func TestParallelismOverride(t *testing.T) {
 func TestParallelismWithBadAlgorithm(t *testing.T) {
 	_, ts := newTestServer(t)
 	par := 2
-	code, _, fail := postQuery(t, ts.URL, queryRequest{
+	code, _, fail := postQuery(t, ts.URL, wire.Request{
 		Query: `SELECT ?w WHERE { CONNECT n1 n2 AS ?w . }`, Algorithm: "nope", Parallelism: &par})
 	if code != http.StatusBadRequest || fail.Error == "" {
 		t.Fatalf("bad algorithm accepted: code %d", code)
@@ -520,12 +521,12 @@ func TestCacheSingleflightServer(t *testing.T) {
 	const query = "SELECT ?w WHERE { CONNECT n1 n400 AS ?w MAX 6 . }"
 
 	var wg sync.WaitGroup
-	responses := make([]queryResponse, k)
+	responses := make([]wire.Response[wire.Row], k)
 	for i := 0; i < k; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			code, out, fail := postQuery(t, ts.URL, queryRequest{Query: query, TimeoutMS: 30000})
+			code, out, fail := postQuery(t, ts.URL, wire.Request{Query: query, TimeoutMS: 30000})
 			if code != http.StatusOK {
 				t.Errorf("query %d: status %d: %s", i, code, fail.Error)
 				return
@@ -568,7 +569,7 @@ func TestCacheSingleflightServer(t *testing.T) {
 	// "Exactly one search" is also visible in the server's aggregated
 	// effort: hits and coalesced waiters do not re-add the leader's
 	// SearchStats, so the total equals one execution's report.
-	if got, want := s.snapshot().search.TreesGenerated, responses[0].Search.TreesGenerated; got != want {
+	if got, want := s.searchTotals().TreesGenerated, responses[0].Search.TreesGenerated; got != want {
 		t.Errorf("aggregated trees_generated = %d, want one search's %d", got, want)
 	}
 }
@@ -579,7 +580,7 @@ func TestCacheNeverServesStalePartial(t *testing.T) {
 	_, ts := newTestServer(t)
 	// The exhaustive 6-seed enumeration needs far more than 1ms, so the
 	// first answer is deterministically partial.
-	req := queryRequest{
+	req := wire.Request{
 		Query:     "SELECT ?w WHERE { CONNECT n1 n2 n3 n4 n5 n6 AS ?w . }",
 		TimeoutMS: 1,
 	}
@@ -652,7 +653,7 @@ func TestMaxParallelismZeroNoOverride(t *testing.T) {
 	q := "SELECT ?w WHERE { CONNECT n1 n100 AS ?w MAX 8 LIMIT 1 . }"
 	for _, requested := range []int{8, -1} {
 		requested := requested
-		code, out, fail := postQuery(t, ts.URL, queryRequest{Query: q, Parallelism: &requested})
+		code, out, fail := postQuery(t, ts.URL, wire.Request{Query: q, Parallelism: &requested})
 		if code != http.StatusOK {
 			t.Fatalf("parallelism=%d: status %d: %s", requested, code, fail.Error)
 		}

@@ -123,6 +123,46 @@ func serverSurface(t *testing.T, sf *surface) {
 	sf.metrics("ctpserve GET /metrics", call(h, "GET", "/metrics", ""))
 }
 
+// TestCoordinatorForwardsRowsVerbatim: a one-group coordinator passes a
+// shard's rows through byte for byte, even for a label JSON's default
+// encoder would HTML-escape (to "AT&T <x>").
+func TestCoordinatorForwardsRowsVerbatim(t *testing.T) {
+	b := ctpquery.NewGraphBuilder()
+	b.AddEdge(b.AddNode("AT&T <x>"), "knows", b.AddNode("bob"))
+	db, err := ctpquery.Open(b.Build(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(db, Config{DefaultTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := s.Handler(false)
+	c, err := cluster.New(cluster.Config{}, []cluster.Group{{Name: "g0",
+		Members: []cluster.Transport{&cluster.LocalTransport{Name: "s0", Handler: shard}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := func(h http.Handler) string {
+		t.Helper()
+		r := call(h, "POST", "/query", `{"query":"SELECT ?x WHERE { ?x knows bob . }"}`)
+		var body struct {
+			Rows json.RawMessage `json:"rows"`
+		}
+		if err := json.Unmarshal(r.body, &body); err != nil || r.code != http.StatusOK {
+			t.Fatalf("answered %d (%v): %s", r.code, err, r.body)
+		}
+		return string(body.Rows)
+	}
+	direct, gathered := rows(shard), rows(c.Handler())
+	if !strings.Contains(direct, "AT&T <x>") {
+		t.Fatalf("shard rows %s do not carry the raw label", direct)
+	}
+	if gathered != direct {
+		t.Fatalf("coordinator rewrote the rows it forwards:\nshard       %s\ncoordinator %s", direct, gathered)
+	}
+}
+
 // downTransport is a shard nothing answers.
 type downTransport struct{}
 

@@ -6,6 +6,8 @@ import (
 	"runtime/metrics"
 	"sync"
 	"time"
+
+	"ctpquery/internal/obs"
 )
 
 // HealthState is the /healthz state machine. A server is "ok" until the
@@ -99,7 +101,7 @@ type watchdog struct {
 	level       int
 	lastHeap    int64
 	shedBytes   int64 // total cache bytes dropped by this watchdog
-	transitions int64 // level changes, for /healthz and /stats
+	transitions int64 // level changes, for /healthz and /metrics
 }
 
 // newWatchdog builds the ladder from Config; nil (disabled) without a
@@ -214,17 +216,19 @@ func (w *watchdog) apply(level int) {
 	}
 }
 
-// snapshot renders the watchdog for /healthz and /stats.
-func (w *watchdog) snapshot() map[string]any {
+// rows is the watchdog's part of the counter table, keyed for /healthz's
+// "memory" object.
+func (w *watchdog) rows() []obs.Stat {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	levels := [...]string{"none", "soft", "hard"}
-	return map[string]any{
-		"pressure":         levels[w.level],
-		"heap_bytes":       w.lastHeap,
-		"soft_bytes":       w.soft,
-		"hard_bytes":       w.hard,
-		"shed_cache_bytes": w.shedBytes,
-		"transitions":      w.transitions,
+	return []obs.Stat{
+		{Name: "ctp_watchdog_level", Help: "Memory-pressure ladder level (0 none, 1 soft, 2 hard).", Type: "gauge", Value: w.level},
+		{Key: "transitions", Name: "ctp_watchdog_transitions_total", Help: "Ladder level changes.", Type: "counter", Value: w.transitions},
+		{Key: "shed_cache_bytes", Name: "ctp_watchdog_shed_cache_bytes_total", Help: "Cache bytes dropped by the watchdog.", Type: "counter", Value: w.shedBytes},
+		{Key: "pressure", Value: levels[w.level]},
+		{Key: "heap_bytes", Value: w.lastHeap},
+		{Key: "soft_bytes", Value: w.soft},
+		{Key: "hard_bytes", Value: w.hard},
 	}
 }

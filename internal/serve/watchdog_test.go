@@ -10,6 +10,7 @@ import (
 
 	"ctpquery"
 	"ctpquery/internal/admission"
+	"ctpquery/internal/wire"
 )
 
 // newWatchdogServer builds a server with cache + admission + watchdog
@@ -35,7 +36,7 @@ func newWatchdogServer(t *testing.T) (*Server, *httptest.Server) {
 	}
 	ts := httptest.NewServer(s.Handler(false))
 	t.Cleanup(ts.Close)
-	if code, _, fail := postQuery(t, ts.URL, queryRequest{Query: chaosServeQuery}); code != http.StatusOK {
+	if code, _, fail := postQuery(t, ts.URL, wire.Request{Query: chaosServeQuery}); code != http.StatusOK {
 		t.Fatalf("priming query failed: %d %s", code, fail.Error)
 	}
 	return s, ts
@@ -107,7 +108,7 @@ func TestChaosWatchdogLadder(t *testing.T) {
 		t.Fatalf("hard pressure left %d cache bytes", cs.Bytes)
 	}
 	// A query under the ceiling still works — degraded, not down.
-	if code, _, fail := postQuery(t, ts.URL, queryRequest{Query: chaosServeQuery}); code != http.StatusOK {
+	if code, _, fail := postQuery(t, ts.URL, wire.Request{Query: chaosServeQuery}); code != http.StatusOK {
 		t.Fatalf("query under hard pressure: %d %s", code, fail.Error)
 	}
 
@@ -153,7 +154,7 @@ func TestWatchdogCeilingCapsGOMAXPROCSDefault(t *testing.T) {
 	s.wd.check(250 << 20)
 	eight := 8
 	for _, par := range []*int{nil, &eight} {
-		code, out, fail := postQuery(t, ts.URL, queryRequest{Query: chaosServeQuery, Parallelism: par})
+		code, out, fail := postQuery(t, ts.URL, wire.Request{Query: chaosServeQuery, Parallelism: par})
 		if code != http.StatusOK {
 			t.Fatalf("query under hard pressure: %d %s", code, fail.Error)
 		}

@@ -136,7 +136,7 @@ func hex16(v uint64) string {
 }
 
 // TestCoordinatorMetricsAndStats: /metrics parses as strict Prometheus
-// text, its counters agree with /stats (same snapshot discipline), and
+// text, its counters agree with /stats (both render one counter table), and
 // the breaker-transition counter observes a closed→open trip.
 func TestCoordinatorMetricsAndStats(t *testing.T) {
 	flaky := &tracingTransport{name: "flaky", fn: alwaysFail()}

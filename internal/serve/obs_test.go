@@ -74,8 +74,8 @@ func TestObsQueryTrace(t *testing.T) {
 }
 
 // TestObsMetricsAgreeWithStats: /metrics parses as strict Prometheus
-// text and its counters agree with /stats — both render the same
-// consistent snapshot.
+// text and its counters agree with /stats — both render the server's
+// one counter table.
 func TestObsMetricsAgreeWithStats(t *testing.T) {
 	_, ts := obsServer(t)
 	for i := 0; i < 3; i++ {

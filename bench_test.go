@@ -327,7 +327,7 @@ SELECT ?x ?y ?z ?w WHERE {
 func benchCacheQuery(b *testing.B) (*DB, *Query) {
 	b.Helper()
 	g := RandomGraph(800, 2400, []string{"knows", "cites", "funds"}, 42)
-	db, err := Open(g, nil, WithCache(64<<20, 0))
+	db, err := Open(g, nil, WithCache(64<<20))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func BenchmarkCacheMiss(b *testing.B) {
 	// is lookup miss + singleflight bookkeeping + search + admission
 	// attempt, with no per-iteration DB setup in the timing.
 	g := RandomGraph(800, 2400, []string{"knows", "cites", "funds"}, 42)
-	db, err := Open(g, nil, WithCache(1, 0))
+	db, err := Open(g, nil, WithCache(1))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,10 +3,10 @@ package ctpquery
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"ctpquery/internal/core"
 	"ctpquery/internal/fault"
+	"ctpquery/internal/qcache"
 )
 
 // CacheConfig enables a query-result cache on a DB (Options.Cache or
@@ -18,8 +18,7 @@ import (
 // stale — there is nothing to invalidate. On a live graph every mutation
 // advances the fingerprint inside the key, so entries for an old epoch
 // simply stop being asked for (and age out of the LRU), while a DB
-// pinned to that epoch by Snapshot keeps hitting them; TTL exists only
-// for deployments that want bounded entry lifetimes anyway.
+// pinned to that epoch by Snapshot keeps hitting them.
 //
 // Partial results are never cached: a run that timed out, was truncated
 // (LIMIT or a stopped stream), or was canceled is returned to its caller
@@ -29,14 +28,12 @@ type CacheConfig struct {
 	// MaxBytes is the cache budget, charged by Results.ApproxSize; <= 0
 	// disables the cache.
 	MaxBytes int64
-	// TTL, when non-zero, additionally expires entries that old.
-	TTL time.Duration
 }
 
-// WithCache enables a query-result cache with the given byte budget and
-// optional TTL; see CacheConfig.
-func WithCache(maxBytes int64, ttl time.Duration) QueryOption {
-	return func(o *Options) { o.Cache = &CacheConfig{MaxBytes: maxBytes, TTL: ttl} }
+// WithCache enables a query-result cache with the given byte budget; see
+// CacheConfig.
+func WithCache(maxBytes int64) QueryOption {
+	return func(o *Options) { o.Cache = &CacheConfig{MaxBytes: maxBytes} }
 }
 
 // CacheInfo reports how one execution interacted with the DB's cache;
@@ -53,16 +50,7 @@ type CacheInfo struct {
 }
 
 // CacheStats is a snapshot of a DB's cache counters; see DB.CacheStats.
-type CacheStats struct {
-	Hits      int64 // executions served from a stored entry
-	Misses    int64 // executions that ran the engine
-	Coalesced int64 // executions that waited on an in-flight run
-	Evictions int64 // entries dropped by the byte budget or TTL
-	Rejected  int64 // completed runs not admitted (partial or oversized)
-	Entries   int   // stored entries
-	Bytes     int64 // stored payload bytes (Results.ApproxSize estimates)
-	MaxBytes  int64 // configured budget
-}
+type CacheStats = qcache.Stats
 
 // IsInternalError reports whether err was the engine's (or the server's)
 // own fault — a panic contained at one of the runtime's recovery

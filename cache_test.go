@@ -44,7 +44,7 @@ func TestCacheHitEqualsColdRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cached, err := ctpquery.Open(c.graph, nil, ctpquery.WithCache(16<<20, 0))
+			cached, err := ctpquery.Open(c.graph, nil, ctpquery.WithCache(16<<20))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +93,7 @@ func TestCacheHitEqualsColdRun(t *testing.T) {
 // execution: one miss, K-1 hits or coalesced waiters.
 func TestCacheSingleflightFacade(t *testing.T) {
 	g := ctpquery.RandomGraph(800, 2400, []string{"knows", "cites", "funds"}, 42)
-	db, err := ctpquery.Open(g, nil, ctpquery.WithCache(32<<20, 0))
+	db, err := ctpquery.Open(g, nil, ctpquery.WithCache(32<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestCacheSingleflightFacade(t *testing.T) {
 // next identical request re-executes instead of being served the stale
 // partial.
 func TestCacheRejectsTimedOut(t *testing.T) {
-	db, err := ctpquery.Open(ctpquery.SampleGraph(), nil, ctpquery.WithCache(1<<20, 0))
+	db, err := ctpquery.Open(ctpquery.SampleGraph(), nil, ctpquery.WithCache(1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestCacheRejectsTimedOut(t *testing.T) {
 // requests. (Timed-out runs remain uncacheable: the time budget is
 // deliberately not part of the key.)
 func TestCacheAdmitsLimitTruncated(t *testing.T) {
-	db, err := ctpquery.Open(ctpquery.SampleGraph(), nil, ctpquery.WithCache(1<<20, 0))
+	db, err := ctpquery.Open(ctpquery.SampleGraph(), nil, ctpquery.WithCache(1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestCacheAdmitsLimitTruncated(t *testing.T) {
 // A canceled run errors out and leaves nothing behind; the next request
 // executes normally.
 func TestCacheRejectsCanceled(t *testing.T) {
-	db, err := ctpquery.Open(ctpquery.SampleGraph(), nil, ctpquery.WithCache(1<<20, 0))
+	db, err := ctpquery.Open(ctpquery.SampleGraph(), nil, ctpquery.WithCache(1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestCacheRejectsCanceled(t *testing.T) {
 // never a DeadlineExceeded error.
 func TestCacheWaiterDeadlineYieldsPartial(t *testing.T) {
 	g := ctpquery.RandomGraph(800, 2400, []string{"knows", "cites", "funds"}, 42)
-	db, err := ctpquery.Open(g, nil, ctpquery.WithCache(32<<20, 0))
+	db, err := ctpquery.Open(g, nil, ctpquery.WithCache(32<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestCacheWaiterDeadlineYieldsPartial(t *testing.T) {
 // Derived DBs (With/WithOptions) share the parent's cache instance; the
 // options signature inside the key keeps their entries apart.
 func TestDerivedDBSharesCache(t *testing.T) {
-	base, err := ctpquery.Open(ctpquery.SampleGraph(), nil, ctpquery.WithCache(1<<20, 0))
+	base, err := ctpquery.Open(ctpquery.SampleGraph(), nil, ctpquery.WithCache(1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestDerivedDBSharesCache(t *testing.T) {
 // request that spells out the default algorithm — what ctpserve derives a
 // DB for — must hit the entries the default path filled.
 func TestCacheKeyIgnoresAlgorithmSpelling(t *testing.T) {
-	base, err := ctpquery.Open(ctpquery.SampleGraph(), nil, ctpquery.WithCache(1<<20, 0))
+	base, err := ctpquery.Open(ctpquery.SampleGraph(), nil, ctpquery.WithCache(1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestCacheKeyIgnoresAlgorithmSpelling(t *testing.T) {
 // RunStream bypasses the cache in both directions: it re-executes even
 // when an entry exists, and its runs are never admitted.
 func TestStreamBypassesCache(t *testing.T) {
-	db, err := ctpquery.Open(ctpquery.SampleGraph(), nil, ctpquery.WithCache(1<<20, 0))
+	db, err := ctpquery.Open(ctpquery.SampleGraph(), nil, ctpquery.WithCache(1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,11 +87,10 @@ func main() {
 		maxTimeout     = flag.Duration("max-timeout", time.Minute, "cap on requested timeouts (0 = uncapped)")
 		maxRows        = flag.Int("max-rows", 1000, "cap on rows serialized per response (0 = unlimited)")
 		pprofEnabled   = flag.Bool("pprof", false, "serve net/http/pprof profiling endpoints under /debug/pprof/")
-		trackAllocs    = flag.Bool("track-allocs", true, "sample per-query heap allocation counts into the search report (two runtime.ReadMemStats calls per CONNECT search; disable for maximum throughput)")
+		trackAllocs    = flag.Bool("track-allocs", true, "sample per-query heap allocation counts into the search report (two runtime/metrics reads of /gc/heap/allocs:objects per CONNECT search, which do not stop the world; concurrent searches inflate each other's counts)")
 		live           = flag.Bool("live", false, "serve a live (mutable) graph: POST /ingest applies mutation batches, queries pin the epoch current at their entry, and the delta compacts into a fresh base in the background")
 		compactOps     = flag.Int("compact-threshold", 0, "delta ops that trigger a background compaction (0 = default, negative = never compact); only with -live")
 		cacheBytes     = flag.Int64("cache-bytes", 0, "query-result cache budget in bytes (0 = no cache); completed results are served from cache and concurrent identical queries collapse into one search")
-		cacheTTL       = flag.Duration("cache-ttl", 0, "expire cache entries this old (0 = never; the graph is immutable, so entries cannot go stale)")
 		admissionOn    = flag.Bool("admission", true, "enable admission control: requests are cost-classified (cheap vs analytical), queued in bounded two-class queues, and shed with 429 + Retry-After under saturation")
 		admitSlots     = flag.Int("admit-concurrent", 0, "execution slots for admitted requests (0 = GOMAXPROCS)")
 		admitReserve   = flag.Int("admit-cheap-reserve", 1, "slots only cheap-class requests may occupy (clamped below admit-concurrent)")
@@ -128,7 +127,6 @@ func main() {
 		live:           *live,
 		compactOps:     *compactOps,
 		cacheBytes:     *cacheBytes,
-		cacheTTL:       *cacheTTL,
 		admission:      *admissionOn,
 		admitSlots:     *admitSlots,
 		admitReserve:   *admitReserve,
@@ -172,7 +170,6 @@ type serverConfig struct {
 	live           bool
 	compactOps     int
 	cacheBytes     int64
-	cacheTTL       time.Duration
 	admission      bool
 	admitSlots     int
 	admitReserve   int
@@ -217,7 +214,7 @@ func run(cfg serverConfig) error {
 		Algorithm: cfg.algo, Parallel: cfg.parallel, Parallelism: cfg.parallelism,
 		TrackAllocs: cfg.trackAllocs}
 	if cfg.cacheBytes > 0 {
-		opts.Cache = &ctpquery.CacheConfig{MaxBytes: cfg.cacheBytes, TTL: cfg.cacheTTL}
+		opts.Cache = &ctpquery.CacheConfig{MaxBytes: cfg.cacheBytes}
 	}
 	db, err := ctpquery.Open(g, opts)
 	if err != nil {
@@ -264,8 +261,8 @@ func run(cfg serverConfig) error {
 		}
 	}
 	if cfg.cacheBytes > 0 {
-		log.Printf("result cache: %d byte budget, ttl %v, graph fingerprint %#x",
-			cfg.cacheBytes, cfg.cacheTTL, g.Fingerprint())
+		log.Printf("result cache: %d byte budget, graph fingerprint %#x",
+			cfg.cacheBytes, g.Fingerprint())
 	}
 	if cfg.admission {
 		log.Printf("admission control: %d slots (%d cheap-reserved), queue depth %d, max wait %v",

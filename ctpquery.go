@@ -198,7 +198,7 @@ func Open(g *Graph, opts *Options, query ...QueryOption) (*DB, error) {
 		optsSig: o.cacheSignature(alg),
 	}
 	if o.Cache != nil && o.Cache.MaxBytes > 0 {
-		db.cache = qcache.New(o.Cache.MaxBytes, o.Cache.TTL)
+		db.cache = qcache.New(o.Cache.MaxBytes)
 	}
 	return db, nil
 }
@@ -381,9 +381,7 @@ func (db *DB) runUncached(ctx context.Context, pg *Graph, q *Query) (*Results, e
 	if err != nil {
 		return nil, err
 	}
-	out := newResults(pg, q.q, res)
-	out.traceID = obs.FromContext(ctx).TraceID()
-	return out, nil
+	return newResults(pg, q.q, res), nil
 }
 
 // Peek reports whether a complete cached result for q is already stored,
@@ -412,17 +410,7 @@ func (db *DB) CacheStats() (CacheStats, bool) {
 	if db.cache == nil {
 		return CacheStats{}, false
 	}
-	st := db.cache.Stats()
-	return CacheStats{
-		Hits:      st.Hits,
-		Misses:    st.Misses,
-		Coalesced: st.Coalesced,
-		Evictions: st.Evictions,
-		Rejected:  st.Rejected,
-		Entries:   st.Entries,
-		Bytes:     st.Bytes,
-		MaxBytes:  st.MaxBytes,
-	}, true
+	return db.cache.Stats(), true
 }
 
 // QueryStream parses text and executes it, streaming connecting trees;

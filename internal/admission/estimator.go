@@ -38,12 +38,26 @@ func (c Class) String() string {
 }
 
 // UnitsPerMS converts between cost units (provenance-tree
-// constructions, SearchStats.CostUnits) and milliseconds of search: the
+// constructions, CostUnits) and milliseconds of search: the
 // sequential kernel builds trees at single-digit-microsecond cost, so a
 // millisecond is on the order of a thousand units. The constant only
 // needs to be right within an order of magnitude — the static model
 // classifies, and the online feedback loop corrects per shape.
 const UnitsPerMS = 2000
+
+// scanEdgesPerUnit is the BGP scan rate: a pattern scan costs one unit
+// per this many edges it reads. The static model charges scans at it and
+// CostUnits credits observed BGP effort at it.
+const scanEdgesPerUnit = 64
+
+// CostUnits collapses a query's search report into one effort number,
+// the feedback signal Observe learns per-shape costs from: provenance-tree
+// constructions, the paper's effort metric, plus the BGP edges examined
+// at scanEdgesPerUnit. A query that did neither still reports 1 so
+// downstream ratios stay finite.
+func CostUnits(s ctpquery.SearchStats) float64 {
+	return max(1, float64(s.TreesGenerated)+float64(s.BGPExamined)/scanEdgesPerUnit)
+}
 
 // EstimatorConfig tunes the estimator; zero values select defaults.
 type EstimatorConfig struct {
@@ -191,7 +205,7 @@ func (e *Estimator) Estimate(shape ctpquery.QueryShape, budget time.Duration) Es
 // edge count.
 func (e *Estimator) staticUnits(shape ctpquery.QueryShape) float64 {
 	total := 16.0
-	total += float64(shape.BGPPatterns) * (float64(e.edges)/64 + 16)
+	total += float64(shape.BGPPatterns) * (float64(e.edges)/scanEdgesPerUnit + 16)
 	for _, c := range shape.CTPs {
 		depth := c.MaxEdges
 		if depth <= 0 || depth > depthCap {

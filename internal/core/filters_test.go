@@ -242,3 +242,40 @@ func TestSeedTuples(t *testing.T) {
 		}
 	}
 }
+
+// The OnResult hook streams results as found and can stop the search.
+func TestOnResultStreaming(t *testing.T) {
+	w := gen.Chain(6)
+	var streamed []Result
+	rs, st, err := Search(w.Graph, Explicit(w.Seeds...), Options{
+		Algorithm: MoLESP,
+		OnResult: func(r Result) bool {
+			streamed = append(streamed, r)
+			return len(streamed) < 5
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(streamed) != 5 {
+		t.Fatalf("streamed %d results, want 5", len(streamed))
+	}
+	if rs.Len() != 5 {
+		t.Fatalf("result set has %d, want 5", rs.Len())
+	}
+	if !st.Truncated {
+		t.Fatal("stop-via-hook must set Truncated")
+	}
+	// A pass-through hook must not change the outcome.
+	count := 0
+	rs2, _, err := Search(w.Graph, Explicit(w.Seeds...), Options{
+		Algorithm: MoLESP,
+		OnResult:  func(Result) bool { count++; return true },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if count != rs2.Len() || rs2.Len() != 64 {
+		t.Fatalf("hook saw %d, result set %d, want 64", count, rs2.Len())
+	}
+}

@@ -29,6 +29,7 @@ import (
 	"ctpquery/internal/score"
 	"ctpquery/internal/storage"
 	"ctpquery/internal/tree"
+	"ctpquery/internal/wire"
 )
 
 // Options configures an Engine.
@@ -142,6 +143,46 @@ func (r *Result) Truncated() bool {
 	return false
 }
 
+// Report is the query's search report: step (A)'s BGP effort plus every
+// CONNECT clause's report, folded with wire.Search.Add. Each call builds
+// a fresh report, so callers may fold into it.
+func (r *Result) Report() wire.Search {
+	rep := r.bgpReport()
+	for _, st := range r.CTPStats {
+		if st != nil {
+			rep.Add(clauseReport(st))
+		}
+	}
+	return rep
+}
+
+// bgpReport is the report of step (A) alone.
+func (r *Result) bgpReport() wire.Search {
+	return wire.Search{BGPExamined: r.BGPExamined, BGPRows: r.BGPRows}
+}
+
+// clauseReport turns one CONNECT clause's kernel counters into the search
+// report. It is the one conversion: Report folds its values, and the
+// clause's ctp[i] and worker[j] spans carry them as attributes.
+func clauseReport(st *core.Stats) wire.Search {
+	rep := wire.Search{
+		TreesGenerated: st.Created,
+		TreesKept:      st.Kept(),
+		TreesRecycled:  st.Recycled,
+		PeakTrees:      st.PeakTrees,
+		PeakQueueLen:   st.PeakQueueLen,
+		Allocations:    st.Allocations,
+		Parallelism:    st.Parallelism,
+	}
+	if len(st.Workers) > 0 {
+		rep.Workers = make([]wire.Worker, len(st.Workers))
+		for i, w := range st.Workers {
+			rep.Workers[i] = wire.Worker{Ops: w.Ops, Kept: w.Kept, Shipped: w.Shipped, BusyMS: float64(w.BusyNS) / 1e6}
+		}
+	}
+	return rep
+}
+
 // Execute runs q and returns its result. The query must be valid
 // (eql.Parse validates; programmatic queries should call Validate first).
 func (e *Engine) Execute(q *eql.Query) (*Result, error) {
@@ -201,10 +242,10 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *eql.Query) (res *Result,
 		res.BGPRows += st.Rows
 	}
 	res.BGPTime = time.Since(startBGP)
-	eval.ChildTimed("bgp", startBGP, res.BGPTime,
-		obs.Attr{Key: "bgps", Val: strconv.Itoa(len(q.BGPs))},
-		obs.Attr{Key: "examined", Val: strconv.Itoa(res.BGPExamined)},
-		obs.Attr{Key: "rows", Val: strconv.Itoa(res.BGPRows)})
+	if eval != nil {
+		eval.ChildTimed("bgp", startBGP, res.BGPTime, append(res.bgpReport().Attrs(),
+			obs.Attr{Key: "bgps", Val: strconv.Itoa(len(q.BGPs))})...)
+	}
 	if err := ctx.Err(); err == context.Canceled {
 		return nil, err
 	}
@@ -240,20 +281,14 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *eql.Query) (res *Result,
 		if out.err != nil {
 			return nil, fmt.Errorf("engine: CTP %d: %w", i, out.err)
 		}
-		// Synthesize the CTP's span tree retroactively from its Stats —
+		// Synthesize the CTP's span tree retroactively from its report —
 		// per-worker spans come from the exec runtime's spawn-to-drain
 		// aggregates, so the hot search loop carries zero tracing cost.
-		if st := out.stats; st != nil {
-			cs := eval.ChildTimed(fmt.Sprintf("ctp[%d]", i), startCTP, st.Duration,
-				obs.Attr{Key: "kept", Val: strconv.Itoa(st.Kept())},
-				obs.Attr{Key: "results", Val: strconv.Itoa(st.Results)},
-				obs.Attr{Key: "parallelism", Val: strconv.Itoa(st.Parallelism)})
-			for wi, ws := range st.Workers {
-				cs.ChildTimed(fmt.Sprintf("worker[%d]", wi), startCTP, time.Duration(ws.WallNS),
-					obs.Attr{Key: "ops", Val: strconv.Itoa(ws.Ops)},
-					obs.Attr{Key: "kept", Val: strconv.Itoa(ws.Kept)},
-					obs.Attr{Key: "shipped", Val: strconv.Itoa(ws.Shipped)},
-					obs.Attr{Key: "busy_ms", Val: strconv.FormatFloat(float64(ws.BusyNS)/1e6, 'f', 3, 64)})
+		if st := out.stats; st != nil && eval != nil {
+			rep := clauseReport(st)
+			cs := eval.ChildTimed(fmt.Sprintf("ctp[%d]", i), startCTP, st.Duration, rep.Attrs()...)
+			for wi, w := range rep.Workers {
+				cs.ChildTimed(fmt.Sprintf("worker[%d]", wi), startCTP, time.Duration(st.Workers[wi].WallNS), w.Attrs()...)
 			}
 		}
 		base := int32(len(res.Trees))

@@ -274,7 +274,7 @@ func TestScrapeSmoke(t *testing.T) {
 func TestLiveSmoke(t *testing.T) {
 	ctx := smokeContext(t)
 	g := smokeGraph().LiveWithConfig(ctpquery.LiveConfig{CompactThreshold: 8})
-	db, err := ctpquery.Open(g, &ctpquery.Options{Parallel: true}, ctpquery.WithCache(32<<20, 0))
+	db, err := ctpquery.Open(g, &ctpquery.Options{Parallel: true}, ctpquery.WithCache(32<<20))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // cleanly because nothing was cached.
 func TestChaosLeaderPanicFailsWaiters(t *testing.T) {
 	const nWaiters = 8
-	c := New(1<<20, 0)
+	c := New(1 << 20)
 	k := key("chaos")
 
 	release := make(chan struct{})
@@ -108,7 +108,7 @@ func TestChaosLeadProbePanic(t *testing.T) {
 	if err := fault.Arm("qcache.singleflight.lead", fault.Fault{Kind: fault.Panic}); err != nil {
 		t.Fatal(err)
 	}
-	c := New(1<<20, 0)
+	c := New(1 << 20)
 	_, _, _, err := c.Do(context.Background(), key("probe"), func() (any, int64, bool, error) {
 		return "v", 1, true, nil
 	})

@@ -1,6 +1,5 @@
 // Package qcache is the query-result cache of the serving path: a
-// concurrency-safe, byte-budgeted LRU with optional TTL, fronted by
-// singleflight admission.
+// concurrency-safe, byte-budgeted LRU fronted by singleflight admission.
 //
 // The cache exploits two invariants of the surrounding system. First, a
 // graph.Graph is frozen at Build time and carries a content fingerprint,
@@ -24,7 +23,6 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ctpquery/internal/fault"
 )
@@ -51,7 +49,7 @@ type Stats struct {
 	Hits      int64 // lookups served from a stored entry
 	Misses    int64 // lookups that executed (singleflight leaders)
 	Coalesced int64 // lookups that waited on a leader instead of executing
-	Evictions int64 // entries dropped by the byte budget or TTL
+	Evictions int64 // entries dropped by the byte budget or by Shed
 	Rejected  int64 // executions whose result was not admitted
 	Entries   int   // stored entries
 	Bytes     int64 // stored payload bytes (caller-estimated)
@@ -62,8 +60,6 @@ type Stats struct {
 // admission. All methods are safe for concurrent use.
 type Cache struct {
 	maxBytes int64
-	ttl      time.Duration
-	now      func() time.Time // injectable clock for TTL tests
 
 	mu       sync.Mutex
 	ll       *list.List // front = most recently used; values are *entry
@@ -76,10 +72,9 @@ type Cache struct {
 
 // entry is one stored result.
 type entry struct {
-	key     Key
-	val     any
-	size    int64
-	expires time.Time // zero = never
+	key  Key
+	val  any
+	size int64
 }
 
 // call is one in-flight execution; waiters block on done. admitted
@@ -99,17 +94,13 @@ type call struct {
 }
 
 // New creates a cache holding at most maxBytes of caller-estimated
-// payload (maxBytes must be > 0). A non-zero ttl additionally expires
-// entries that old, for deployments that prefer bounded staleness even
-// though graph immutability makes entries valid forever.
-func New(maxBytes int64, ttl time.Duration) *Cache {
+// payload (maxBytes must be > 0).
+func New(maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		panic("qcache: maxBytes must be > 0")
 	}
 	return &Cache{
 		maxBytes: maxBytes,
-		ttl:      ttl,
-		now:      time.Now,
 		ll:       list.New(),
 		entries:  make(map[Key]*list.Element),
 		inflight: make(map[Key]*call),
@@ -142,15 +133,10 @@ func (c *Cache) Do(ctx context.Context, key Key, exec func() (val any, size int6
 	for {
 		c.mu.Lock()
 		if el, ok := c.entries[key]; ok {
-			e := el.Value.(*entry)
-			if e.expires.IsZero() || c.now().Before(e.expires) {
-				c.ll.MoveToFront(el)
-				c.hits++
-				c.mu.Unlock()
-				return e.val, true, false, nil
-			}
-			c.removeLocked(el)
-			c.evictions++
+			c.ll.MoveToFront(el)
+			c.hits++
+			c.mu.Unlock()
+			return el.Value.(*entry).val, true, false, nil
 		}
 		if cl, ok := c.inflight[key]; ok {
 			cl.waiters.Add(1)
@@ -242,15 +228,9 @@ func (c *Cache) Peek(key Key) (val any, ok bool) {
 	if !ok {
 		return nil, false
 	}
-	e := el.Value.(*entry)
-	if !e.expires.IsZero() && !c.now().Before(e.expires) {
-		c.removeLocked(el)
-		c.evictions++
-		return nil, false
-	}
 	c.ll.MoveToFront(el)
 	c.hits++
-	return e.val, true
+	return el.Value.(*entry).val, true
 }
 
 // get returns the stored value for key without executing anything. It is
@@ -264,14 +244,8 @@ func (c *Cache) get(key Key) (val any, ok bool) {
 	if !ok {
 		return nil, false
 	}
-	e := el.Value.(*entry)
-	if !e.expires.IsZero() && !c.now().Before(e.expires) {
-		c.removeLocked(el)
-		c.evictions++
-		return nil, false
-	}
 	c.ll.MoveToFront(el)
-	return e.val, true
+	return el.Value.(*entry).val, true
 }
 
 // Shed evicts LRU entries until the stored bytes fit within frac of the
@@ -339,15 +313,11 @@ func (c *Cache) addLocked(key Key, val any, size int64) {
 		return
 	}
 	if el, ok := c.entries[key]; ok {
-		// Sequential re-admission after an expiry or a non-admitted run
-		// raced with another leader; replace the stored value.
+		// Sequential re-admission after a non-admitted run raced with
+		// another leader; replace the stored value.
 		c.removeLocked(el)
 	}
-	e := &entry{key: key, val: val, size: size}
-	if c.ttl > 0 {
-		e.expires = c.now().Add(c.ttl)
-	}
-	c.entries[key] = c.ll.PushFront(e)
+	c.entries[key] = c.ll.PushFront(&entry{key: key, val: val, size: size})
 	c.bytes += size
 	for c.bytes > c.maxBytes {
 		back := c.ll.Back()

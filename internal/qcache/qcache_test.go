@@ -33,7 +33,7 @@ func doVal(t *testing.T, c *Cache, k Key, v string, size int64) (string, bool, b
 }
 
 func TestHitMiss(t *testing.T) {
-	c := New(1<<20, 0)
+	c := New(1 << 20)
 	if v, hit, _ := doVal(t, c, key("q"), "r1", 10); hit || v != "r1" {
 		t.Fatalf("first call: hit=%v v=%q", hit, v)
 	}
@@ -52,7 +52,7 @@ func TestHitMiss(t *testing.T) {
 }
 
 func TestAdmissionRejected(t *testing.T) {
-	c := New(1<<20, 0)
+	c := New(1 << 20)
 	execs := 0
 	run := func() (string, bool) {
 		v, hit, _, err := c.Do(context.Background(), key("q"), func() (any, int64, bool, error) {
@@ -80,7 +80,7 @@ func TestLRUEviction(t *testing.T) {
 	// Budget for two 40-byte entries (incl. key + fixed overhead) with
 	// headroom, but not three.
 	perEntry := charge(key("a"), 40)
-	c := New(2*perEntry+perEntry/2, 0)
+	c := New(2*perEntry + perEntry/2)
 	doVal(t, c, key("a"), "a", 40)
 	doVal(t, c, key("b"), "b", 40)
 	doVal(t, c, key("a"), "", 0) // touch a so b is the LRU victim
@@ -109,29 +109,10 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestTTLExpiry(t *testing.T) {
-	c := New(1<<20, time.Minute)
-	now := time.Unix(1000, 0)
-	c.now = func() time.Time { return now }
-
-	doVal(t, c, key("q"), "r1", 10)
-	now = now.Add(30 * time.Second)
-	if _, hit, _ := doVal(t, c, key("q"), "r2", 10); !hit {
-		t.Fatal("entry expired before its TTL")
-	}
-	now = now.Add(31 * time.Second)
-	if v, hit, _ := doVal(t, c, key("q"), "r2", 10); hit || v != "r2" {
-		t.Fatalf("after TTL: hit=%v v=%q, want re-execution", hit, v)
-	}
-	if st := c.Stats(); st.Evictions != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 // TestSingleflight: K concurrent callers of one key produce exactly one
 // execution; everyone gets the leader's value.
 func TestSingleflight(t *testing.T) {
-	c := New(1<<20, 0)
+	c := New(1 << 20)
 	const k = 32
 	var execs atomic.Int32
 	release := make(chan struct{})
@@ -190,7 +171,7 @@ func TestSingleflight(t *testing.T) {
 // A waiter whose own context is canceled stops waiting; the leader's
 // execution and admission proceed regardless.
 func TestWaiterCancellation(t *testing.T) {
-	c := New(1<<20, 0)
+	c := New(1 << 20)
 	release := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
@@ -233,7 +214,7 @@ func TestWaiterCancellation(t *testing.T) {
 // A failing leader must not poison its waiters: they retry instead of
 // inheriting the leader's (context) error.
 func TestLeaderErrorWaiterRetries(t *testing.T) {
-	c := New(1<<20, 0)
+	c := New(1 << 20)
 	release := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
@@ -270,7 +251,7 @@ func TestLeaderErrorWaiterRetries(t *testing.T) {
 // alone: waiters re-execute rather than being handed a partial their own
 // budget might have completed.
 func TestPartialNotSharedWithWaiters(t *testing.T) {
-	c := New(1<<20, 0)
+	c := New(1 << 20)
 	release := make(chan struct{})
 	started := make(chan struct{})
 	leader := make(chan string, 1)
@@ -316,7 +297,7 @@ func TestPartialNotSharedWithWaiters(t *testing.T) {
 // A panicking execution must not wedge the key: the in-flight slot is
 // released, waiters retry, and the next caller executes normally.
 func TestPanicReleasesKey(t *testing.T) {
-	c := New(1<<20, 0)
+	c := New(1 << 20)
 	_, _, _, err := c.Do(context.Background(), key("q"), func() (any, int64, bool, error) {
 		panic("engine blew up")
 	})
@@ -348,7 +329,7 @@ func TestPanicReleasesKey(t *testing.T) {
 // Hammer the cache from many goroutines across a small key space; the
 // -race build is the assertion.
 func TestConcurrentMixedLoad(t *testing.T) {
-	c := New(4096, 50*time.Millisecond)
+	c := New(4096)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

@@ -38,7 +38,7 @@ const cheapQuery = "SELECT ?w WHERE { CONNECT qz1 qz2 AS ?w MAX 2 LIMIT 1 . }"
 func newAdmissionServer(t *testing.T, maxQueueWait time.Duration) (*Server, *httptest.Server, func()) {
 	t.Helper()
 	g := ctpquery.RandomGraph(800, 2400, []string{"knows", "cites", "funds"}, 42)
-	db, err := ctpquery.Open(g, &ctpquery.Options{Parallel: true}, ctpquery.WithCache(64<<20, 0))
+	db, err := ctpquery.Open(g, &ctpquery.Options{Parallel: true}, ctpquery.WithCache(64<<20))
 	if err != nil {
 		t.Fatal(err)
 	}

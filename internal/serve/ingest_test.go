@@ -19,7 +19,7 @@ import (
 func newLiveTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	g := ctpquery.RandomGraph(800, 2400, []string{"knows", "cites", "funds"}, 42).Live()
-	db, err := ctpquery.Open(g, &ctpquery.Options{}, ctpquery.WithCache(16<<20, 0))
+	db, err := ctpquery.Open(g, &ctpquery.Options{}, ctpquery.WithCache(16<<20))
 	if err != nil {
 		t.Fatal(err)
 	}

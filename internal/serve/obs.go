@@ -7,6 +7,7 @@ import (
 	"ctpquery"
 	"ctpquery/internal/admission"
 	"ctpquery/internal/obs"
+	"ctpquery/internal/wire"
 )
 
 // serveMetrics is the server's hot-path instrument set; everything else
@@ -86,7 +87,7 @@ func (s *Server) table() []obs.Stat {
 		{Key: "graph.edges", Name: "ctp_graph_edges", Help: "Edges in the served graph.", Type: "gauge", Value: g.NumEdges()},
 		{Key: "algorithm", Value: s.base.Options().Algorithm},
 		{Key: "algorithms", Value: ctpquery.Algorithms()},
-		{Key: "search", Value: searchReport(search)},
+		{Key: "search", Value: search},
 		{Name: "ctp_search_trees_generated_total", Help: "Provenance trees constructed across all queries.", Type: "counter", Value: search.TreesGenerated},
 		{Name: "ctp_search_trees_recycled_total", Help: "Candidate trees rejected as duplicates, their arena space taken back.", Type: "counter", Value: search.TreesRecycled},
 		{Name: "ctp_search_allocations_total", Help: "Heap allocations during searches (with -track-allocs).", Type: "counter", Value: search.Allocations},
@@ -95,12 +96,12 @@ func (s *Server) table() []obs.Stat {
 	}
 	for _, f := range []struct {
 		name, help string
-		get        func(ctpquery.WorkerSearchStats) float64
+		get        func(wire.Worker) float64
 	}{
-		{"ctp_exec_worker_ops_total", "Grow ops and exchanged tasks processed, per worker index.", func(a ctpquery.WorkerSearchStats) float64 { return float64(a.Ops) }},
-		{"ctp_exec_worker_kept_total", "Provenances kept, per worker index.", func(a ctpquery.WorkerSearchStats) float64 { return float64(a.Kept) }},
-		{"ctp_exec_worker_shipped_total", "Tasks routed to other workers' shards, per worker index.", func(a ctpquery.WorkerSearchStats) float64 { return float64(a.Shipped) }},
-		{"ctp_exec_worker_busy_seconds_total", "Thread CPU seconds inside the worker loop, per worker index.", func(a ctpquery.WorkerSearchStats) float64 { return float64(a.BusyNS) / 1e9 }},
+		{"ctp_exec_worker_ops_total", "Grow ops and exchanged tasks processed, per worker index.", func(a wire.Worker) float64 { return float64(a.Ops) }},
+		{"ctp_exec_worker_kept_total", "Provenances kept, per worker index.", func(a wire.Worker) float64 { return float64(a.Kept) }},
+		{"ctp_exec_worker_shipped_total", "Tasks routed to other workers' shards, per worker index.", func(a wire.Worker) float64 { return float64(a.Shipped) }},
+		{"ctp_exec_worker_busy_seconds_total", "Thread CPU seconds inside the worker loop, per worker index.", func(a wire.Worker) float64 { return a.BusyMS / 1e3 }},
 	} {
 		for i, a := range search.Workers {
 			rows = append(rows, obs.Stat{Name: f.name, Help: f.help, Type: "counter",

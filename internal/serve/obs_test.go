@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,7 +23,7 @@ func obsServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	g := ctpquery.RandomGraph(800, 2400, []string{"knows", "cites", "funds"}, 42)
 	db, err := ctpquery.Open(g, &ctpquery.Options{Parallel: true, Parallelism: 2},
-		ctpquery.WithCache(16<<20, 0))
+		ctpquery.WithCache(16<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,6 +72,87 @@ func TestObsQueryTrace(t *testing.T) {
 		if names[want] == 0 {
 			t.Errorf("trace has no %q span (got %v)", want, names)
 		}
+	}
+}
+
+// TestOneReportOnEverySurface: the engine's spans carry the search
+// report under its own keys, so folding a traced query's bgp and ctp[i]
+// span attributes with wire.Search.Add gives exactly the /query report,
+// and its worker[j] spans sum to the report's workers.
+func TestOneReportOnEverySurface(t *testing.T) {
+	_, ts := newTestServer(t)
+	two := 2
+	code, out, fail := postQuery(t, ts.URL, wire.Request{
+		Query:       "SELECT ?v ?w WHERE { CONNECT n3 n4 AS ?v MAX 4 . CONNECT n5 n6 AS ?w MAX 4 . }",
+		Parallelism: &two,
+	})
+	if code != http.StatusOK || out.TraceID == "" || out.Search == nil {
+		t.Fatalf("query answered %d (%s) with trace %q and report %v", code, fail.Error, out.TraceID, out.Search)
+	}
+	resp, err := http.Get(ts.URL + "/debug/traces?id=" + out.TraceID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var trace obs.Trace
+	if err := json.NewDecoder(resp.Body).Decode(&trace); err != nil {
+		t.Fatal(err)
+	}
+
+	// report reads a span's attributes back as the JSON object they name.
+	report := func(sp obs.SpanRecord, into any) {
+		t.Helper()
+		obj := map[string]json.RawMessage{}
+		for _, a := range sp.Attrs {
+			obj[a.Key] = json.RawMessage(a.Val)
+		}
+		raw, err := json.Marshal(obj)
+		if err == nil {
+			err = json.Unmarshal(raw, into)
+		}
+		if err != nil {
+			t.Fatalf("span %s attrs %v: %v", sp.Name, sp.Attrs, err)
+		}
+	}
+	var fold wire.Search
+	clauses := 0
+	for _, sp := range trace.Spans {
+		switch {
+		case sp.Name == "bgp" || strings.HasPrefix(sp.Name, "ctp["):
+			var r wire.Search
+			report(sp, &r)
+			fold.Add(r)
+			if sp.Name != "bgp" {
+				clauses++
+			}
+		case strings.HasPrefix(sp.Name, "worker["):
+			for _, k := range []string{"ops", "kept", "shipped", "busy_ms"} {
+				if sp.Attrs.Get(k) == "" {
+					t.Errorf("span %s has no %q attribute: %v", sp.Name, k, sp.Attrs)
+				}
+			}
+			var w wire.Worker
+			report(sp, &w)
+			var i int
+			if _, err := fmt.Sscanf(sp.Name, "worker[%d]", &i); err != nil {
+				t.Fatalf("span %s: %v", sp.Name, err)
+			}
+			fold.Add(wire.Search{Workers: append(make([]wire.Worker, i), w)})
+		}
+	}
+	want := *out.Search
+	if clauses != 2 || want.TreesKept == 0 || want.Parallelism != 2 || len(want.Workers) != 2 {
+		t.Fatalf("test premise broken: %d ctp spans, /query report %+v", clauses, want)
+	}
+	// busy_ms folds as floats on both sides; the counters must match exactly.
+	for i := range fold.Workers {
+		fold.Workers[i].BusyMS = 0
+	}
+	for i := range want.Workers {
+		want.Workers[i].BusyMS = 0
+	}
+	if !reflect.DeepEqual(fold, want) {
+		t.Fatalf("span attributes fold to %+v,\n/query search is %+v", fold, want)
 	}
 }
 

@@ -147,7 +147,7 @@ type Server struct {
 	// It is touched once per executed request (never on a cache hit), so a
 	// mutex around the one struct is enough.
 	searchMu sync.Mutex
-	search   ctpquery.SearchStats
+	search   wire.Search
 
 	// Observability: the tracer owns the span pipeline and the
 	// /debug/traces flight recorder; reg renders /metrics; met holds the
@@ -158,16 +158,16 @@ type Server struct {
 }
 
 // searchTotals copies the server's search totals.
-func (s *Server) searchTotals() ctpquery.SearchStats {
+func (s *Server) searchTotals() wire.Search {
 	s.searchMu.Lock()
 	defer s.searchMu.Unlock()
 	st := s.search
-	st.Workers = append([]ctpquery.WorkerSearchStats(nil), s.search.Workers...)
+	st.Workers = append([]wire.Worker(nil), s.search.Workers...)
 	return st
 }
 
 // noteSearch folds one executed query's report into the server totals.
-func (s *Server) noteSearch(st ctpquery.SearchStats) {
+func (s *Server) noteSearch(st wire.Search) {
 	s.searchMu.Lock()
 	defer s.searchMu.Unlock()
 	// Across queries PeakTrees is a high-water mark, not the sum Add keeps
@@ -463,7 +463,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !cinfo.Hit && !cinfo.Coalesced {
 		s.noteSearch(st)
 		if s.est != nil {
-			actual := st.CostUnits()
+			actual := admission.CostUnits(st)
 			s.est.Observe(estSig, actual)
 			adm.ActualUnits = actual
 		}
@@ -481,7 +481,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // finishResponse encodes results with the request's row cap and cache
 // report applied, under an "encode" child span of the request's root.
-func (s *Server) finishResponse(res *ctpquery.Results, st ctpquery.SearchStats, cinfo ctpquery.CacheInfo, db *ctpquery.DB, req wire.Request, start time.Time, sp *obs.Span) wire.Response[wire.Row] {
+func (s *Server) finishResponse(res *ctpquery.Results, st wire.Search, cinfo ctpquery.CacheInfo, db *ctpquery.DB, req wire.Request, start time.Time, sp *obs.Span) wire.Response[wire.Row] {
 	maxRows := s.maxRows
 	if req.MaxRows > 0 && (maxRows == 0 || req.MaxRows < maxRows) {
 		maxRows = req.MaxRows
@@ -566,7 +566,7 @@ func (s *Server) shed(w http.ResponseWriter, r *http.Request, class admission.Cl
 	})
 }
 
-func (s *Server) encodeResults(res *ctpquery.Results, st ctpquery.SearchStats, algorithm string, maxRows int, omitTrees, includeKeys bool, total time.Duration) wire.Response[wire.Row] {
+func (s *Server) encodeResults(res *ctpquery.Results, st wire.Search, algorithm string, maxRows int, omitTrees, includeKeys bool, total time.Duration) wire.Response[wire.Row] {
 	probeQueryEncode.Hit()
 	resp := wire.Response[wire.Row]{
 		Columns:   res.Columns(),
@@ -575,7 +575,7 @@ func (s *Server) encodeResults(res *ctpquery.Results, st ctpquery.SearchStats, a
 		TimedOut:  res.TimedOut(),
 		Truncated: res.Truncated(),
 		Algorithm: algorithm,
-		Search:    searchReport(st),
+		Search:    &st,
 	}
 	bgp, ctp, join := res.Timings()
 	resp.TimingsMS = wire.Timings{BGP: ms(bgp), CTP: ms(ctp), Join: ms(join), Total: ms(total)}
@@ -618,31 +618,6 @@ func (s *Server) encodeResults(res *ctpquery.Results, st ctpquery.SearchStats, a
 		resp.Rows = append(resp.Rows, out)
 	}
 	return resp
-}
-
-// searchReport renders a search report for the wire: one query's on
-// /query, the server's totals on /stats.
-func searchReport(st ctpquery.SearchStats) *wire.Search {
-	r := &wire.Search{
-		TreesGenerated: st.TreesGenerated,
-		TreesKept:      st.TreesKept,
-		TreesRecycled:  st.TreesRecycled,
-		PeakTrees:      st.PeakTrees,
-		PeakQueueLen:   st.PeakQueueLen,
-		Allocations:    st.Allocations,
-		BGPExamined:    st.BGPExamined,
-		BGPRows:        st.BGPRows,
-		Parallelism:    st.Parallelism,
-	}
-	for _, ws := range st.Workers {
-		r.Workers = append(r.Workers, wire.Worker{
-			Ops:     ws.Ops,
-			Kept:    ws.Kept,
-			Shipped: ws.Shipped,
-			BusyMS:  float64(ws.BusyNS) / 1e6,
-		})
-	}
-	return r
 }
 
 // handleHealth reports the degradation-ladder state: "ok" and

@@ -24,7 +24,7 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	g := ctpquery.RandomGraph(800, 2400, []string{"knows", "cites", "funds"}, 42)
 	db, err := ctpquery.Open(g, &ctpquery.Options{Parallel: true, TrackAllocs: true},
-		ctpquery.WithCache(64<<20, 0))
+		ctpquery.WithCache(64<<20))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func TestWireSurfaceGolden(t *testing.T) {
 func serverSurface(t *testing.T, sf *surface) {
 	g := ctpquery.RandomGraph(800, 2400, []string{"knows", "cites", "funds"}, 42).
 		LiveWithConfig(ctpquery.LiveConfig{CompactThreshold: -1})
-	db, err := ctpquery.Open(g, &ctpquery.Options{Parallel: true, TrackAllocs: true}, ctpquery.WithCache(64<<20, 0))
+	db, err := ctpquery.Open(g, &ctpquery.Options{Parallel: true, TrackAllocs: true}, ctpquery.WithCache(64<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func (downTransport) Probe(context.Context) (cluster.HealthReport, error) {
 func coordSurface(t *testing.T, sf *surface, topo string) {
 	shard := func(name string) cluster.Transport {
 		g := ctpquery.RandomGraph(600, 1800, []string{"knows", "cites"}, 42)
-		db, err := ctpquery.Open(g, &ctpquery.Options{Parallel: true, Parallelism: 2}, ctpquery.WithCache(16<<20, 0))
+		db, err := ctpquery.Open(g, &ctpquery.Options{Parallel: true, Parallelism: 2}, ctpquery.WithCache(16<<20))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,7 +20,7 @@ func newWatchdogServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	g := ctpquery.RandomGraph(800, 2400, []string{"knows", "cites", "funds"}, 42)
 	db, err := ctpquery.Open(g, &ctpquery.Options{Parallel: true, Parallelism: 4},
-		ctpquery.WithCache(16<<20, 0))
+		ctpquery.WithCache(16<<20))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,16 @@
 // boundary both servers answer through. internal/serve encodes these
 // types, internal/cluster decodes, merges and forwards them, and
 // internal/load sends and reads them, so the three cannot drift apart.
+// The search report (Search) reaches further down: the engine fills it
+// and its spans carry it, and the ctpquery facade returns it.
 package wire
 
 import (
 	"encoding/json"
 	"net/http"
+	"strconv"
+
+	"ctpquery/internal/obs"
 )
 
 // Request is the body of POST /query. Every field but Query may be
@@ -119,31 +124,116 @@ type Timings struct {
 	Total float64 `json:"total"`
 }
 
-// Search is the search-effort report of ctpquery.SearchStats: one
-// query's on /query, the server's totals on /stats.
+// Search is the one search-effort report (ctpquery.SearchStats is an
+// alias): how many provenance trees the CTP searches built and kept (the
+// paper's Figure 11 metric), how hard the queues and the allocator were
+// pushed, and what BGP evaluation read. The engine fills it from each
+// CONNECT clause's kernel counters; it is one query's report on /query,
+// the server's totals on /stats, and, through Attrs, the attributes of
+// the engine's bgp, ctp[i] and worker[j] spans.
 type Search struct {
-	TreesGenerated int    `json:"trees_generated"`
-	TreesKept      int    `json:"trees_kept"`
-	TreesRecycled  int    `json:"trees_recycled"`
-	PeakTrees      int    `json:"peak_trees"`
-	PeakQueueLen   int    `json:"peak_queue_len"`
-	Allocations    uint64 `json:"allocations"`
+	// TreesGenerated counts every provenance tree constructed, including
+	// ones discarded as duplicates.
+	TreesGenerated int `json:"trees_generated"`
+	// TreesKept counts the provenances retained.
+	TreesKept int `json:"trees_kept"`
+	// TreesRecycled counts rejected candidates: duplicates whose space the
+	// search's arena took back, or that were never built.
+	TreesRecycled int `json:"trees_recycled"`
+	// PeakTrees is the largest number of live provenances at any instant,
+	// summed over CONNECT clauses.
+	PeakTrees int `json:"peak_trees"`
+	// PeakQueueLen is the largest grow-queue length over all clauses.
+	PeakQueueLen int `json:"peak_queue_len"`
+	// Allocations is the heap allocation count of the searches, sampled
+	// only with TrackAllocs (0 otherwise).
+	Allocations uint64 `json:"allocations"`
 	// BGPExamined and BGPRows are the edges BGP evaluation examined and
 	// the rows it materialized (absent without a BGP).
 	BGPExamined int `json:"bgp_examined,omitempty"`
 	BGPRows     int `json:"bgp_rows,omitempty"`
-	// Parallelism is the worker count the searches ran with (absent for
-	// the sequential kernel); Workers breaks the effort down per worker.
+	// Parallelism is the largest worker count any CONNECT search ran with
+	// (absent for the sequential kernel); Workers breaks the effort down
+	// per worker, index-aligned across searches.
 	Parallelism int      `json:"parallelism,omitempty"`
 	Workers     []Worker `json:"workers,omitempty"`
 }
 
-// Worker is one search worker's share of the effort.
+// Worker is one parallel-search worker's share of the effort.
 type Worker struct {
-	Ops     int     `json:"ops"`
-	Kept    int     `json:"kept"`
-	Shipped int     `json:"shipped"`
-	BusyMS  float64 `json:"busy_ms"`
+	// Ops counts grow opportunities and exchange tasks processed.
+	Ops int `json:"ops"`
+	// Kept counts the provenance trees this worker retained.
+	Kept int `json:"kept"`
+	// Shipped counts tasks routed to other workers' shards.
+	Shipped int `json:"shipped"`
+	// BusyMS is the worker's thread CPU time (0 where unsupported); the
+	// maximum over workers approximates the search's critical path.
+	BusyMS float64 `json:"busy_ms"`
+}
+
+// Add folds o into s: the counters sum, PeakQueueLen and Parallelism keep
+// the larger value, and workers sum index-aligned. PeakTrees sums too,
+// since the searches of one query may be live together. It is the one
+// fold behind a query's report (over its CONNECT clauses) and a server's
+// totals (over queries).
+func (s *Search) Add(o Search) {
+	s.TreesGenerated += o.TreesGenerated
+	s.TreesKept += o.TreesKept
+	s.TreesRecycled += o.TreesRecycled
+	s.PeakTrees += o.PeakTrees
+	s.PeakQueueLen = max(s.PeakQueueLen, o.PeakQueueLen)
+	s.Allocations += o.Allocations
+	s.BGPExamined += o.BGPExamined
+	s.BGPRows += o.BGPRows
+	s.Parallelism = max(s.Parallelism, o.Parallelism)
+	if n := len(o.Workers); n > len(s.Workers) {
+		s.Workers = append(s.Workers, make([]Worker, n-len(s.Workers))...)
+	}
+	for i, w := range o.Workers {
+		t := &s.Workers[i]
+		t.Ops += w.Ops
+		t.Kept += w.Kept
+		t.Shipped += w.Shipped
+		t.BusyMS += w.BusyMS
+	}
+}
+
+// Attrs renders the report's non-zero counters as span attributes under
+// their JSON keys, so a trace reads like the /query report it sums to.
+// Workers are left out: each is a span of its own (Worker.Attrs).
+func (s Search) Attrs() []obs.Attr {
+	attrs := make([]obs.Attr, 0, 9)
+	for _, c := range []struct {
+		key string
+		v   uint64
+	}{
+		{"trees_generated", uint64(s.TreesGenerated)},
+		{"trees_kept", uint64(s.TreesKept)},
+		{"trees_recycled", uint64(s.TreesRecycled)},
+		{"peak_trees", uint64(s.PeakTrees)},
+		{"peak_queue_len", uint64(s.PeakQueueLen)},
+		{"allocations", s.Allocations},
+		{"bgp_examined", uint64(s.BGPExamined)},
+		{"bgp_rows", uint64(s.BGPRows)},
+		{"parallelism", uint64(s.Parallelism)},
+	} {
+		if c.v != 0 {
+			attrs = append(attrs, obs.Attr{Key: c.key, Val: strconv.FormatUint(c.v, 10)})
+		}
+	}
+	return attrs
+}
+
+// Attrs renders the worker's share as span attributes under its JSON
+// keys, zeros included.
+func (w Worker) Attrs() []obs.Attr {
+	return []obs.Attr{
+		{Key: "ops", Val: strconv.Itoa(w.Ops)},
+		{Key: "kept", Val: strconv.Itoa(w.Kept)},
+		{Key: "shipped", Val: strconv.Itoa(w.Shipped)},
+		{Key: "busy_ms", Val: strconv.FormatFloat(w.BusyMS, 'f', -1, 64)},
+	}
 }
 
 // Cache is the per-request cache report.

@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
+
+	"ctpquery/internal/obs"
 )
 
 // TestRecover pins the containment boundary both servers share: a panic
@@ -50,4 +53,57 @@ func TestRecover(t *testing.T) {
 		}
 	}()
 	serve(func(http.ResponseWriter, *http.Request) { panic(http.ErrAbortHandler) })
+}
+
+// TestSearchAdd: counters sum, peak_queue_len and parallelism keep the
+// larger value, and workers sum index-aligned, growing the receiver.
+func TestSearchAdd(t *testing.T) {
+	s := Search{TreesGenerated: 5, TreesKept: 2, PeakTrees: 3, PeakQueueLen: 9, Parallelism: 2,
+		Workers: []Worker{{Ops: 1, Kept: 1, Shipped: 1, BusyMS: 0.5}}}
+	s.Add(Search{TreesGenerated: 7, TreesKept: 4, TreesRecycled: 3, PeakTrees: 4, PeakQueueLen: 6,
+		Allocations: 11, BGPExamined: 64, BGPRows: 8, Parallelism: 4,
+		Workers: []Worker{{Ops: 2, Kept: 3, BusyMS: 0.25}, {Ops: 5, Shipped: 2, BusyMS: 1}}})
+	want := Search{TreesGenerated: 12, TreesKept: 6, TreesRecycled: 3, PeakTrees: 7, PeakQueueLen: 9,
+		Allocations: 11, BGPExamined: 64, BGPRows: 8, Parallelism: 4,
+		Workers: []Worker{{Ops: 3, Kept: 4, Shipped: 1, BusyMS: 0.75}, {Ops: 5, Shipped: 2, BusyMS: 1}}}
+	got, _ := json.Marshal(s)
+	if exp, _ := json.Marshal(want); string(got) != string(exp) {
+		t.Fatalf("fold = %s, want %s", got, exp)
+	}
+}
+
+// TestAttrsAreReportKeys: a report's span attributes, read back as a JSON
+// object, decode into the same report, so a trace and /query cannot name
+// a counter differently; a zero report carries no attributes.
+func TestAttrsAreReportKeys(t *testing.T) {
+	decode := func(attrs []obs.Attr, into any) {
+		t.Helper()
+		obj := map[string]json.RawMessage{}
+		for _, a := range attrs {
+			obj[a.Key] = json.RawMessage(a.Val)
+		}
+		raw, err := json.Marshal(obj)
+		if err == nil {
+			err = json.Unmarshal(raw, into)
+		}
+		if err != nil {
+			t.Fatalf("attrs %v do not read back as JSON: %v", attrs, err)
+		}
+	}
+	s := Search{TreesGenerated: 1, TreesKept: 2, TreesRecycled: 3, PeakTrees: 4, PeakQueueLen: 5,
+		Allocations: 6, BGPExamined: 7, BGPRows: 8, Parallelism: 9}
+	var got Search
+	decode(s.Attrs(), &got)
+	if !reflect.DeepEqual(got, s) {
+		t.Fatalf("attrs read back as %+v, want %+v", got, s)
+	}
+	if attrs := (Search{}).Attrs(); len(attrs) != 0 {
+		t.Fatalf("zero report has attrs %v", attrs)
+	}
+	w := Worker{Ops: 3, Shipped: 1, BusyMS: 0.125}
+	var gw Worker
+	decode(w.Attrs(), &gw)
+	if gw != w || len(w.Attrs()) != 4 {
+		t.Fatalf("worker attrs %v read back as %+v, want all four keys of %+v", w.Attrs(), gw, w)
+	}
 }

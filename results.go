@@ -11,6 +11,7 @@ import (
 	"ctpquery/internal/graph"
 	"ctpquery/internal/score"
 	"ctpquery/internal/tree"
+	"ctpquery/internal/wire"
 )
 
 // Results is the outcome of executing a query: a table of rows, one
@@ -23,11 +24,6 @@ type Results struct {
 	res *engine.Result
 
 	treeCols map[string]bool
-
-	// traceID is the trace the run executed under ("" without a tracer);
-	// surfaced through SearchStats so cached results keep pointing at the
-	// populating run's trace in the flight recorder.
-	traceID string
 }
 
 func newResults(g *Graph, q *eql.Query, res *engine.Result) *Results {
@@ -221,158 +217,21 @@ func (r *Results) Timings() (bgp, ctp, join time.Duration) {
 	return r.res.BGPTime, r.res.CTPTime, r.res.JoinTime
 }
 
-// SearchStats is the aggregated search-effort report over every CONNECT
-// clause of a query: how many provenance trees the CTP kernels built, how
-// hard the queues and the memory allocator were pushed. Servers surface it
-// per query so hot-path regressions are observable in production, not
-// only under the benchmarks.
-type SearchStats struct {
-	// TreesGenerated counts every provenance tree constructed, including
-	// ones discarded as duplicates.
-	TreesGenerated int
-	// TreesKept counts the provenances retained (the paper's Figure 11
-	// metric).
-	TreesKept int
-	// TreesRecycled counts rejected candidates — duplicates whose space
-	// the search's arena took back, or that were never built.
-	TreesRecycled int
-	// PeakTrees is the largest number of live provenances at any instant,
-	// summed over CONNECT clauses.
-	PeakTrees int
-	// PeakQueueLen is the largest grow-queue length over all clauses.
-	PeakQueueLen int
-	// Allocations is the total heap allocation count of the searches,
-	// sampled only when Options.TrackAllocs is set (0 otherwise).
-	Allocations uint64
-
-	// Parallelism is the largest worker count any CONNECT search ran with
-	// (0 when every search took the sequential kernel).
-	Parallelism int
-	// Workers aggregates per-worker effort across the query's CONNECT
-	// searches, index-aligned (worker 0 of every search sums into entry
-	// 0). Empty for sequential queries.
-	Workers []WorkerSearchStats
-
-	// BGPExamined counts the edges BGP evaluation read from an index or an
-	// adjacency list and checked against a pattern; BGPRows the rows it
-	// materialized, intermediate join results included.
-	BGPExamined int
-	BGPRows     int
-
-	// BGPNS, CTPNS, and JoinNS are the per-stage evaluation times in
-	// nanoseconds — the Timings breakdown embedded here so one struct
-	// carries a query's full effort-and-latency report.
-	BGPNS, CTPNS, JoinNS int64
-	// TraceID identifies the run's trace in the executing process's
-	// flight recorder (GET /debug/traces?id=); empty when the run had no
-	// tracer. On a cache hit it is the trace of the run that populated
-	// the entry — the request that actually did the work.
-	TraceID string
-}
+// SearchStats is the search-effort report of a query: how many provenance
+// trees the CTP kernels built and kept, how hard the queues and the
+// allocator were pushed, what BGP evaluation read, and, for parallel
+// searches, each worker's share. It is the type ctpserve puts on /query
+// and folds into /stats (with SearchStats.Add), so the library and the
+// wire report one schema.
+type SearchStats = wire.Search
 
 // WorkerSearchStats is one parallel-search worker's share of a query's
-// effort; see ctpquery's DESIGN.md §6 for the runtime it describes.
-type WorkerSearchStats struct {
-	// Ops counts grow opportunities and exchange tasks processed.
-	Ops int
-	// Kept counts provenance trees this worker retained.
-	Kept int
-	// Shipped counts tasks routed to other workers' shards.
-	Shipped int
-	// BusyNS is the worker's thread CPU time (0 where unsupported); the
-	// max over workers approximates the search's critical path.
-	BusyNS int64
-	// WallNS is the worker's wall time from spawn to drain — what the
-	// tracer renders as the worker's span.
-	WallNS int64
-}
+// effort; see DESIGN.md §6 for the runtime it describes.
+type WorkerSearchStats = wire.Worker
 
-// CostUnits collapses the report into one scalar effort number — the
-// feedback signal the admission estimator (internal/admission) learns
-// observed per-shape costs from. Units are provenance-tree
-// constructions, the paper's effort metric, plus one unit per 64 edges
-// BGP evaluation examined — the rate the estimator's static model
-// charges a pattern scan at; a query that did neither still reports 1 so
-// downstream ratios stay finite.
-func (s SearchStats) CostUnits() float64 {
-	u := float64(s.TreesGenerated) + float64(s.BGPExamined)/64
-	if u < 1 {
-		u = 1
-	}
-	return u
-}
-
-// Add folds o into s: effort counters and stage times sum, PeakQueueLen
-// and Parallelism keep the larger value, and workers sum index-aligned.
-// PeakTrees sums too — the searches of one query may be live together;
-// TraceID stays the receiver's. It is the one fold behind both a query's
-// report (over its CONNECT clauses) and a server's totals (over queries).
-func (s *SearchStats) Add(o SearchStats) {
-	s.TreesGenerated += o.TreesGenerated
-	s.TreesKept += o.TreesKept
-	s.TreesRecycled += o.TreesRecycled
-	s.PeakTrees += o.PeakTrees
-	if o.PeakQueueLen > s.PeakQueueLen {
-		s.PeakQueueLen = o.PeakQueueLen
-	}
-	s.Allocations += o.Allocations
-	if o.Parallelism > s.Parallelism {
-		s.Parallelism = o.Parallelism
-	}
-	for i, w := range o.Workers {
-		s.addWorker(i, w)
-	}
-	s.BGPExamined += o.BGPExamined
-	s.BGPRows += o.BGPRows
-	s.BGPNS += o.BGPNS
-	s.CTPNS += o.CTPNS
-	s.JoinNS += o.JoinNS
-}
-
-// addWorker sums w into the i-th worker entry, growing Workers to hold it.
-func (s *SearchStats) addWorker(i int, w WorkerSearchStats) {
-	for i >= len(s.Workers) {
-		s.Workers = append(s.Workers, WorkerSearchStats{})
-	}
-	t := &s.Workers[i]
-	t.Ops += w.Ops
-	t.Kept += w.Kept
-	t.Shipped += w.Shipped
-	t.BusyNS += w.BusyNS
-	t.WallNS += w.WallNS
-}
-
-// SearchStats aggregates the per-CONNECT search statistics of the query.
-func (r *Results) SearchStats() SearchStats {
-	out := SearchStats{
-		BGPExamined: r.res.BGPExamined,
-		BGPRows:     r.res.BGPRows,
-		BGPNS:       int64(r.res.BGPTime),
-		CTPNS:       int64(r.res.CTPTime),
-		JoinNS:      int64(r.res.JoinTime),
-		TraceID:     r.traceID,
-	}
-	for _, st := range r.res.CTPStats {
-		if st == nil {
-			continue
-		}
-		out.Add(SearchStats{
-			TreesGenerated: st.Created,
-			TreesKept:      st.Kept(),
-			TreesRecycled:  st.Recycled,
-			PeakTrees:      st.PeakTrees,
-			PeakQueueLen:   st.PeakQueueLen,
-			Allocations:    st.Allocations,
-			Parallelism:    st.Parallelism,
-		})
-		// Folded here rather than through Add's Workers, which would need
-		// the core slice converted into a fresh one first.
-		for i, ws := range st.Workers {
-			out.addWorker(i, WorkerSearchStats{Ops: ws.Ops, Kept: ws.Kept, Shipped: ws.Shipped, BusyNS: ws.BusyNS, WallNS: ws.WallNS})
-		}
-	}
-	return out
-}
+// SearchStats returns the query's report: BGP effort plus every CONNECT
+// clause's, folded. Each call returns a fresh value.
+func (r *Results) SearchStats() SearchStats { return r.res.Report() }
 
 // Row is one result row. The zero Row is invalid; obtain rows from
 // Results.Row or Results.Each.

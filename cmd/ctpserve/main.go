@@ -9,9 +9,10 @@
 //	ctpserve -random 5000x20000 -seed 7          # generated random graph
 //
 // Graph files are sniffed by content: binary snapshots (the "CTPG" magic,
-// any extension) load in milliseconds, anything else parses as triples.
-// -save-snapshot FILE writes the loaded graph back out as a snapshot so
-// the next start skips the text parse.
+// any extension) load without a text parse, anything else parses as
+// triples. -save-snapshot FILE writes the loaded graph back out as a
+// snapshot so the next start skips the text parse; it also re-saves a
+// snapshot of an older format version, which loading refuses.
 //
 // Endpoints:
 //

@@ -136,10 +136,10 @@ func LoadSnapshot(r io.Reader) (*Graph, error) {
 
 // OpenGraph loads a graph file, detecting the format by content: files
 // beginning with the binary snapshot magic ("CTPG" — .snap/.ctpg files
-// written by Graph.WriteSnapshot, loaded in milliseconds) are read as
-// snapshots regardless of extension; anything else parses as triple
-// text. A large server graph therefore starts fast no matter what the
-// snapshot was named.
+// written by Graph.WriteSnapshot) are read as snapshots regardless of
+// extension; anything else parses as triple text. A snapshot loads as a
+// bulk decode plus a concurrent index build, with no text to parse, so a
+// large server graph starts fast no matter what the snapshot was named.
 func OpenGraph(path string) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Builder assembles a Graph. It is not safe for concurrent use. After
@@ -122,55 +123,100 @@ func (b *Builder) Build() *Graph {
 		sort.Slice(ts, func(a, b int) bool { return ts[a] < ts[b] })
 	}
 
-	freezeIndexes(g)
-	g.fingerprint = g.computeFingerprint()
+	freezeIndexes(g, func() { g.fingerprint = g.computeFingerprint() })
 	return g
 }
 
 // freezeIndexes computes the CSR adjacency arrays and label/type indexes
-// from g's nodeLabel/nodeTypes/edges/labels fields — the freeze step shared
-// by Builder.Build and the Store's compaction rebuild.
-func freezeIndexes(g *Graph) {
-	n := len(g.nodeLabel)
+// from g's nodeLabel/nodeTypes/edges/labels fields — the freeze step
+// shared by Builder.Build, ReadSnapshot and the Store's compaction
+// rebuild — and runs the caller's extra tasks, such as the content
+// fingerprint, beside them. Each task reads only those fields and writes
+// only its own, so on a graph of concurrentFreezeEdges edges or more the
+// tasks run concurrently; their result does not depend on the schedule.
+// Every ID must already be in range: a panic on a task's goroutine is
+// outside any caller's recover.
+func freezeIndexes(g *Graph, extra ...func()) {
+	n, nLabels := len(g.nodeLabel), g.labels.Len()
+	tasks := append([]func(){
+		func() { g.adjOff, g.adjEdges = adjacencyCSR(g.edges, n) },
+		func() { g.outOff, g.outEdges = edgeCSR(g.edges, n, func(e Edge) int32 { return int32(e.Source) }) },
+		func() { g.inOff, g.inEdges = edgeCSR(g.edges, n, func(e Edge) int32 { return int32(e.Target) }) },
+		func() {
+			g.labelEdgeOff, g.labelEdges = edgeCSR(g.edges, nLabels, func(e Edge) int32 { return int32(e.Label) })
+		},
+		g.freezeNodeIndexes,
+	}, extra...)
+	if len(g.edges) < concurrentFreezeEdges {
+		for _, task := range tasks {
+			task()
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(len(tasks) - 1)
+	for _, task := range tasks[1:] {
+		go func(task func()) {
+			defer wg.Done()
+			task()
+		}(task)
+	}
+	tasks[0]()
+	wg.Wait()
+}
 
-	// CSR adjacency: count degrees, prefix-sum into offsets, then fill in
-	// edge-ID order so every per-node run is ascending.
-	g.outOff = make([]int32, n+1)
-	g.inOff = make([]int32, n+1)
-	g.adjOff = make([]int32, n+1)
-	for _, e := range g.edges {
-		g.outOff[e.Source+1]++
-		g.inOff[e.Target+1]++
-		g.adjOff[e.Source+1]++
+// concurrentFreezeEdges is the graph size from which the freeze runs its
+// tasks on goroutines. A smaller graph freezes in a few milliseconds on
+// one CPU, and a Store compacts graphs of that size beside the readers it
+// serves, which the freeze should not crowd off the other CPUs.
+const concurrentFreezeEdges = 1 << 17
+
+// edgeCSR groups edge IDs by key into CSR form over [0, buckets): count
+// per key, prefix-sum into offsets, then fill in edge-ID order so every
+// run is ascending.
+func edgeCSR(edges []Edge, buckets int, key func(Edge) int32) ([]int32, []EdgeID) {
+	off := make([]int32, buckets+1)
+	for _, e := range edges {
+		off[key(e)+1]++
+	}
+	prefixSum(off)
+	ids := make([]EdgeID, off[buckets])
+	cur := cursors(off)
+	for i, e := range edges {
+		k := key(e)
+		ids[cur[k]] = EdgeID(i)
+		cur[k]++
+	}
+	return off, ids
+}
+
+// adjacencyCSR is edgeCSR keyed by both endpoints: a self-loop is listed
+// once.
+func adjacencyCSR(edges []Edge, n int) ([]int32, []EdgeID) {
+	off := make([]int32, n+1)
+	for _, e := range edges {
+		off[e.Source+1]++
 		if e.Target != e.Source {
-			g.adjOff[e.Target+1]++
+			off[e.Target+1]++
 		}
 	}
-	prefixSum(g.outOff)
-	prefixSum(g.inOff)
-	prefixSum(g.adjOff)
-	g.outEdges = make([]EdgeID, g.outOff[n])
-	g.inEdges = make([]EdgeID, g.inOff[n])
-	g.adjEdges = make([]EdgeID, g.adjOff[n])
-	outCur := cursors(g.outOff)
-	inCur := cursors(g.inOff)
-	adjCur := cursors(g.adjOff)
-	for i, e := range g.edges {
-		id := EdgeID(i)
-		g.outEdges[outCur[e.Source]] = id
-		outCur[e.Source]++
-		g.inEdges[inCur[e.Target]] = id
-		inCur[e.Target]++
-		g.adjEdges[adjCur[e.Source]] = id
-		adjCur[e.Source]++
+	prefixSum(off)
+	ids := make([]EdgeID, off[n])
+	cur := cursors(off)
+	for i, e := range edges {
+		ids[cur[e.Source]] = EdgeID(i)
+		cur[e.Source]++
 		if e.Target != e.Source {
-			g.adjEdges[adjCur[e.Target]] = id
-			adjCur[e.Target]++
+			ids[cur[e.Target]] = EdgeID(i)
+			cur[e.Target]++
 		}
 	}
+	return off, ids
+}
 
-	// Label and type indexes, CSR keyed by the dense LabelID. Unlabeled
-	// nodes are not indexed; edges are indexed under every label.
+// freezeNodeIndexes builds the label and type node indexes, CSR keyed by
+// the dense LabelID. Unlabeled nodes are not indexed.
+func (g *Graph) freezeNodeIndexes() {
 	nLabels := g.labels.Len()
 	g.labelNodeOff = make([]int32, nLabels+1)
 	for _, l := range g.nodeLabel {
@@ -186,18 +232,6 @@ func freezeIndexes(g *Graph) {
 			g.labelNodes[lnCur[l]] = NodeID(i)
 			lnCur[l]++
 		}
-	}
-
-	g.labelEdgeOff = make([]int32, nLabels+1)
-	for _, e := range g.edges {
-		g.labelEdgeOff[e.Label+1]++
-	}
-	prefixSum(g.labelEdgeOff)
-	g.labelEdges = make([]EdgeID, g.labelEdgeOff[nLabels])
-	leCur := cursors(g.labelEdgeOff)
-	for i, e := range g.edges {
-		g.labelEdges[leCur[e.Label]] = EdgeID(i)
-		leCur[e.Label]++
 	}
 
 	g.typeNodeOff = make([]int32, nLabels+1)

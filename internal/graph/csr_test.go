@@ -158,6 +158,16 @@ func TestCSRGoldenWorkloads(t *testing.T) {
 	}
 }
 
+// TestCSRGoldenConcurrentFreeze covers the freeze's concurrent schedule,
+// which only graphs of graph.ConcurrentFreezeEdges edges or more take.
+func TestCSRGoldenConcurrentFreeze(t *testing.T) {
+	g := gen.YAGOLike(12000, 1).Graph
+	if g.NumEdges() < graph.ConcurrentFreezeEdges {
+		t.Fatalf("%d edges: the freeze ran sequentially", g.NumEdges())
+	}
+	checkCSRAgainstNaive(t, g)
+}
+
 // BenchmarkCSRExpansion measures the adjacency-expansion pattern of the
 // search hot loop: touch every incident edge of every node. The CSR
 // accessors must not allocate.

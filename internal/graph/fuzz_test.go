@@ -11,7 +11,7 @@ import (
 // WriteSnapshot, or fails with a structured *SnapshotError — it never
 // panics and never half-loads. The committed corpus under
 // testdata/fuzz/FuzzSnapshot seeds a valid snapshot plus truncated,
-// bit-flipped, and legacy-version variants.
+// bit-flipped, and old- or unknown-version variants.
 func FuzzSnapshot(f *testing.F) {
 	b := NewBuilder()
 	n0 := b.AddNode("person")
@@ -33,9 +33,9 @@ func FuzzSnapshot(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/3] ^= 0x40
 	f.Add(flipped)
-	var v1 bytes.Buffer
-	writeSnapshotV1(&v1, g)
-	f.Add(v1.Bytes())
+	oldVersion := append([]byte(nil), valid...)
+	oldVersion[4] = 2
+	f.Add(oldVersion)
 	f.Add([]byte("CTPG"))
 	f.Add([]byte{})
 

@@ -6,30 +6,44 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"strings"
 )
 
 // Binary snapshots persist a graph much faster than the triple text
 // format and, unlike it, round-trip graphs with duplicate or empty node
-// labels, node types, and string properties. The format is versioned and
-// little-endian:
+// labels, node types, and string properties. The format (version 3) is
+// little-endian, all integers u32:
 //
-//	magic "CTPG" | version u32 |
-//	dictionary §  | nodes §  | edges §  | node-props §  | edge-props §
+//	magic "CTPG" | version 3 |
+//	counts §      nLabels | dictBytes | nNodes | nTypes | nEdges
+//	dictionary §  dictOff [nLabels+1] | dict [dictBytes]byte
+//	nodes §       nodeLabel [nNodes] | typeOff [nNodes+1] | types [nTypes]
+//	edges §       [nEdges](source, target, label)
+//	node-props §  count, then per property: name, count, then per value: node, value
+//	edge-props §  likewise, keyed by edge ID
 //
-// where each § section ends with a CRC32 (IEEE) of its payload bytes
-// (version 2; version-1 snapshots, without checksums, remain readable).
-// Strings are length-prefixed (u32). Corruption — a flipped bit, a
-// truncated file, garbage — surfaces as a structured *SnapshotError
-// naming the section and byte offset, never as a panic or a silently
-// wrong graph: every ID is bounds-checked against the counts already
-// read, and the checksum catches what validation cannot. The format is
-// not meant for cross-version durability guarantees — it is a cache,
-// not an archive.
+// where each § section ends with a CRC32 (IEEE) of its payload bytes and
+// strings in the property sections are length-prefixed. Label i is
+// dict[dictOff[i]:dictOff[i+1]] (label 0 is ε); node n's types, ascending,
+// are types[typeOff[n]:typeOff[n+1]]. The reader checks the counts
+// section's checksum before it allocates anything sized by a count, reads
+// every other section as whole slabs (one checksum update per chunk), and
+// validates every offset and ID before it assembles the graph. The CSR
+// indexes are not stored: rebuilding them costs about what validating
+// stored ones would, and a rebuilt index cannot disagree with the edges.
+//
+// Corruption — a flipped bit, a truncated file, garbage — surfaces as a
+// structured *SnapshotError naming the section and byte offset, never as
+// a panic or a silently wrong graph. The format is a cache, not an
+// archive: a file of an older version fails with an error that says to
+// write it again.
 
 const (
-	snapshotMagic     = "CTPG"
-	snapshotVersion   = 2
-	snapshotVersionV1 = 1 // legacy: no section checksums
+	snapshotMagic   = "CTPG"
+	snapshotVersion = 3
+
+	// slabChunk is the unit of slab I/O and checksumming.
+	slabChunk = 64 << 10
 )
 
 var crcTable = crc32.MakeTable(crc32.IEEE)
@@ -38,7 +52,7 @@ var crcTable = crc32.MakeTable(crc32.IEEE)
 // section could not be decoded and at what byte offset into the stream,
 // so an operator can tell a truncated copy from a flipped disk bit.
 type SnapshotError struct {
-	Section string // "header", "dictionary", "nodes", "edges", "node-props", "edge-props", "decode"
+	Section string // "header", "counts", "dictionary", "nodes", "edges", "node-props", "edge-props", "decode"
 	Offset  int64  // bytes consumed when the failure was detected
 	Err     error
 }
@@ -49,10 +63,113 @@ func (e *SnapshotError) Error() string {
 
 func (e *SnapshotError) Unwrap() error { return e.Err }
 
-// snapWriter accumulates a CRC32 over each section's payload;
-// endSection emits it.
+// snapshotContent is what a snapshot holds, slab by slab. WriteSnapshot
+// flattens a graph into one and encodes it; ReadSnapshot decodes and
+// validates one and assembles the graph around its slabs.
+type snapshotContent struct {
+	dictOff   []uint32
+	dict      string
+	nodeLabel []LabelID
+	typeOff   []uint32
+	types     []LabelID
+	edges     []Edge
+	nodeProps map[string]map[NodeID]string
+	edgeProps map[string]map[EdgeID]string
+}
+
+// contentOf flattens g, which must have no overlay.
+func contentOf(g *Graph) *snapshotContent {
+	c := &snapshotContent{
+		dictOff:   make([]uint32, 1, g.labels.Len()+1),
+		nodeLabel: g.nodeLabel,
+		typeOff:   make([]uint32, 1, len(g.nodeTypes)+1),
+		edges:     g.edges,
+		nodeProps: g.nodeProps,
+		edgeProps: g.edgeProps,
+	}
+	var dict strings.Builder
+	for i := 0; i < g.labels.Len(); i++ {
+		dict.WriteString(g.labels.String(LabelID(i)))
+		c.dictOff = append(c.dictOff, uint32(dict.Len()))
+	}
+	c.dict = dict.String()
+	for _, ts := range g.nodeTypes {
+		c.types = append(c.types, ts...)
+		c.typeOff = append(c.typeOff, uint32(len(c.types)))
+	}
+	return c
+}
+
+// WriteSnapshot serializes g into w.
+func WriteSnapshot(w io.Writer, g *Graph) error {
+	// A live epoch view serializes its logical content: compact the
+	// overlay away first so the raw-field walk below sees a plain base.
+	return contentOf(g.Compact()).encode(w)
+}
+
+// encode writes c as a snapshot. It checksums whatever c holds; only
+// ReadSnapshot validates.
+func (c *snapshotContent) encode(w io.Writer) error {
+	sw := &snapWriter{bw: bufio.NewWriter(w)}
+	sw.raw([]byte(snapshotMagic))
+	sw.raw(binary.LittleEndian.AppendUint32(nil, snapshotVersion))
+
+	for _, n := range []int{len(c.dictOff) - 1, len(c.dict), len(c.nodeLabel), len(c.types), len(c.edges)} {
+		sw.u32(uint32(n))
+	}
+	sw.endSection()
+
+	for _, o := range c.dictOff {
+		sw.u32(o)
+	}
+	sw.blob(c.dict)
+	sw.endSection()
+
+	for _, l := range c.nodeLabel {
+		sw.u32(uint32(l))
+	}
+	for _, o := range c.typeOff {
+		sw.u32(o)
+	}
+	for _, t := range c.types {
+		sw.u32(uint32(t))
+	}
+	sw.endSection()
+
+	for _, e := range c.edges {
+		sw.u32(uint32(e.Source))
+		sw.u32(uint32(e.Target))
+		sw.u32(uint32(e.Label))
+	}
+	sw.endSection()
+
+	writeProps(sw, c.nodeProps)
+	writeProps(sw, c.edgeProps)
+
+	if sw.err != nil {
+		return sw.err
+	}
+	return sw.bw.Flush()
+}
+
+func writeProps[K NodeID | EdgeID](sw *snapWriter, props map[string]map[K]string) {
+	sw.u32(uint32(len(props)))
+	for p, m := range props {
+		sw.str(p)
+		sw.u32(uint32(len(m)))
+		for k, v := range m {
+			sw.u32(uint32(k))
+			sw.str(v)
+		}
+	}
+	sw.endSection()
+}
+
+// snapWriter buffers a section's payload in chunks and accumulates its
+// CRC32 one chunk at a time; endSection emits it.
 type snapWriter struct {
 	bw  *bufio.Writer
+	buf []byte
 	crc uint32
 	err error
 }
@@ -67,97 +184,37 @@ func (w *snapWriter) raw(b []byte) {
 	}
 }
 
-func (w *snapWriter) write(b []byte) {
-	w.crc = crc32.Update(w.crc, crcTable, b)
-	w.raw(b)
+func (w *snapWriter) flush() {
+	w.crc = crc32.Update(w.crc, crcTable, w.buf)
+	w.raw(w.buf)
+	w.buf = w.buf[:0]
 }
 
 func (w *snapWriter) u32(v uint32) {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	w.write(buf[:])
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
+	if len(w.buf) >= slabChunk {
+		w.flush()
+	}
 }
 
+// blob writes the bytes of s.
+func (w *snapWriter) blob(s string) {
+	w.buf = append(w.buf, s...)
+	if len(w.buf) >= slabChunk {
+		w.flush()
+	}
+}
+
+// str writes s length-prefixed.
 func (w *snapWriter) str(s string) {
 	w.u32(uint32(len(s)))
-	w.write([]byte(s))
+	w.blob(s)
 }
 
 func (w *snapWriter) endSection() {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], w.crc)
-	w.raw(buf[:])
+	w.flush()
+	w.raw(binary.LittleEndian.AppendUint32(nil, w.crc))
 	w.crc = 0
-}
-
-// WriteSnapshot serializes g into w.
-func WriteSnapshot(w io.Writer, g *Graph) error {
-	// A live epoch view serializes its logical content: compact the
-	// overlay away first so the raw-field walk below sees a plain base.
-	g = g.Compact()
-	sw := &snapWriter{bw: bufio.NewWriter(w)}
-	sw.raw([]byte(snapshotMagic))
-	var vbuf [4]byte
-	binary.LittleEndian.PutUint32(vbuf[:], snapshotVersion)
-	sw.raw(vbuf[:])
-
-	// Label dictionary (index 0 is always ε; store all entries anyway so
-	// IDs survive verbatim).
-	sw.u32(uint32(g.labels.Len()))
-	for i := 0; i < g.labels.Len(); i++ {
-		sw.str(g.labels.String(LabelID(i)))
-	}
-	sw.endSection()
-
-	// Nodes.
-	sw.u32(uint32(g.NumNodes()))
-	for _, l := range g.nodeLabel {
-		sw.u32(uint32(l))
-	}
-	for _, ts := range g.nodeTypes {
-		sw.u32(uint32(len(ts)))
-		for _, t := range ts {
-			sw.u32(uint32(t))
-		}
-	}
-	sw.endSection()
-
-	// Edges.
-	sw.u32(uint32(g.NumEdges()))
-	for _, e := range g.edges {
-		sw.u32(uint32(e.Source))
-		sw.u32(uint32(e.Label))
-		sw.u32(uint32(e.Target))
-	}
-	sw.endSection()
-
-	// Properties.
-	sw.u32(uint32(len(g.nodeProps)))
-	for p, m := range g.nodeProps {
-		sw.str(p)
-		sw.u32(uint32(len(m)))
-		for n, v := range m {
-			sw.u32(uint32(n))
-			sw.str(v)
-		}
-	}
-	sw.endSection()
-
-	sw.u32(uint32(len(g.edgeProps)))
-	for p, m := range g.edgeProps {
-		sw.str(p)
-		sw.u32(uint32(len(m)))
-		for e, v := range m {
-			sw.u32(uint32(e))
-			sw.str(v)
-		}
-	}
-	sw.endSection()
-
-	if sw.err != nil {
-		return sw.err
-	}
-	return sw.bw.Flush()
 }
 
 // snapReader funnels every payload read through one point that tracks
@@ -166,11 +223,11 @@ func WriteSnapshot(w io.Writer, g *Graph) error {
 // would otherwise checksum bytes the decoder never reached.
 type snapReader struct {
 	br      *bufio.Reader
+	buf     []byte // one slab chunk
 	crc     uint32
 	off     int64
 	err     *SnapshotError
 	section string
-	checked bool // version >= 2: sections end with a CRC32
 }
 
 func (r *snapReader) fail(err error) {
@@ -213,18 +270,42 @@ func (r *snapReader) str() string {
 		r.failf("implausible string length %d", n)
 		return ""
 	}
-	b := make([]byte, n)
-	if !r.read(b) {
-		return ""
-	}
-	return string(b)
+	// The property sections are checksummed only at their end: size
+	// nothing by a length the data has not yet backed.
+	var sb strings.Builder
+	sb.Grow(min(int(n), slabChunk))
+	r.slab(int(n), 1, func(_ int, b []byte) { sb.Write(b) })
+	return sb.String()
 }
 
-// endSection verifies the current section's stored checksum (version 2)
-// and begins the named next one. The stored CRC itself is read outside
-// the running checksum.
-func (r *snapReader) endSection(next string) {
-	if r.checked && r.err == nil {
+// slab reads n records of size bytes each, in chunks of whole records
+// of up to slabChunk bytes, and hands each chunk to decode with the
+// index of its first record.
+func (r *snapReader) slab(n, size int, decode func(first int, chunk []byte)) {
+	per := slabChunk / size
+	for first := 0; first < n && r.err == nil; first += per {
+		b := r.buf[:min(per, n-first)*size]
+		if r.read(b) {
+			decode(first, b)
+		}
+	}
+}
+
+// readU32s fills dst from a slab of u32s.
+func readU32s[T ~int32 | ~uint32](r *snapReader, dst []T) {
+	r.slab(len(dst), 4, func(first int, b []byte) {
+		d := dst[first : first+len(b)/4]
+		for i := range d {
+			d[i] = T(binary.LittleEndian.Uint32(b[4*i:]))
+		}
+	})
+}
+
+// endSection verifies the current section's stored checksum, which is
+// read outside the running one, and reports whether the stream is still
+// good.
+func (r *snapReader) endSection() bool {
+	if r.err == nil {
 		sum := r.crc
 		var buf [4]byte
 		if _, err := io.ReadFull(r.br, buf[:]); err != nil {
@@ -237,13 +318,13 @@ func (r *snapReader) endSection(next string) {
 		}
 	}
 	r.crc = 0
-	r.section = next
+	return r.err == nil
 }
 
-// ReadSnapshot deserializes a graph written by WriteSnapshot (version 2
-// or the checksum-less version 1). Any failure — truncation, corruption,
-// implausible counts, out-of-range IDs — returns a *SnapshotError; the
-// function never panics on arbitrary input.
+// ReadSnapshot deserializes a graph written by WriteSnapshot. Any
+// failure — truncation, corruption, an older format version, implausible
+// counts, out-of-range IDs — returns a *SnapshotError; the function never
+// panics on arbitrary input.
 func ReadSnapshot(rd io.Reader) (g *Graph, err error) {
 	// Backstop: any decode panic the validations below miss becomes a
 	// structured error — a corrupted cache file must never take down the
@@ -254,7 +335,7 @@ func ReadSnapshot(rd io.Reader) (g *Graph, err error) {
 		}
 	}()
 
-	r := &snapReader{br: bufio.NewReader(rd), section: "header"}
+	r := &snapReader{br: bufio.NewReaderSize(rd, slabChunk), buf: make([]byte, slabChunk), section: "header"}
 	magic := make([]byte, 4)
 	if !r.read(magic) {
 		return nil, r.err
@@ -262,182 +343,247 @@ func ReadSnapshot(rd io.Reader) (g *Graph, err error) {
 	if string(magic) != snapshotMagic {
 		return nil, &SnapshotError{Section: "header", Err: fmt.Errorf("not a snapshot (magic %q)", magic)}
 	}
-	switch v := r.u32(); {
-	case r.err != nil:
-		return nil, r.err
-	case v == snapshotVersion:
-		r.checked = true
-	case v == snapshotVersionV1:
-		// Legacy: decode with full validation but no checksums.
-	default:
-		r.failf("unsupported snapshot version %d", v)
+	if v := r.u32(); r.err == nil && v != snapshotVersion {
+		r.failf("unsupported snapshot version %d; re-save it with -save-snapshot", v)
+	}
+	if r.err != nil {
 		return nil, r.err
 	}
 	r.crc = 0 // the header is not checksummed
-	r.section = "dictionary"
-
-	b := NewBuilder()
-	nLabels := r.u32()
-	if r.err == nil && nLabels > 1<<24 {
-		r.failf("implausible label count %d", nLabels)
+	c, dict := r.content()
+	if r.err != nil {
+		return nil, r.err
 	}
-	if r.err == nil && nLabels == 0 {
+	g, dup := c.graph(dict)
+	if dup >= 0 {
+		r.section = "dictionary"
+		r.failf("label %d %q repeats an earlier label", dup, dict.byID[dup])
+		return nil, r.err
+	}
+	return g, nil
+}
+
+// content decodes and validates every section after the header but for
+// the dictionary's duplicate check, and returns the content and its
+// dictionary, byString still empty.
+func (r *snapReader) content() (*snapshotContent, *Dict) {
+	r.section = "counts"
+	nLabels, dictBytes, nNodes, nTypes, nEdges := r.u32(), r.u32(), r.u32(), r.u32(), r.u32()
+	if !r.endSection() {
+		return nil, nil
+	}
+	switch {
+	case nLabels == 0:
 		r.failf("empty dictionary (ε is always present)")
-	}
-	for i := uint32(0); i < nLabels && r.err == nil; i++ {
-		s := r.str()
-		if i == 0 {
-			continue // ε is pre-seeded
-		}
-		b.labels.Intern(s)
-	}
-	r.endSection("nodes")
-	if r.err != nil {
-		return nil, r.err
-	}
-
-	nNodes := r.u32()
-	if r.err == nil && nNodes > 1<<28 {
+	case nLabels > 1<<24:
+		r.failf("implausible label count %d", nLabels)
+	case dictBytes > 1<<30:
+		r.failf("implausible dictionary size %d", dictBytes)
+	case nNodes > 1<<28:
 		r.failf("implausible node count %d", nNodes)
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	labels := make([]LabelID, nNodes)
-	for i := range labels {
-		l := r.u32()
-		if r.err != nil {
-			break
-		}
-		if l >= nLabels {
-			r.failf("node %d label %d outside dictionary [0,%d)", i, l, nLabels)
-			break
-		}
-		labels[i] = LabelID(l)
-	}
-	types := make([][]LabelID, nNodes)
-	for i := range types {
-		if r.err != nil {
-			break
-		}
-		k := r.u32()
-		if r.err != nil {
-			break
-		}
-		if k > nLabels {
-			r.failf("node %d type count %d exceeds dictionary size %d", i, k, nLabels)
-			break
-		}
-		if k > 0 {
-			types[i] = make([]LabelID, k)
-			for j := range types[i] {
-				tl := r.u32()
-				if r.err != nil {
-					break
-				}
-				if tl >= nLabels {
-					r.failf("node %d type label %d outside dictionary [0,%d)", i, tl, nLabels)
-					break
-				}
-				types[i][j] = LabelID(tl)
-			}
-		}
-	}
-	r.endSection("edges")
-	if r.err != nil {
-		return nil, r.err
-	}
-	b.nodeLabel = labels
-	b.nodeTypes = types
-
-	nEdges := r.u32()
-	if r.err == nil && nEdges > 1<<28 {
+	case nTypes > 1<<28:
+		r.failf("implausible type count %d", nTypes)
+	case nEdges > 1<<28:
 		r.failf("implausible edge count %d", nEdges)
 	}
-	for i := uint32(0); i < nEdges && r.err == nil; i++ {
-		src := r.u32()
-		lbl := r.u32()
-		dst := r.u32()
-		if r.err != nil {
-			break
-		}
-		if src >= nNodes || dst >= nNodes {
-			r.failf("edge %d endpoint (%d -> %d) outside nodes [0,%d)", i, src, dst, nNodes)
-			break
-		}
-		if lbl >= nLabels {
-			r.failf("edge %d label %d outside dictionary [0,%d)", i, lbl, nLabels)
-			break
-		}
-		b.edges = append(b.edges, Edge{Source: NodeID(src), Target: NodeID(dst), Label: LabelID(lbl)})
-	}
-	r.endSection("node-props")
 	if r.err != nil {
-		return nil, r.err
+		return nil, nil
 	}
 
+	r.section = "dictionary"
+	c := &snapshotContent{dictOff: make([]uint32, nLabels+1)}
+	readU32s(r, c.dictOff)
+	var dict strings.Builder
+	dict.Grow(int(dictBytes))
+	r.slab(int(dictBytes), 1, func(_ int, b []byte) { dict.Write(b) })
+	c.dict = dict.String()
+	if !r.endSection() {
+		return nil, nil
+	}
+	d := r.dictionary(c)
+	if r.err != nil {
+		return nil, nil
+	}
+
+	r.section = "nodes"
+	c.nodeLabel = make([]LabelID, nNodes)
+	readU32s(r, c.nodeLabel)
+	c.typeOff = make([]uint32, nNodes+1)
+	readU32s(r, c.typeOff)
+	c.types = make([]LabelID, nTypes)
+	readU32s(r, c.types)
+	if !r.endSection() {
+		return nil, nil
+	}
+	r.checkNodes(c, nLabels)
+	if r.err != nil {
+		return nil, nil
+	}
+
+	r.section = "edges"
+	c.edges = make([]Edge, nEdges)
+	r.slab(int(nEdges), 12, func(first int, b []byte) {
+		es := c.edges[first : first+len(b)/12]
+		for i := range es {
+			p := b[12*i : 12*i+12]
+			es[i] = Edge{
+				Source: NodeID(binary.LittleEndian.Uint32(p)),
+				Target: NodeID(binary.LittleEndian.Uint32(p[4:])),
+				Label:  LabelID(binary.LittleEndian.Uint32(p[8:])),
+			}
+		}
+	})
+	if !r.endSection() {
+		return nil, nil
+	}
+	for i, e := range c.edges {
+		if uint32(e.Source) >= nNodes || uint32(e.Target) >= nNodes {
+			r.failf("edge %d endpoint (%d -> %d) outside nodes [0,%d)", i, uint32(e.Source), uint32(e.Target), nNodes)
+			return nil, nil
+		}
+		if uint32(e.Label) >= nLabels {
+			r.failf("edge %d label %d outside dictionary [0,%d)", i, uint32(e.Label), nLabels)
+			return nil, nil
+		}
+	}
+
+	c.nodeProps = readProps[NodeID](r, "node-props", nNodes, "nodes")
+	c.edgeProps = readProps[EdgeID](r, "edge-props", nEdges, "edges")
+	return c, d
+}
+
+// dictionary validates the dictionary slabs and lays the Dict's byID
+// over them: every label is a substring of c.dict.
+func (r *snapReader) dictionary(c *snapshotContent) *Dict {
+	off := c.dictOff
+	n := len(off) - 1
+	if off[0] != 0 || off[n] != uint32(len(c.dict)) {
+		r.failf("dictionary offsets span [%d,%d), want [0,%d)", off[0], off[n], len(c.dict))
+		return nil
+	}
+	for i := 0; i < n; i++ {
+		if off[i] > off[i+1] {
+			r.failf("dictionary offset %d (%d) exceeds the next (%d)", i, off[i], off[i+1])
+			return nil
+		}
+	}
+	if off[1] != 0 {
+		r.failf("label 0 is %q, not ε", c.dict[:off[1]])
+		return nil
+	}
+	d := &Dict{byID: make([]string, n)}
+	for i := range d.byID {
+		d.byID[i] = c.dict[off[i]:off[i+1]]
+	}
+	return d
+}
+
+// index fills d.byString, presized, with one write per label, and
+// returns the first label that repeats an earlier one, or -1.
+func (d *Dict) index() int {
+	d.byString = make(map[string]LabelID, len(d.byID))
+	for i, s := range d.byID {
+		if d.byString[s] = LabelID(i); len(d.byString) != i+1 {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkNodes validates node labels, type offsets and type lists.
+func (r *snapReader) checkNodes(c *snapshotContent, nLabels uint32) {
+	for i, l := range c.nodeLabel {
+		if uint32(l) >= nLabels {
+			r.failf("node %d label %d outside dictionary [0,%d)", i, uint32(l), nLabels)
+			return
+		}
+	}
+	off := c.typeOff
+	n := len(off) - 1
+	if off[0] != 0 || off[n] != uint32(len(c.types)) {
+		r.failf("type offsets span [%d,%d), want [0,%d)", off[0], off[n], len(c.types))
+		return
+	}
+	for i := 0; i < n; i++ {
+		if off[i] > off[i+1] {
+			r.failf("node %d type offset %d exceeds the next (%d)", i, off[i], off[i+1])
+			return
+		}
+		prev := int64(-1)
+		for _, t := range c.types[off[i]:off[i+1]] {
+			if uint32(t) >= nLabels {
+				r.failf("node %d type label %d outside dictionary [0,%d)", i, uint32(t), nLabels)
+				return
+			}
+			if int64(t) <= prev {
+				r.failf("node %d types not strictly ascending (%d after %d)", i, t, prev)
+				return
+			}
+			prev = int64(t)
+		}
+	}
+}
+
+// readProps decodes one property section, whose keys must lie in
+// [0, limit).
+func readProps[K NodeID | EdgeID](r *snapReader, section string, limit uint32, noun string) map[string]map[K]string {
+	if r.err != nil {
+		return nil
+	}
+	r.section = section
 	nProps := r.u32()
 	if r.err == nil && nProps > 1<<20 {
-		r.failf("implausible node property count %d", nProps)
+		r.failf("implausible property count %d", nProps)
 	}
+	props := make(map[string]map[K]string)
 	for i := uint32(0); i < nProps && r.err == nil; i++ {
 		p := r.str()
 		k := r.u32()
 		if r.err != nil {
 			break
 		}
-		if k > nNodes {
-			r.failf("property %q has %d values for %d nodes", p, k, nNodes)
+		if k > limit {
+			r.failf("property %q has %d values for %d %s", p, k, limit, noun)
 			break
 		}
+		m := make(map[K]string)
 		for j := uint32(0); j < k && r.err == nil; j++ {
-			n := r.u32()
+			key := r.u32()
 			v := r.str()
 			if r.err != nil {
 				break
 			}
-			if n >= nNodes {
-				r.failf("property %q node %d outside nodes [0,%d)", p, n, nNodes)
+			if key >= limit {
+				r.failf("property %q key %d outside %s [0,%d)", p, key, noun, limit)
 				break
 			}
-			b.SetNodeProp(NodeID(n), p, v)
+			m[K(key)] = v
 		}
+		props[p] = m
 	}
-	r.endSection("edge-props")
-	if r.err != nil {
-		return nil, r.err
-	}
+	r.endSection()
+	return props
+}
 
-	nEProps := r.u32()
-	if r.err == nil && nEProps > 1<<20 {
-		r.failf("implausible edge property count %d", nEProps)
+// graph assembles the Graph around c's validated slabs: node type lists
+// are cap-clipped subslices of one slab, and the indexes, the fingerprint
+// and d's byString are built concurrently. It returns the index of the
+// first duplicate label, or -1.
+func (c *snapshotContent) graph(d *Dict) (*Graph, int) {
+	g := &Graph{
+		labels:    d,
+		nodeLabel: c.nodeLabel,
+		nodeTypes: make([][]LabelID, len(c.nodeLabel)),
+		edges:     c.edges,
+		nodeProps: c.nodeProps,
+		edgeProps: c.edgeProps,
 	}
-	for i := uint32(0); i < nEProps && r.err == nil; i++ {
-		p := r.str()
-		k := r.u32()
-		if r.err != nil {
-			break
-		}
-		if k > nEdges {
-			r.failf("property %q has %d values for %d edges", p, k, nEdges)
-			break
-		}
-		for j := uint32(0); j < k && r.err == nil; j++ {
-			e := r.u32()
-			v := r.str()
-			if r.err != nil {
-				break
-			}
-			if e >= nEdges {
-				r.failf("property %q edge %d outside edges [0,%d)", p, e, nEdges)
-				break
-			}
-			b.SetEdgeProp(EdgeID(e), p, v)
+	for i := range g.nodeTypes {
+		if a, b := c.typeOff[i], c.typeOff[i+1]; a < b {
+			g.nodeTypes[i] = c.types[a:b:b]
 		}
 	}
-	r.endSection("")
-	if r.err != nil {
-		return nil, r.err
-	}
-	return b.Build(), nil
+	dup := -1
+	freezeIndexes(g, func() { g.fingerprint = g.computeFingerprint() }, func() { dup = d.index() })
+	return g, dup
 }

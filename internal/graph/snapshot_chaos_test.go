@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -60,66 +61,25 @@ func TestChaosSnapshotEveryTruncation(t *testing.T) {
 	}
 }
 
-// writeSnapshotV1 emits the legacy checksum-less version-1 layout, which
-// ReadSnapshot must keep accepting.
-func writeSnapshotV1(buf *bytes.Buffer, g *Graph) {
-	buf.WriteString("CTPG")
-	u32 := func(v uint32) { buf.Write([]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}) }
-	str := func(s string) { u32(uint32(len(s))); buf.WriteString(s) }
-	u32(1) // version
-	u32(uint32(g.labels.Len()))
-	for i := 0; i < g.labels.Len(); i++ {
-		str(g.labels.String(LabelID(i)))
-	}
-	u32(uint32(g.NumNodes()))
-	for _, l := range g.nodeLabel {
-		u32(uint32(l))
-	}
-	for _, ts := range g.nodeTypes {
-		u32(uint32(len(ts)))
-		for _, tl := range ts {
-			u32(uint32(tl))
-		}
-	}
-	u32(uint32(g.NumEdges()))
-	for _, e := range g.edges {
-		u32(uint32(e.Source))
-		u32(uint32(e.Label))
-		u32(uint32(e.Target))
-	}
-	u32(uint32(len(g.nodeProps)))
-	for p, m := range g.nodeProps {
-		str(p)
-		u32(uint32(len(m)))
-		for n, v := range m {
-			u32(uint32(n))
-			str(v)
-		}
-	}
-	u32(uint32(len(g.edgeProps)))
-	for p, m := range g.edgeProps {
-		str(p)
-		u32(uint32(len(m)))
-		for e, v := range m {
-			u32(uint32(e))
-			str(v)
-		}
-	}
-}
-
-func TestSnapshotReadsLegacyV1(t *testing.T) {
+// TestChaosSnapshotFlipAllocatesLittle: the counts are checksummed
+// before anything is sized by them, so no single-byte corruption of a
+// small snapshot makes the reader allocate more than a small file needs.
+func TestChaosSnapshotFlipAllocatesLittle(t *testing.T) {
 	g := snapshotFixture(t)
 	var buf bytes.Buffer
-	writeSnapshotV1(&buf, g)
-	got, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("legacy v1 snapshot rejected: %v", err)
+	if err := WriteSnapshot(&buf, g); err != nil {
+		t.Fatal(err)
 	}
-	if got.NumNodes() != g.NumNodes() || got.NumEdges() != g.NumEdges() {
-		t.Fatalf("v1 decode: %d nodes %d edges, want %d/%d",
-			got.NumNodes(), got.NumEdges(), g.NumNodes(), g.NumEdges())
-	}
-	if got.Fingerprint() != g.Fingerprint() {
-		t.Fatal("v1 decode changed the graph fingerprint")
+	valid := buf.Bytes()
+	var before, after runtime.MemStats
+	for i := range valid {
+		corrupted := append([]byte(nil), valid...)
+		corrupted[i] ^= 0xA5
+		runtime.ReadMemStats(&before)
+		ReadSnapshot(bytes.NewReader(corrupted))
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("corruption at byte %d/%d allocated %d bytes", i, len(valid), grew)
+		}
 	}
 }

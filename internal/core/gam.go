@@ -93,10 +93,11 @@ type Scheduler interface {
 	// Result hands a covering tree to the collector; true means LIMIT (or
 	// a streaming callback) asks the search to stop.
 	Result(t *tree.Tree) bool
-	// PushGrow queues a Grow opportunity whose tree will be rooted at
-	// root: here, or on whichever shard owns root.
-	PushGrow(root graph.NodeID, op GrowOp)
-	QueueLen() int // of the queue PushGrow feeds here
+	// PushGrows queues t's Grow opportunities steps, all at priority prio,
+	// each on the shard owning its step's To — the root of the tree it
+	// grows into. steps is the kernel's scratch: the scheduler copies it.
+	PushGrows(t *tree.Tree, prio float64, steps []Step)
+	QueueLen() int // ops in the queue PushGrows feeds here
 	// Mo takes a Mo copy to the Kernel owning mo.Root, for CommitMo.
 	Mo(mo *tree.Tree)
 }
@@ -118,6 +119,7 @@ type Kernel struct {
 	roots      nodeTable[rootState] // per-root state, entered when a tree first roots there
 	runs       tree.Slab[partner]   // partner runs
 	ssWords    tree.Slab[uint64]    // seed signatures
+	steps      []Step               // pushGrows scratch
 	dl         deadline
 
 	probeTree, probeMo *fault.Point // the driver's, hit per candidate / Mo commit; nil for none
@@ -179,6 +181,9 @@ func (k *Kernel) Reset() {
 	k.roots.Reset()
 	k.runs.Reset(keepPartners)
 	k.ssWords.Reset(keepSSWords)
+	if cap(k.steps) > KeepSteps {
+		k.steps = nil
+	}
 	k.s, k.sched, k.dl = Setup{}, nil, deadline{}
 }
 
@@ -205,6 +210,7 @@ type callerSched struct {
 	k         Kernel
 	queue     opQueue
 	single    singleQueue // queue, unless Options.MultiQueue
+	steps     tree.Slab[Step]
 	seq       uint64
 	histEdge  SigSet // ESP history: edge-set signatures
 	collector *ResultCollector
@@ -222,10 +228,11 @@ func (s *callerSched) Seen(sig uint64, root graph.NodeID, a, b []graph.EdgeID) b
 }
 func (s *callerSched) CountKept() bool          { return s.k.Stats.Kept() >= s.k.s.opts.MaxTrees }
 func (s *callerSched) Result(t *tree.Tree) bool { return s.collector.Add(t) }
-func (s *callerSched) PushGrow(_ graph.NodeID, op GrowOp) {
+func (s *callerSched) PushGrows(t *tree.Tree, prio float64, steps []Step) {
+	run := s.steps.Alloc(len(steps))
+	copy(run, steps)
 	s.seq++
-	op.Seq = s.seq
-	s.queue.push(op)
+	s.queue.push(GrowRun{T: t, Steps: run, Prio: prio, Seq: s.seq})
 }
 func (s *callerSched) QueueLen() int    { return s.queue.len() }
 func (s *callerSched) Mo(mo *tree.Tree) { s.k.CommitMo(mo) }
@@ -304,7 +311,8 @@ func (s *callerSched) search(setup *Setup) (*ResultSet, *Stats) {
 func (s *callerSched) reset() {
 	s.k.Reset()
 	s.histEdge.Reset()
-	s.single.h = Emptied(s.single.h)
+	s.single.h.Reset()
+	s.steps.Reset(KeepSteps)
 	s.queue, s.collector, s.seq, s.stop = nil, nil, 0, false
 }
 
@@ -323,26 +331,25 @@ func (s *callerSched) run(setup *Setup) {
 		return !s.stop
 	})
 	for !s.stop {
-		op, ok := s.queue.pop()
+		t, step, ok := s.queue.pop()
 		if !ok {
 			break
 		}
 		probeGamPop.Hit()
-		k.Grow(op)
+		k.Grow(t, step)
 	}
 }
 
-// Grow counts a queue pop, builds the popped Grow opportunity's candidate
-// — rooted in this shard, since the op was routed to the new root's owner
-// — and admits it; past the deadline it stops the run instead.
-func (k *Kernel) Grow(op GrowOp) {
+// Grow counts a queue pop, builds the candidate of t's popped Grow step —
+// rooted in this shard, since the step was routed to its new root's
+// owner — and admits it; past the deadline it stops the run instead.
+func (k *Kernel) Grow(t *tree.Tree, s Step) {
 	k.Stats.QueuePops++
 	if k.dl.expired() {
 		k.sched.Timeout()
 		return
 	}
-	newRoot := k.s.g.Other(op.E, op.T.Root)
-	k.Admit(k.arena.NewGrow(op.T, op.E, newRoot, k.s.si.mask(newRoot)))
+	k.Admit(k.arena.NewGrow(t, s.E, s.To, k.s.si.mask(s.To)))
 }
 
 // Admit runs a freshly built Init or Grow tree rooted in this shard
@@ -567,13 +574,16 @@ func gainedSeeds(t *tree.Tree) bool {
 }
 
 // pushGrows feeds the scheduler with the (t, e) pairs satisfying Grow1,
-// Grow2, and the pushed-down filters (Section 4.8).
+// Grow2, and the pushed-down filters (Section 4.8): one run per priority,
+// which under the default order is one run per tree. A PriorityFunc starts
+// a new run wherever its value changes.
 func (k *Kernel) pushGrows(t *tree.Tree) {
 	if k.s.maxEdges > 0 && t.Size() >= k.s.maxEdges {
 		return
 	}
 	g := k.s.g
 	prio := float64(t.Size()) // the default order: smallest trees first, FIFO among equals
+	steps := k.steps[:0]
 	for _, e := range g.IncidentEdges(t.Root) {
 		if !k.s.allowed.allows(g.EdgeLabelID(e)) {
 			continue
@@ -591,10 +601,19 @@ func (k *Kernel) pushGrows(t *tree.Tree) {
 			continue
 		}
 		if k.s.priority != nil {
-			prio = k.s.priority(t, e)
+			p := k.s.priority(t, e)
+			if p != prio && len(steps) > 0 {
+				k.sched.PushGrows(t, prio, steps)
+				steps = steps[:0]
+			}
+			prio = p
 		}
-		k.sched.PushGrow(other, GrowOp{T: t, E: e, Prio: prio})
+		steps = append(steps, Step{E: e, To: other})
 	}
+	if len(steps) > 0 {
+		k.sched.PushGrows(t, prio, steps)
+	}
+	k.steps = steps
 	k.NoteQueueLen()
 }
 

@@ -21,10 +21,12 @@
 //
 // Everything else reaches a kernel through core.Scheduler, which each
 // worker implements. Work flows between shards through one inbox per
-// worker: a Grow opportunity (t, e) is routed at push time to the owner
-// of the new root, and Mo re-rootings ship the constructed tree to the
-// new root's owner. A worker's grow queue is touched by its owner only;
-// a worker with nothing queued parks until a peer's delivery wakes it.
+// worker: a tree's Grow steps (e, far endpoint) are split at push time by
+// the owner of each step's new root, and each remote owner receives its
+// part as one task — a batch per (tree, destination), not a message per
+// op. Mo re-rootings ship the constructed tree to the new root's owner.
+// A worker's grow queue is touched by its owner only; a worker with
+// nothing queued parks until a peer's delivery wakes it.
 // Only two structures remain shared: the ESP edge-set history, an
 // XOR-signature-partitioned array of lock-striped core.SigSet shards
 // (the package's only concurrent dedup entry point), and the result
@@ -193,7 +195,9 @@ func newRun(st *runState, g *graph.Graph, seeds []core.SeedSet, opts core.Option
 func (r *run) release() {
 	for _, w := range r.workers {
 		w.k.Reset()
-		*w = worker{id: w.id, wake: w.wake, k: w.k, q: core.Emptied(w.q),
+		w.q.Reset()
+		w.steps.Reset(core.KeepSteps)
+		*w = worker{id: w.id, wake: w.wake, k: w.k, q: w.q, steps: w.steps, ends: w.ends,
 			in: inbox{items: core.Emptied(w.in.items), free: core.Emptied(w.in.free)}}
 	}
 	for i := range r.hist.shards {

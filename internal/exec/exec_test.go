@@ -10,6 +10,7 @@ import (
 	"ctpquery/internal/eql"
 	"ctpquery/internal/graph"
 	"ctpquery/internal/hash64"
+	"ctpquery/internal/tree"
 )
 
 // The striped signature set must grant exactly one claim per identity no
@@ -109,5 +110,72 @@ func TestAllRootsOnOneWorker(t *testing.T) {
 		if w0, w1 := st.Workers[0], st.Workers[1]; w0.Ops == 0 || w1.Ops != 0 || w0.Shipped+w1.Shipped != 0 {
 			t.Fatalf("%v: work left worker 0: %+v %+v", alg, w0, w1)
 		}
+	}
+}
+
+// PushGrows ships per destination: at K = 3, one tree's steps leave as
+// one task per remote owner holding that owner's steps in step order, the
+// local steps join the queue as they came, and every step is one pending
+// unit while only the remote ones count as shipped.
+func TestPushGrowsShipsOneTaskPerOwner(t *testing.T) {
+	b := graph.NewBuilder()
+	first := b.AddNodes(24)
+	for n := first; n+1 < first+24; n++ {
+		b.AddEdge(n, "a", n+1)
+	}
+	g := b.Build()
+	r := newRun(new(runState), g, core.Explicit([]graph.NodeID{first}), core.Options{Algorithm: core.MoLESP, Parallelism: 3}, 3)
+	var tr *tree.Tree
+	r.workers[0].k.Inits(func(t *tree.Tree) bool { tr = t; return false })
+
+	var steps []core.Step
+	want := make([][]core.Step, 3) // per owner, in step order
+	for i := 23; i >= 0; i-- {     // descending node IDs: step order is not ID order
+		s := core.Step{E: graph.EdgeID(100 + i), To: first + graph.NodeID(i)}
+		steps = append(steps, s)
+		d := r.owner(s.To)
+		want[d] = append(want[d], s)
+	}
+	for d, part := range want {
+		if len(part) == 0 {
+			t.Fatalf("no step owned by worker %d: widen the input", d)
+		}
+	}
+
+	w := r.workers[0]
+	w.PushGrows(tr, 4, steps)
+
+	if got := r.pending.Load(); got != int64(len(steps)) {
+		t.Fatalf("pending = %d, want %d", got, len(steps))
+	}
+	if remote := len(want[1]) + len(want[2]); w.shipped != remote {
+		t.Fatalf("shipped = %d, want the %d remote steps", w.shipped, remote)
+	}
+	if len(w.in.items) != 0 {
+		t.Fatalf("worker 0 mailed itself %d tasks", len(w.in.items))
+	}
+	for d := 1; d < 3; d++ {
+		items := r.workers[d].in.items
+		if len(items) != 1 || r.workers[d].mail.Load() != 1 {
+			t.Fatalf("worker %d received %d tasks (mail %d), want one", d, len(items), r.workers[d].mail.Load())
+		}
+		tk := items[0]
+		if tk.kind != taskGrows || tk.t != tr || tk.prio != 4 || fmt.Sprint(tk.steps) != fmt.Sprint(want[d]) {
+			t.Fatalf("worker %d task: kind %d prio %v steps %v, want steps %v", d, tk.kind, tk.prio, tk.steps, want[d])
+		}
+	}
+	if w.q.Len() != len(want[0]) {
+		t.Fatalf("local queue holds %d ops, want %d", w.q.Len(), len(want[0]))
+	}
+	var local []core.Step
+	for w.q.Len() > 0 {
+		qt, s := w.q.Pop()
+		if qt != tr {
+			t.Fatal("a queued step names another tree")
+		}
+		local = append(local, s)
+	}
+	if fmt.Sprint(local) != fmt.Sprint(want[0]) {
+		t.Fatalf("local steps %v, want %v", local, want[0])
 	}
 }

@@ -3,7 +3,7 @@ package exec
 import (
 	"sync"
 
-	"ctpquery/internal/graph"
+	"ctpquery/internal/core"
 	"ctpquery/internal/tree"
 )
 
@@ -13,20 +13,23 @@ type taskKind uint8
 const (
 	// taskInit carries an Init tree to its seed's owner (coordinator only).
 	taskInit taskKind = iota
-	// taskGrowOp routes a Grow opportunity to the owner of the edge's far
-	// endpoint; the receiver queues it and builds the tree on pop.
-	taskGrowOp
+	// taskGrows routes a tree's Grow steps toward one far endpoint owner;
+	// the receiver queues them as one run and builds a tree per pop.
+	taskGrows
 	// taskMo carries a Mo re-rooting to the new root's owner.
 	taskMo
 )
 
-// task is one exchange message. For taskGrowOp, t is the parent tree and
-// (e, prio) the opportunity; for the other kinds, t is the tree itself.
+// task is one exchange message. For taskGrows, t is the parent tree and
+// steps, all at priority prio, are its Grow opportunities whose new roots
+// the receiver owns, in the sender's order — they live in the sender's
+// step slab until the search ends. For the other kinds, t is the tree
+// itself.
 type task struct {
-	kind taskKind
-	t    *tree.Tree
-	e    graph.EdgeID
-	prio float64
+	kind  taskKind
+	t     *tree.Tree
+	steps []core.Step
+	prio  float64
 }
 
 // inbox is a worker's one exchange channel: every peer appends to items

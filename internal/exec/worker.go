@@ -24,8 +24,10 @@ type worker struct {
 	wake chan struct{} // buffered(1): senders signal new inbox items
 	mail atomic.Int64  // items waiting in in
 
-	q   core.OpHeap // grow ops for trees this worker will own; owner-only
-	seq uint64      // local FIFO tiebreak
+	q     core.OpHeap          // grow runs for trees this worker will own; owner-only
+	seq   uint64               // local FIFO tiebreak
+	steps tree.Slab[core.Step] // every run this worker queues or ships
+	ends  []int                // PushGrows scratch: per owner, its part's end
 
 	k *core.Kernel // this shard; its Stats merge into the search totals
 
@@ -71,7 +73,7 @@ func (w *worker) loop() {
 	for !w.r.stopped() {
 		probeWorkerLoop.Hit()
 		progress := w.drainMail()
-		if len(w.q) > 0 {
+		if w.q.Len() > 0 {
 			w.ops++
 			probeProcessOp.Hit()
 			w.k.Grow(w.q.Pop())
@@ -92,9 +94,9 @@ func (w *worker) loop() {
 // found. The atomic mail counter skips the lock on the (hot) iterations
 // where nothing arrived: senders increment it after depositing and before
 // signaling wake, so a worker that parks on an empty counter is always
-// woken into a visible non-zero one. Shipped grow ops join the local
-// queue (their pending unit retires when popped); trees are committed
-// immediately.
+// woken into a visible non-zero one. A shipped grow run joins the local
+// queue as it came (each step's pending unit retires when popped); trees
+// are committed immediately.
 func (w *worker) drainMail() bool {
 	if w.mail.Load() == 0 {
 		return false
@@ -111,8 +113,8 @@ func (w *worker) drainMail() bool {
 		}
 		probeDrainMail.Hit()
 		switch tk.kind {
-		case taskGrowOp:
-			w.push(core.GrowOp{T: tk.t, E: tk.e, Prio: tk.prio})
+		case taskGrows:
+			w.push(tk.t, tk.prio, tk.steps)
 			w.k.NoteQueueLen()
 		case taskInit:
 			w.ops++
@@ -132,12 +134,11 @@ func (w *worker) drainMail() bool {
 	return len(items) > 0
 }
 
-// push queues a grow op on this worker, behind everything already there
+// push queues a grow run on this worker, behind everything already there
 // at the same priority.
-func (w *worker) push(op core.GrowOp) {
+func (w *worker) push(t *tree.Tree, prio float64, steps []core.Step) {
 	w.seq++
-	op.Seq = w.seq
-	w.q.Push(op)
+	w.q.Push(core.GrowRun{T: t, Steps: steps, Prio: prio, Seq: w.seq})
 }
 
 // The core.Scheduler methods: the kernel's view of the run.
@@ -174,19 +175,50 @@ func (w *worker) CountKept() bool { return w.r.kept.Add(1) >= int64(w.r.opts.Max
 
 func (w *worker) Result(t *tree.Tree) bool { return w.r.coll.add(t) }
 
-// PushGrow routes the op to the owner of its new root: local ops join
-// this worker's queue, remote ones ship through the exchange.
-func (w *worker) PushGrow(root graph.NodeID, op core.GrowOp) {
-	w.r.pending.Add(1)
-	if dest := w.r.owner(root); dest != w.id {
-		w.r.deposit(dest, task{kind: taskGrowOp, t: op.T, e: op.E, prio: op.Prio})
-		w.shipped++
-	} else {
-		w.push(op)
+// PushGrows splits the steps by the owner of their new root, keeping step
+// order within each part (a counting sort into one carve of the slab):
+// the local part joins this worker's queue, and each remote part ships
+// through the exchange as one task. Every step is one pending unit.
+func (w *worker) PushGrows(t *tree.Tree, prio float64, steps []core.Step) {
+	r := w.r
+	r.pending.Add(int64(len(steps)))
+	if cap(w.ends) < r.k {
+		w.ends = make([]int, r.k)
+	}
+	ends := w.ends[:r.k]
+	clear(ends)
+	for _, s := range steps {
+		ends[r.owner(s.To)]++
+	}
+	// ends[d] becomes the start of d's part, then, once filled, its end.
+	start := 0
+	for d, n := range ends {
+		ends[d] = start
+		start += n
+	}
+	buf := w.steps.Alloc(len(steps))
+	for _, s := range steps {
+		d := r.owner(s.To)
+		buf[ends[d]] = s
+		ends[d]++
+	}
+	start = 0
+	for d, end := range ends {
+		if end == start {
+			continue
+		}
+		part := buf[start:end:end]
+		start = end
+		if d == w.id {
+			w.push(t, prio, part)
+			continue
+		}
+		r.deposit(d, task{kind: taskGrows, t: t, steps: part, prio: prio})
+		w.shipped += len(part)
 	}
 }
 
-func (w *worker) QueueLen() int { return len(w.q) }
+func (w *worker) QueueLen() int { return w.q.Len() }
 
 // Mo commits the copy here or ships it to the worker owning its root.
 func (w *worker) Mo(mo *tree.Tree) {

@@ -43,6 +43,17 @@ func max3Search(tb testing.TB) (*graph.Graph, []core.SeedSet, core.Options) {
 // allocations when every kept tree was a heap object.
 func TestWarmSearchAllocatesPerSearchNotPerTree(t *testing.T) {
 	g, seeds, opts := max3Search(t)
+	warmAllocsAtMost64(t, g, seeds, opts)
+}
+
+// The same bound on kgSearch, whose tables reach a few thousand slots:
+// their slot and record arrays are kept from one search to the next.
+func TestWarmKGSearchAllocatesPerSearchNotPerTree(t *testing.T) {
+	g, seeds, opts := kgSearch(t)
+	warmAllocsAtMost64(t, g, seeds, opts)
+}
+
+func warmAllocsAtMost64(t *testing.T, g *graph.Graph, seeds []core.SeedSet, opts core.Options) {
 	var kept int
 	allocs := testing.AllocsPerRun(50, func() {
 		_, st, err := core.Search(g, seeds, opts)

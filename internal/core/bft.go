@@ -134,13 +134,14 @@ func bftSearch(g *graph.Graph, seeds []SeedSet, opts Options) (*ResultSet, *Stat
 		stats:    &Stats{},
 		dl:       newDeadline(opts.Filters.Timeout, opts.Done),
 	}
-	s.collector = newResultCollector(g, si, opts)
+	s.collector = new(ResultCollector)
+	s.collector.start(g, si, opts)
 
 	// Generation T0: one-node trees for every seed.
-	for _, n := range si.inits {
+	for i, r := range si.nodes.recs {
 		t := bftAcquire()
-		t.nodes = append(t.nodes, n)
-		t.satBuf = bitset.UnionInto(t.satBuf, si.mask(n), nil)
+		t.nodes = append(t.nodes, r.key)
+		t.satBuf = bitset.UnionInto(t.satBuf, si.maskOf(i), nil)
 		t.sat = t.satBuf
 		t.sig = tree.SetSigBasis
 		s.stats.created()

@@ -12,6 +12,7 @@ import (
 	"ctpquery/internal/eql"
 	"ctpquery/internal/gen"
 	"ctpquery/internal/graph"
+	"ctpquery/internal/tree"
 )
 
 // boundedCounters renders every effort counter of a search and a digest of
@@ -30,26 +31,28 @@ func boundedCounters(rs *core.ResultSet, st *core.Stats) string {
 		st.Recycled, st.PeakTrees, st.PeakQueueLen, st.Results, h.Sum64())
 }
 
-// boundedInputs are the graphs of TestBoundedSearchCountersPinned: two
-// fixed random graphs with three and four seed sets, and kgSearch.
-func boundedInputs(t *testing.T) []struct {
+// boundedInput is one search shape of TestBoundedSearchCountersPinned.
+type boundedInput struct {
 	name  string
 	g     *graph.Graph
 	seeds []core.SeedSet
-} {
-	type input = struct {
-		name  string
-		g     *graph.Graph
-		seeds []core.SeedSet
-	}
-	var in []input
+	prio  core.PriorityFunc
+}
+
+// boundedInputs are the searches of TestBoundedSearchCountersPinned: two
+// fixed random graphs with three and four seed sets, kgSearch, and the
+// first graph again under an order that pops larger trees first, so that
+// trees at the bound are admitted before smaller ones merge.
+func boundedInputs(t *testing.T) []boundedInput {
+	var in []boundedInput
 	rng := rand.New(rand.NewSource(35))
 	for i, shape := range []struct{ n, e, m int }{{24, 48, 3}, {18, 45, 4}} {
 		g := gen.Random(shape.n, shape.e, []string{"a", "b"}, rng)
-		in = append(in, input{fmt.Sprintf("random-%d", i), g, core.Explicit(gen.RandomSeedSets(g, shape.m, 2, rng)...)})
+		in = append(in, boundedInput{fmt.Sprintf("random-%d", i), g, core.Explicit(gen.RandomSeedSets(g, shape.m, 2, rng)...), nil})
 	}
 	g, seeds, _ := kgSearch(t)
-	return append(in, input{"kg", g, seeds})
+	largerFirst := func(t *tree.Tree, e graph.EdgeID) float64 { return float64(e%3) - float64(t.Size()) }
+	return append(in, boundedInput{"kg", g, seeds, nil}, boundedInput{"random-0 larger-first", in[0].g, in[0].seeds, largerFirst})
 }
 
 // Every counter of a MAX-bounded search is pinned, for each GAM-family
@@ -68,7 +71,7 @@ func TestBoundedSearchCountersPinned(t *testing.T) {
 			for max := 1; max <= 4; max++ {
 				id := fmt.Sprintf("%s %v MAX %d", in.name, alg, max)
 				for _, k := range []int{0, 1} {
-					opts := core.Options{Algorithm: alg, Filters: eql.Filters{MaxEdges: max}, Parallelism: k}
+					opts := core.Options{Algorithm: alg, Filters: eql.Filters{MaxEdges: max}, Parallelism: k, Priority: in.prio}
 					rs, st, err := core.Search(in.g, in.seeds, opts)
 					if err != nil {
 						t.Fatal(err)
@@ -150,4 +153,24 @@ kg MoLESP MAX 1: inits=3 grows=18 merges=0 mo=0 created=21 pruned=0 spared=0 pop
 kg MoLESP MAX 2: inits=3 grows=138 merges=3 mo=6 created=156 pruned=6 spared=0 pops=144 recycled=6 peakTrees=150 peakQueue=126 results=0 digest=cbf29ce484222325
 kg MoLESP MAX 3: inits=3 grows=1846 merges=4 mo=6 created=1870 pruned=11 spared=0 pops=1855 recycled=11 peakTrees=1859 peakQueue=1711 results=1 digest=f94d1ce713b6d0ba
 kg MoLESP MAX 4: inits=3 grows=32790 merges=5 mo=8 created=32821 pruned=15 spared=0 pops=32801 recycled=15 peakTrees=32806 peakQueue=30946 results=1 digest=f94d1ce713b6d0ba
+random-0 larger-first GAM MAX 1: inits=5 grows=23 merges=0 mo=0 created=28 pruned=0 spared=0 pops=23 recycled=0 peakTrees=28 peakQueue=23 results=0 digest=cbf29ce484222325
+random-0 larger-first GAM MAX 2: inits=5 grows=124 merges=6 mo=0 created=135 pruned=0 spared=0 pops=124 recycled=0 peakTrees=135 peakQueue=40 results=0 digest=cbf29ce484222325
+random-0 larger-first GAM MAX 3: inits=5 grows=552 merges=72 mo=0 created=633 pruned=4 spared=0 pops=552 recycled=4 peakTrees=629 peakQueue=63 results=7 digest=8157d13cfe1b0091
+random-0 larger-first GAM MAX 4: inits=5 grows=2131 merges=452 mo=0 created=2606 pruned=18 spared=0 pops=2131 recycled=18 peakTrees=2588 peakQueue=76 results=42 digest=13ec1637cf4129fd
+random-0 larger-first ESP MAX 1: inits=5 grows=21 merges=0 mo=0 created=28 pruned=2 spared=0 pops=23 recycled=2 peakTrees=27 peakQueue=23 results=0 digest=cbf29ce484222325
+random-0 larger-first ESP MAX 2: inits=5 grows=107 merges=0 mo=0 created=126 pruned=14 spared=0 pops=115 recycled=14 peakTrees=113 peakQueue=40 results=0 digest=cbf29ce484222325
+random-0 larger-first ESP MAX 3: inits=5 grows=396 merges=8 mo=0 created=509 pruned=100 spared=0 pops=440 recycled=100 peakTrees=410 peakQueue=61 results=4 digest=8433f5cf16ac0068
+random-0 larger-first ESP MAX 4: inits=5 grows=1238 merges=36 mo=0 created=1795 pruned=516 spared=0 pops=1410 recycled=516 peakTrees=1280 peakQueue=69 results=23 digest=8e7b820a1358d43d
+random-0 larger-first MoESP MAX 1: inits=5 grows=21 merges=0 mo=2 created=30 pruned=2 spared=0 pops=23 recycled=2 peakTrees=29 peakQueue=23 results=0 digest=cbf29ce484222325
+random-0 larger-first MoESP MAX 2: inits=5 grows=107 merges=0 mo=8 created=134 pruned=14 spared=0 pops=115 recycled=14 peakTrees=121 peakQueue=40 results=0 digest=cbf29ce484222325
+random-0 larger-first MoESP MAX 3: inits=5 grows=395 merges=10 mo=42 created=555 pruned=103 spared=0 pops=440 recycled=103 peakTrees=453 peakQueue=61 results=5 digest=07d41643b71e695d
+random-0 larger-first MoESP MAX 4: inits=5 grows=1236 merges=48 mo=158 created=1979 pruned=532 spared=0 pops=1410 recycled=532 peakTrees=1448 peakQueue=69 results=33 digest=b1c422a1a8cd4fe9
+random-0 larger-first LESP MAX 1: inits=5 grows=21 merges=0 mo=0 created=28 pruned=2 spared=0 pops=23 recycled=2 peakTrees=27 peakQueue=23 results=0 digest=cbf29ce484222325
+random-0 larger-first LESP MAX 2: inits=5 grows=107 merges=4 mo=0 created=126 pruned=10 spared=4 pops=115 recycled=10 peakTrees=117 peakQueue=40 results=0 digest=cbf29ce484222325
+random-0 larger-first LESP MAX 3: inits=5 grows=423 merges=61 mo=0 created=545 pruned=56 spared=52 pops=471 recycled=56 peakTrees=490 peakQueue=61 results=6 digest=a7f4637c8cf35ca6
+random-0 larger-first LESP MAX 4: inits=5 grows=1516 merges=349 mo=0 created=2118 pruned=248 spared=308 pops=1706 recycled=248 peakTrees=1871 peakQueue=69 results=32 digest=f05a6722ba75e195
+random-0 larger-first MoLESP MAX 1: inits=5 grows=21 merges=0 mo=2 created=30 pruned=2 spared=0 pops=23 recycled=2 peakTrees=29 peakQueue=23 results=0 digest=cbf29ce484222325
+random-0 larger-first MoLESP MAX 2: inits=5 grows=107 merges=4 mo=8 created=142 pruned=18 spared=4 pops=115 recycled=18 peakTrees=125 peakQueue=40 results=0 digest=cbf29ce484222325
+random-0 larger-first MoLESP MAX 3: inits=5 grows=422 merges=64 mo=42 created=689 pruned=156 spared=53 pops=471 recycled=156 peakTrees=534 peakQueue=61 results=7 digest=8157d13cfe1b0091
+random-0 larger-first MoLESP MAX 4: inits=5 grows=1514 merges=368 mo=158 created=2852 pruned=807 spared=315 pops=1706 recycled=807 peakTrees=2046 peakQueue=69 results=42 digest=13ec1637cf4129fd
 `

@@ -77,7 +77,7 @@ func TestChaosFailedSearchStateIsNotPooled(t *testing.T) {
 		var drawn []*callerSched
 		for i := 0; i <= poolSize; i++ {
 			s := schedPool.Get()
-			if s.k.sched != nil || s.queue != nil || s.histEdge.n != 0 || s.k.rootedSeen.n != 0 || s.k.roots.n != 0 || s.single.h.Len() != 0 {
+			if s.k.sched != nil || s.queue != nil || len(s.histEdge.ids) != 0 || len(s.k.rootedSeen.ids) != 0 || len(s.k.roots.recs) != 0 || s.single.h.Len() != 0 {
 				t.Fatalf("after=%d: the pool holds a scheduler its search never reset", after)
 			}
 			drawn = append(drawn, s)

@@ -67,8 +67,8 @@ func NewSetup(g *graph.Graph, seeds []SeedSet, opts Options) *Setup {
 	}
 }
 
-// NewCollector returns the search's result sink.
-func (s *Setup) NewCollector() *ResultCollector { return newResultCollector(s.g, s.si, s.opts) }
+// StartCollector readies rc, zero or Reset, as the search's result sink.
+func (s *Setup) StartCollector(rc *ResultCollector) { rc.start(s.g, s.si, s.opts) }
 
 // Scheduler is the seam between the kernel and whatever drives it: all
 // that differs between running a search on the caller's goroutine
@@ -191,8 +191,8 @@ func (k *Kernel) Reset() {
 // non-universal sets (universal sets spawn no Init trees, Section 4.9).
 // It stops early when yield returns false.
 func (k *Kernel) Inits(yield func(*tree.Tree) bool) {
-	for _, n := range k.s.si.inits {
-		if !yield(k.arena.NewInit(n, k.s.si.mask(n))) {
+	for i, r := range k.s.si.nodes.recs {
+		if !yield(k.arena.NewInit(r.key, k.s.si.maskOf(i))) {
 			return
 		}
 	}
@@ -213,7 +213,7 @@ type callerSched struct {
 	steps     tree.Slab[Step]
 	seq       uint64
 	histEdge  SigSet // ESP history: edge-set signatures
-	collector *ResultCollector
+	collector ResultCollector
 	stop      bool
 }
 
@@ -313,13 +313,14 @@ func (s *callerSched) reset() {
 	s.histEdge.Reset()
 	s.single.h.Reset()
 	s.steps.Reset(KeepSteps)
-	s.queue, s.collector, s.seq, s.stop = nil, nil, 0, false
+	s.collector.Reset()
+	s.queue, s.seq, s.stop = nil, 0, false
 }
 
 // run is Algorithm 1: admit the Init trees, then pop until the queue
 // drains or the run stops.
 func (s *callerSched) run(setup *Setup) {
-	s.collector = setup.NewCollector()
+	setup.StartCollector(&s.collector)
 	s.queue = &s.single
 	if setup.opts.MultiQueue {
 		s.queue = newMultiQueue()
@@ -343,23 +344,53 @@ func (s *callerSched) run(setup *Setup) {
 // Grow counts a queue pop, builds the candidate of t's popped Grow step —
 // rooted in this shard, since the step was routed to its new root's
 // owner — and admits it; past the deadline it stops the run instead.
+//
+// A candidate that reaches the MAX bound at a non-seed root, covering no
+// result, is a leaf: it adds no seed set, so its sat is t's, it injects no
+// Mo copy and it is a seed path exactly when t is one; it cannot grow, and
+// mergeable refuses every pair it is in. Only its edge list is carved,
+// and it goes through admitLeaf's admission alone.
 func (k *Kernel) Grow(t *tree.Tree, s Step) {
 	k.Stats.QueuePops++
 	if k.dl.expired() {
 		k.sched.Timeout()
 		return
 	}
-	k.Admit(k.arena.NewGrow(t, s.E, s.To, k.s.si.mask(s.To)))
+	mask := k.s.si.mask(s.To)
+	if mask == nil && t.Size()+1 == k.s.maxEdges && !k.s.si.covers(t.Sat) {
+		k.admitLeaf(t, s)
+		return
+	}
+	k.Admit(k.arena.NewGrow(t, s.E, s.To, mask))
 }
 
 // Admit runs a freshly built Init or Grow tree rooted in this shard
 // through Algorithm 2.
 func (k *Kernel) Admit(t *tree.Tree) {
 	k.Stats.created()
-	k.updateSignature(t)
+	k.updateSignature(t.Root, t.SeedPath, t.Sat)
 	if k.live() {
 		k.processTree(t)
 	}
+}
+
+// admitLeaf is Admit and processTree for the leaf Grow(t, s) (see Grow),
+// step for step, minus what a leaf skips: recordForMerging, pushGrows
+// and mergeAll, none of which would count anything for it.
+func (k *Kernel) admitLeaf(t *tree.Tree, s Step) {
+	edges := k.arena.GrowEdges(t, s.E)
+	sig := t.Sig() ^ tree.EdgeSig(s.E)
+	k.Stats.created()
+	k.updateSignature(s.To, t.SeedPath, t.Sat)
+	if !k.live() {
+		return
+	}
+	if !k.isNew(sig, s.To, edges) {
+		k.prune()
+		k.arena.UndoEdges(edges)
+		return
+	}
+	k.keep(tree.Grow, sig, s.To, edges)
 }
 
 // NoteQueueLen samples the local grow queue for Stats.PeakQueueLen; the
@@ -367,34 +398,35 @@ func (k *Kernel) Admit(t *tree.Tree) {
 func (k *Kernel) NoteQueueLen() { k.Stats.noteQueueLen(k.sched.QueueLen()) }
 
 // updateSignature maintains ss_n: when a new (n,s)-rooted path (Definition
-// 4.4) reaches n, the bits of its origin seed are set on n.
-func (k *Kernel) updateSignature(t *tree.Tree) {
-	if !k.s.variant.LESP || !t.SeedPath {
+// 4.4) reaches n = root, the bits of its origin seed, sat, are set on n.
+func (k *Kernel) updateSignature(root graph.NodeID, seedPath bool, sat bitset.Bits) {
+	if !k.s.variant.LESP || !seedPath {
 		return
 	}
-	r := k.roots.at(t.Root)
+	r := k.roots.at(root)
 	if r.ss == nil {
 		r.ss = k.ssWords.Alloc(k.s.si.words)
 	}
-	r.ss.UnionInPlace(t.Sat)
+	r.ss.UnionInPlace(sat)
 }
 
 // isNew implements Algorithm 4 for the ESP family, plain rooted-tree
-// deduplication for GAM, and always-true for 0-edge (Init) trees, which
-// are deduplicated at creation. Identity checks run on 64-bit signatures
-// with collision-checked buckets — no string key is built. The edge-set
-// check is a claim: a new edge set enters the history here, not in keep,
-// so that among concurrent shards exactly one keeps it.
-func (k *Kernel) isNew(t *tree.Tree) bool {
-	if t.Size() == 0 || !k.s.variant.ESP {
+// deduplication for GAM and for 0-edge (Init) trees, on the candidate
+// identity (sig, root, edges): its edge-set signature, root and edges.
+// Identity checks run on 64-bit signatures with collision-checked buckets
+// — no string key is built. The edge-set check is a claim: a new edge set
+// enters the history here, not in keep, so that among concurrent shards
+// exactly one keeps it.
+func (k *Kernel) isNew(sig uint64, root graph.NodeID, edges []graph.EdgeID) bool {
+	if len(edges) == 0 || !k.s.variant.ESP {
 		// GAM (and 0-edge trees): discard all but the first provenance of
 		// a rooted tree.
-		return !k.rootedSeen.Has(t.RootedSig(), t.Root, t.Edges)
+		return !k.rootedSeen.Has(tree.SigWithRoot(sig, root), root, edges)
 	}
-	if k.sched.Claim(t.Sig(), unrootedRef, t.Edges) {
+	if k.sched.Claim(sig, unrootedRef, edges) {
 		return true
 	}
-	if k.exempt(t.Sig(), t.Root, t.Edges, nil) {
+	if k.exempt(sig, root, edges, nil) {
 		k.Stats.Spared++
 		return true
 	}
@@ -426,13 +458,14 @@ func (k *Kernel) mergeSeen(a, b *tree.Tree) bool {
 	return k.sched.Seen(sig, unrootedRef, a.Edges, b.Edges) && !k.exempt(sig, a.Root, a.Edges, b.Edges)
 }
 
-// keep records a tree in the rooted history and statistics (its edge set
-// was claimed in isNew, or by the parent of a Mo copy). The history
-// aliases the tree's edge slice, which is safe: kept trees are immutable
-// and live as long as the history does.
-func (k *Kernel) keep(t *tree.Tree) {
-	k.rootedSeen.Add(t.RootedSig(), t.Root, t.Edges)
-	switch t.Kind {
+// keep records a kept tree of the given provenance kind and identity in
+// the rooted history and statistics (its edge set was claimed in isNew, or
+// by the parent of a Mo copy). The history aliases the edge slice, which
+// is safe: kept trees and leaf edge lists are immutable and live as long
+// as the history does.
+func (k *Kernel) keep(kind tree.Kind, sig uint64, root graph.NodeID, edges []graph.EdgeID) {
+	k.rootedSeen.Add(tree.SigWithRoot(sig, root), root, edges)
+	switch kind {
 	case tree.Init:
 		k.Stats.Inits++
 	case tree.Grow:
@@ -451,12 +484,12 @@ func (k *Kernel) keep(t *tree.Tree) {
 // gate: deduplicate, report results, record for merging (with Mo
 // injection), feed the queue, and merge aggressively.
 func (k *Kernel) processTree(t *tree.Tree) {
-	if !k.isNew(t) {
-		k.Stats.Pruned++
-		k.recycle(t)
+	if !k.isNew(t.Sig(), t.Root, t.Edges) {
+		k.prune()
+		k.arena.Release(t)
 		return
 	}
-	k.keep(t)
+	k.keep(t.Kind, t.Sig(), t.Root, t.Edges)
 	if k.sched.Stopped() {
 		return
 	}
@@ -493,11 +526,12 @@ func (k *Kernel) live() bool {
 	return true
 }
 
-// recycle discounts a rejected candidate from the live trees and, when it
-// is this arena's latest carve, takes its memory back. Only called on
-// trees no history, index, queue, or result references.
-func (k *Kernel) recycle(t *tree.Tree) {
-	k.arena.Release(t)
+// prune counts a rejected candidate, built or not, and discounts it from
+// the live trees. The caller takes back what it carved, when it can: a
+// candidate no history, index, queue, or result references, and the
+// arena's latest carve.
+func (k *Kernel) prune() {
+	k.Stats.Pruned++
 	k.Stats.Recycled++
 }
 
@@ -547,11 +581,11 @@ func (k *Kernel) CommitMo(mo *tree.Tree) {
 	}
 	k.Stats.created()
 	if k.rootedSeen.Has(mo.RootedSig(), mo.Root, mo.Edges) {
-		k.Stats.Pruned++
-		k.recycle(mo)
+		k.prune()
+		k.arena.Release(mo)
 		return
 	}
-	k.keep(mo)
+	k.keep(tree.Mo, mo.Sig(), mo.Root, mo.Edges)
 	if k.sched.Stopped() {
 		return
 	}
@@ -661,10 +695,9 @@ func (k *Kernel) mergeAll(t *tree.Tree) {
 			return
 		}
 		if k.mergeSeen(t, tp) {
-			// Rejected unbuilt: it carved nothing, but counts where a built
-			// reject is pruned and recycled so live-tree accounting holds.
-			k.Stats.Pruned++
-			k.Stats.Recycled++
+			// Rejected unbuilt: it carved nothing, but counts as a built
+			// reject does, so live-tree accounting holds.
+			k.prune()
 			continue
 		}
 		k.processTree(k.arena.NewMerge(t, tp))

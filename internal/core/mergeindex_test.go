@@ -154,12 +154,12 @@ func searchSched(g *graph.Graph, seeds []SeedSet, opts Options) *callerSched {
 	return s
 }
 
-// runsByRoot reads TreesRootedIn out of the kernel's slot table.
+// runsByRoot reads TreesRootedIn out of the kernel's root table.
 func runsByRoot(k *Kernel) map[graph.NodeID][]partner {
 	out := map[graph.NodeID][]partner{}
-	for i := range k.roots.slots {
-		if s := &k.roots.slots[i]; s.used && len(s.val.run) > 0 {
-			out[s.key] = s.val.run
+	for _, r := range k.roots.recs {
+		if len(r.val.run) > 0 {
+			out[r.key] = r.val.run
 		}
 	}
 	return out
@@ -236,8 +236,8 @@ func TestPreBuildProbeSurvivesSignatureCollision(t *testing.T) {
 		t.Fatalf("result lost behind a signature collision: %d results", rs.Len())
 	}
 	behind := 0
-	for _, r := range s.histEdge.slots {
-		if r.used && r.sig == tree.EdgeSetSig(all) {
+	for _, r := range s.histEdge.ids {
+		if r.sig == tree.EdgeSetSig(all) {
 			behind++
 		}
 	}

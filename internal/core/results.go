@@ -28,17 +28,18 @@ type ResultCollector struct {
 	limitHit bool
 }
 
-// newResultCollector builds a collector for one search's options.
-func newResultCollector(g *graph.Graph, si *seedIndex, opts Options) *ResultCollector {
-	return &ResultCollector{
-		g:        g,
-		si:       si,
-		uni:      opts.Filters.Uni,
-		score:    opts.Score,
-		topK:     opts.Filters.TopK,
-		limit:    opts.Filters.Limit,
-		onResult: opts.OnResult,
-	}
+// start readies rc, zero or Reset, for one search's options.
+func (rc *ResultCollector) start(g *graph.Graph, si *seedIndex, opts Options) {
+	rc.g, rc.si, rc.uni, rc.score = g, si, opts.Filters.Uni, opts.Score
+	rc.topK, rc.limit, rc.onResult = opts.Filters.TopK, opts.Filters.Limit, opts.OnResult
+}
+
+// Reset empties rc for the next search, keeping the memory of its dedup
+// table; the results it handed out stay the caller's.
+func (rc *ResultCollector) Reset() {
+	rc.seen.Reset()
+	rc.g, rc.si, rc.score, rc.onResult = nil, nil, nil, nil
+	rc.results, rc.limitHit = nil, false
 }
 
 // Add records a result tree. It returns true when the LIMIT filter is

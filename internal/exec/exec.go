@@ -153,11 +153,12 @@ type run struct {
 }
 
 // runState is the part of a run the next one reuses: the workers with
-// their kernels (arena, tables), queues and inboxes, and the shared
-// history. release empties it under a retention bound.
+// their kernels (arena, tables), queues and inboxes, the shared history
+// and the result collector. release empties it under a retention bound.
 type runState struct {
 	workers []*worker
 	hist    shardedSigSet
+	results core.ResultCollector
 }
 
 var statePool core.Pool[runState]
@@ -181,7 +182,8 @@ func newRun(st *runState, g *graph.Graph, seeds []core.SeedSet, opts core.Option
 		runState: st,
 		stopCh:   make(chan struct{}),
 	}
-	r.coll = newCollector(r.setup.NewCollector(), opts)
+	r.setup.StartCollector(&st.results)
+	r.coll = newCollector(&st.results, opts)
 	for _, w := range r.workers {
 		w.r = r
 		w.k.Start(r.setup, w, probeProcessTree, probeProcessMo)
@@ -203,6 +205,7 @@ func (r *run) release() {
 	for i := range r.hist.shards {
 		r.hist.shards[i].set.Reset()
 	}
+	r.results.Reset()
 }
 
 // owner shards nodes across workers. The hash spreads ID-adjacent nodes

@@ -18,6 +18,8 @@ import (
 //   - Release un-bumps only the arena's latest tree, which is what a
 //     candidate rejected straight after construction always is. Any other
 //     tree (a Mo copy rejected on its owner's shard) stays until Reset.
+//     GrowEdges carves an edge list with no tree; after it, Release of an
+//     older tree is a no-op, and UndoEdges takes the list back.
 //   - A nil *Arena allocates from the heap: hand-built trees (tests, the
 //     BFT baselines' minimized results) need no arena.
 type Arena struct {
@@ -62,6 +64,19 @@ func (a *Arena) Release(t *Tree) {
 	a.words.undo(a.lastW)
 	a.last = nil
 }
+
+// GrowEdges carves only the edge list of Grow(t, e): t's edges plus e,
+// sorted. It is what the search keeps of a Grow candidate that no later
+// step reads as a tree. The carve is not a tree, so Release, which would
+// un-bump the edges of the latest tree, is a no-op until the next one.
+func (a *Arena) GrowEdges(t *Tree, e graph.EdgeID) []graph.EdgeID {
+	a.last = nil
+	return InsertInto(a.edges.Alloc(len(t.Edges)+1), t.Edges, e)
+}
+
+// UndoEdges takes back edges, which must be the arena's latest GrowEdges
+// carve with nothing carved since.
+func (a *Arena) UndoEdges(edges []graph.EdgeID) { a.edges.undo(len(edges)) }
 
 // alloc returns a zeroed Tree and exact-size buffers of e edges, n nodes
 // and w sat words (nil for a zero count).

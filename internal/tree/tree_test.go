@@ -360,6 +360,41 @@ func TestArenaReleaseUnbumpsOnlyTheLatestTree(t *testing.T) {
 	}
 }
 
+// GrowEdges carves a leaf's edge list and nothing else. It is not a tree,
+// so a Release of the tree carved before it must be a no-op — it would
+// otherwise un-bump the leaf's edges — and UndoEdges takes the list back
+// for the next carve, zeroed.
+func TestArenaGrowEdgesSurvivesReleaseAndUndoes(t *testing.T) {
+	a := new(Arena)
+	root := a.NewInit(0, bitset.Single(0))
+	older := a.NewGrow(root, 4, 1, nil)
+	leaf := a.GrowEdges(older, 2)
+	if !slices.Equal(leaf, []graph.EdgeID{2, 4}) || cap(leaf) != 2 {
+		t.Fatalf("GrowEdges carved %v (cap %d), want [2 4]", leaf, cap(leaf))
+	}
+	a.Release(older)
+	if !slices.Equal(older.Edges, []graph.EdgeID{4}) || !slices.Equal(older.Nodes, []graph.NodeID{0, 1}) || older.Left != root {
+		t.Fatalf("Release after GrowEdges disturbed the older tree: %v", older)
+	}
+	if !slices.Equal(leaf, []graph.EdgeID{2, 4}) {
+		t.Fatalf("Release after GrowEdges un-bumped the leaf's edges: %v", leaf)
+	}
+	if again := a.NewGrow(older, 7, 3, nil); &again.Edges[0] == &leaf[0] || again == older {
+		t.Fatal("a tree carved after the leaf reused the leaf's or the older tree's memory")
+	}
+	undone := a.GrowEdges(older, 9)
+	a.UndoEdges(undone)
+	if undone[0] != 0 || undone[1] != 0 {
+		t.Fatalf("UndoEdges left %v behind", undone)
+	}
+	if next := a.GrowEdges(older, 8); &next[0] != &undone[0] || !slices.Equal(next, []graph.EdgeID{4, 8}) {
+		t.Fatalf("the carve after UndoEdges must reuse its memory: %v", next)
+	}
+	if !slices.Equal(leaf, []graph.EdgeID{2, 4}) || !slices.Equal(older.Edges, []graph.EdgeID{4}) {
+		t.Fatal("UndoEdges took back more than the latest edge list")
+	}
+}
+
 // Reset takes everything back and the next search reuses the memory,
 // zeroed; trees larger than a chunk and runs across chunk boundaries are
 // carved exactly like any other.

@@ -274,8 +274,12 @@ func (p *Pool[T]) Put(x *T) {
 
 // Emptied zeroes a queue or exchange buffer for the next search, dropping
 // one that grew beyond maxKeptOps entries.
-func Emptied[T any](s []T) []T {
-	if cap(s) > maxKeptOps {
+func Emptied[T any](s []T) []T { return emptiedUpTo(s, maxKeptOps) }
+
+// emptiedUpTo zeroes s for the next search (a stale pointer must not pin
+// memory the search is done with), dropping it beyond keep elements.
+func emptiedUpTo[T any](s []T, keep int) []T {
+	if cap(s) > keep {
 		return nil
 	}
 	clear(s)

@@ -102,5 +102,5 @@ func (t *nodeTable[V]) reserve(n int) {
 // Reset empties the table for the next search.
 func (t *nodeTable[V]) Reset() {
 	t.flatTable.Reset()
-	t.recs = emptyRecords(t.recs)
+	t.recs = emptiedUpTo(t.recs, maxTableSlots)
 }

@@ -127,16 +127,6 @@ func fit[R any](recs []R, t *flatTable) []R {
 	return recs
 }
 
-// emptyRecords zeroes a table's record array for the next search (a stale
-// pointer must not pin an arena chunk), dropping one beyond maxTableSlots.
-func emptyRecords[R any](recs []R) []R {
-	if cap(recs) > maxTableSlots {
-		return nil
-	}
-	clear(recs)
-	return recs[:0]
-}
-
 // is reports whether the record is the identity (sig, root, a ∪ b) for
 // sorted, disjoint a and b: its edges must be their merge-walk, which for
 // an empty b is plain equality with a. Neither union nor copy is built.
@@ -161,7 +151,7 @@ func (r *sigID) is(sig uint64, root graph.NodeID, a, b []graph.EdgeID) bool {
 // Reset empties the set for the next search.
 func (s *SigSet) Reset() {
 	s.flatTable.Reset()
-	s.ids = emptyRecords(s.ids)
+	s.ids = emptiedUpTo(s.ids, maxTableSlots)
 }
 
 // Has reports whether the (root, edges) identity is present under sig. It

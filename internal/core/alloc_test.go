@@ -68,6 +68,56 @@ func warmAllocsAtMost64(t *testing.T, g *graph.Graph, seeds []core.SeedSet, opts
 	}
 }
 
+// fig11Cycle is fig11-grid's plan: the Figure 11 graphs (Line m=10, Star
+// m=5, Comb nA=4, Star m=8, Star m=10) searched by MoLESP in its 32-search
+// cycle, a sequence whose tables grow from a few slots to thousands.
+func fig11Cycle() (gs []*graph.Graph, seeds [][]core.SeedSet, pattern []int) {
+	for _, w := range []*gen.Workload{
+		gen.Line(10, 2, gen.Alternate),
+		gen.Star(5, 4, gen.Alternate),
+		gen.Comb(4, 2, 3, 2, gen.Alternate),
+		gen.Star(8, 2, gen.Alternate),
+		gen.Star(10, 2, gen.Alternate),
+	} {
+		gs, seeds = append(gs, w.Graph), append(seeds, core.Explicit(w.Seeds...))
+	}
+	pattern = []int{
+		3, 2, 3, 0, 3, 1, 3, 2, 3, 4, 3, 2, 3, 0, 3, 1,
+		3, 2, 3, 0, 3, 1, 3, 2, 3, 2, 3, 0, 3, 1, 3, 2,
+	}
+	return gs, seeds, pattern
+}
+
+// fig11-grid's cycle makes at most 17 allocations per search sequentially
+// and 28.6 at K = 2. That holds because a table's record array is kept
+// with its slots from one search to the next, the seed index reserves its
+// table at its final size, and the result collector, dedup table
+// included, is the pooled state's; without any one of these the cycle
+// makes more.
+func TestFig11CycleAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs Star m=10 three times")
+	}
+	gs, seeds, pattern := fig11Cycle()
+	for _, c := range []struct {
+		k    int
+		want float64
+	}{{0, 17}, {2, 28.6}} {
+		opts := core.Options{Algorithm: core.MoLESP, Parallelism: c.k}
+		allocs := testing.AllocsPerRun(2, func() {
+			for _, i := range pattern {
+				if _, _, err := core.Search(gs[i], seeds[i], opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}) / float64(len(pattern))
+		t.Logf("K=%d: %.2f allocations per search", c.k, allocs)
+		if allocs > c.want {
+			t.Errorf("K=%d: fig11-grid's cycle made %.2f allocations per search, want <= %.1f", c.k, allocs, c.want)
+		}
+	}
+}
+
 func BenchmarkSearchMax3(b *testing.B) {
 	g, seeds, opts := max3Search(b)
 	for _, k := range []int{0, 2} {

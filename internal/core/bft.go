@@ -138,10 +138,10 @@ func bftSearch(g *graph.Graph, seeds []SeedSet, opts Options) (*ResultSet, *Stat
 	s.collector.start(g, si, opts)
 
 	// Generation T0: one-node trees for every seed.
-	for i, r := range si.nodes.recs {
+	for _, n := range si.inits {
 		t := bftAcquire()
-		t.nodes = append(t.nodes, r.key)
-		t.satBuf = bitset.UnionInto(t.satBuf, si.maskOf(i), nil)
+		t.nodes = append(t.nodes, n)
+		t.satBuf = bitset.UnionInto(t.satBuf, si.mask(n), nil)
 		t.sat = t.satBuf
 		t.sig = tree.SetSigBasis
 		s.stats.created()

@@ -349,9 +349,9 @@ func heapAllocObjects() uint64 {
 // sets. It is immutable after buildSeedIndex and safe for concurrent
 // readers, which is what lets one Setup serve every worker's Kernel.
 type seedIndex struct {
-	nodes        nodeTable[struct{}] // the seed nodes; its keys, in entry order, are the Init nodes
-	masks        []uint64            // node i's seed-set membership, words wide, at masks[i*words:]
-	required     bitset.Bits         // all non-universal set indices
+	masks        nodeTable[bitset.Bits] // every mask is words wide
+	inits        []graph.NodeID         // the distinct seed nodes, in first-occurrence order
+	required     bitset.Bits            // all non-universal set indices
 	numSets      int
 	words        int // of a numSets-bit signature
 	hasUniversal bool
@@ -365,8 +365,9 @@ func buildSeedIndex(seeds []SeedSet) *seedIndex {
 			listed += len(s.Nodes)
 		}
 	}
-	idx.nodes.reserve(listed)
-	idx.masks = make([]uint64, listed*idx.words)
+	idx.masks.reserve(listed)
+	idx.inits = make([]graph.NodeID, 0, listed)
+	words := make([]uint64, listed*idx.words) // the masks, carved in order
 	for i, s := range seeds {
 		if s.Universal {
 			idx.hasUniversal = true
@@ -374,7 +375,11 @@ func buildSeedIndex(seeds []SeedSet) *seedIndex {
 		}
 		idx.required.Set(i)
 		for _, n := range s.Nodes {
-			m := idx.maskOf(idx.nodes.enter(n))
+			m := idx.masks.at(n)
+			if *m == nil {
+				*m, words = words[:idx.words:idx.words], words[idx.words:]
+				idx.inits = append(idx.inits, n)
+			}
 			m.Set(i)
 		}
 	}
@@ -383,22 +388,14 @@ func buildSeedIndex(seeds []SeedSet) *seedIndex {
 
 // mask returns the seed-set membership of n (nil for non-seeds).
 func (si *seedIndex) mask(n graph.NodeID) bitset.Bits {
-	if i, ok := si.nodes.index(n); ok {
-		return si.maskOf(i)
+	if m := si.masks.find(n); m != nil {
+		return *m
 	}
 	return nil
 }
 
-// maskOf returns the seed-set membership of the i-th seed node.
-func (si *seedIndex) maskOf(i int) bitset.Bits {
-	return si.masks[i*si.words : (i+1)*si.words : (i+1)*si.words]
-}
-
 // isSeed reports whether n belongs to any non-universal seed set.
-func (si *seedIndex) isSeed(n graph.NodeID) bool {
-	_, ok := si.nodes.index(n)
-	return ok
-}
+func (si *seedIndex) isSeed(n graph.NodeID) bool { return si.masks.find(n) != nil }
 
 // covers reports whether sat covers every non-universal seed set.
 func (si *seedIndex) covers(sat bitset.Bits) bool { return sat.Contains(si.required) }

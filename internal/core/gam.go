@@ -191,8 +191,8 @@ func (k *Kernel) Reset() {
 // non-universal sets (universal sets spawn no Init trees, Section 4.9).
 // It stops early when yield returns false.
 func (k *Kernel) Inits(yield func(*tree.Tree) bool) {
-	for i, r := range k.s.si.nodes.recs {
-		if !yield(k.arena.NewInit(r.key, k.s.si.maskOf(i))) {
+	for _, n := range k.s.si.inits {
+		if !yield(k.arena.NewInit(n, k.s.si.mask(n))) {
 			return
 		}
 	}

@@ -36,32 +36,6 @@ func obsServer(t *testing.T) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// getTrace fetches a query's trace from /debug/traces?id=. The handler
-// records its trace when it returns, which can be after a response larger
-// than the server's write buffer has reached the client, so a 404 is
-// asked again for up to two seconds.
-func getTrace(t *testing.T, url, id string) obs.Trace {
-	t.Helper()
-	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
-		resp, err := http.Get(url + "/debug/traces?id=" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var trace obs.Trace
-		err = json.NewDecoder(resp.Body).Decode(&trace)
-		resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusNotFound && time.Now().Before(deadline):
-			continue
-		case resp.StatusCode != http.StatusOK:
-			t.Fatalf("GET /debug/traces?id=%s: %d", id, resp.StatusCode)
-		case err != nil:
-			t.Fatal(err)
-		}
-		return trace
-	}
-}
-
 // TestObsQueryTrace: a query response names its trace, /debug/traces?id=
 // serves that trace's span tree, and the tree holds the lifecycle spans
 // the tentpole promises (parse, cache, engine eval with stage children).
@@ -75,7 +49,18 @@ func TestObsQueryTrace(t *testing.T) {
 		t.Fatal("200 response carried no trace_id")
 	}
 
-	trace := getTrace(t, ts.URL, out.TraceID)
+	resp, err := http.Get(ts.URL + "/debug/traces?id=" + out.TraceID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /debug/traces?id=%s: %d", out.TraceID, resp.StatusCode)
+	}
+	var trace obs.Trace
+	if err := json.NewDecoder(resp.Body).Decode(&trace); err != nil {
+		t.Fatal(err)
+	}
 	if msg := trace.WellFormed(); msg != "" {
 		t.Fatalf("trace malformed: %s", msg)
 	}
@@ -104,7 +89,15 @@ func TestOneReportOnEverySurface(t *testing.T) {
 	if code != http.StatusOK || out.TraceID == "" || out.Search == nil {
 		t.Fatalf("query answered %d (%s) with trace %q and report %v", code, fail.Error, out.TraceID, out.Search)
 	}
-	trace := getTrace(t, ts.URL, out.TraceID)
+	resp, err := http.Get(ts.URL + "/debug/traces?id=" + out.TraceID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var trace obs.Trace
+	if err := json.NewDecoder(resp.Body).Decode(&trace); err != nil {
+		t.Fatal(err)
+	}
 
 	// report reads a span's attributes back as the JSON object they name.
 	report := func(sp obs.SpanRecord, into any) {

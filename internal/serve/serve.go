@@ -305,7 +305,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// present (the shard's spans then join the coordinator's trace), a
 	// fresh trace otherwise. class/status feed the response counter and
 	// latency histogram at exit; the deferred End finalizes the trace
-	// into the flight recorder even when a contained panic unwinds.
+	// into the flight recorder even when a contained panic unwinds. A
+	// success ends the span before its body is written (End is
+	// idempotent), so a client that follows trace_id the moment it reads
+	// the response finds the trace recorded.
 	sp := s.tracer.Start("query", parentContext(r.Header.Get(obs.TraceHeader)))
 	class, status := "none", "ok"
 	defer func() {
@@ -402,6 +405,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			sp.AttrBool("cache_bypass", true)
 			resp := s.finishResponse(res, res.SearchStats(), ctpquery.CacheInfo{Enabled: true, Hit: true}, db, req, start, sp)
 			resp.Admission = &wire.Admission{Class: admission.Cheap.String(), CacheBypass: true}
+			sp.End()
 			wire.WriteJSON(w, http.StatusOK, resp)
 			return
 		}
@@ -476,6 +480,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	resp := s.finishResponse(res, st, cinfo, db, req, start, sp)
 	resp.Admission = adm
+	sp.End()
 	wire.WriteJSON(w, http.StatusOK, resp)
 }
 

@@ -260,3 +260,39 @@ func BenchmarkMergePartnerScan(b *testing.B) {
 		}
 	}
 }
+
+// fig11-grid's five searches, smallest first, each run once on one fresh
+// scheduler — how the benchmark's core layer counts core.allocs_per_search
+// — make each table outgrow the arrays the search before left it. A table
+// that outgrows its backing array gets one four times as long, and its
+// record array room for all that array can take, so slot and record
+// arrays are made every other doubling and the plan makes at most 39.4
+// allocations per search (36.4 measured). Plain doubling makes 42.4, and
+// records appended one by one 43.0.
+func TestFig11PlanGrowthAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs Star m=10 four times")
+	}
+	var gs []*graph.Graph
+	var seeds [][]SeedSet
+	for _, w := range []*gen.Workload{
+		gen.Line(10, 2, gen.Alternate),
+		gen.Star(5, 4, gen.Alternate),
+		gen.Comb(4, 2, 3, 2, gen.Alternate),
+		gen.Star(8, 2, gen.Alternate),
+		gen.Star(10, 2, gen.Alternate),
+	} {
+		gs, seeds = append(gs, w.Graph), append(seeds, Explicit(w.Seeds...))
+	}
+	opts := Options{Algorithm: MoLESP}
+	allocs := testing.AllocsPerRun(3, func() {
+		s := new(callerSched)
+		for i := range gs {
+			s.search(NewSetup(gs[i], seeds[i], opts))
+		}
+	}) / float64(len(gs))
+	t.Logf("%.2f allocations per search", allocs)
+	if allocs > 39.4 {
+		t.Fatalf("fig11-grid's plan on a fresh scheduler made %.2f allocations per search, want <= 39.4", allocs)
+	}
+}

@@ -75,7 +75,7 @@ func (t *nodeTable[V]) enter(n graph.NodeID) int {
 		return int(t.slots[i].ref) - 1
 	}
 	grew := t.grow(len(t.recs) + 1)
-	t.recs = append(t.recs, nodeRec[V]{key: n})
+	t.recs = append(fit(t.recs, &t.flatTable), nodeRec[V]{key: n})
 	if !grew {
 		t.slots[i] = slot{uint32(n), uint32(len(t.recs))}
 	} else {
@@ -96,7 +96,7 @@ func (t *nodeTable[V]) reserve(n int) {
 		size *= 2
 	}
 	t.slots = make([]slot, size)
-	t.recs = make([]nodeRec[V], 0, n)
+	t.recs = make([]nodeRec[V], 0, 3*size/4)
 }
 
 // Reset empties the table for the next search.

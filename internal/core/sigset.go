@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"ctpquery/internal/graph"
 	"ctpquery/internal/tree"
 )
@@ -63,8 +65,12 @@ const unrootedRef graph.NodeID = -1
 // enough. So a search that follows another allocates nothing while its
 // tables grow, a table is never larger than its own entries warrant — a
 // small search stays in cache however large its predecessor was — and
-// Reset clears only the live table. Slot and record arrays beyond
-// maxTableSlots are dropped for the GC.
+// Reset clears only the live table. A new backing array is made four
+// times as long as the table needs (up to maxTableSlots), and the record
+// array is given room for all it can hold (fit), so a search that
+// outgrows its predecessor's tables makes one slot and one record array
+// every other doubling. Slot and record arrays beyond maxTableSlots are
+// dropped for the GC.
 type flatTable struct {
 	slots []slot // len is a power of two, or 0
 }
@@ -85,7 +91,7 @@ func (t *flatTable) grow(n int) bool {
 	}
 	size := max(2*len(t.slots), minTableSlots)
 	if cap(t.slots) < size {
-		t.slots = make([]slot, size)
+		t.slots = make([]slot, size, max(size, min(4*size, maxTableSlots)))
 	} else {
 		t.slots = t.slots[:size]
 		clear(t.slots)
@@ -110,6 +116,15 @@ func (t *flatTable) Reset() {
 		t.slots = nil
 	}
 	t.slots = t.slots[:min(len(t.slots), minTableSlots)]
+}
+
+// fit gives a table's record array room for as many entries as its slot
+// array can take, so that records are moved only when slots are.
+func fit[R any](recs []R, t *flatTable) []R {
+	if n := 3 * cap(t.slots) / 4; cap(recs) < n {
+		return slices.Grow(recs, n-len(recs))
+	}
+	return recs
 }
 
 // is reports whether the record is the identity (sig, root, a ∪ b) for
@@ -180,7 +195,7 @@ func (s *SigSet) Add(sig uint64, root graph.NodeID, edges []graph.EdgeID) bool {
 		return false
 	}
 	grew := s.grow(len(s.ids) + 1)
-	s.ids = append(s.ids, sigID{sig, root, edges})
+	s.ids = append(fit(s.ids, &s.flatTable), sigID{sig, root, edges})
 	if !grew {
 		s.slots[i] = slot{uint32(sig >> 32), uint32(len(s.ids))}
 		return true

@@ -80,6 +80,6 @@ func (db *DB) ShedCache(frac float64) int64 {
 // LIMIT/TOP tie-breaking may keep a different same-sized subset across
 // degrees (see Options.Parallelism).
 func (o Options) cacheSignature(alg core.Algorithm) string {
-	return fmt.Sprintf("alg=%s mq=%t to=%d par=%t k=%d",
-		alg, o.MultiQueue, int64(o.DefaultTimeout), o.Parallel, o.Parallelism)
+	return fmt.Sprintf("alg=%s to=%d par=%t k=%d",
+		alg, int64(o.DefaultTimeout), o.Parallel, o.Parallelism)
 }

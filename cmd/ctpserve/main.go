@@ -62,6 +62,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -199,9 +200,6 @@ func run(cfg serverConfig) error {
 	if err != nil {
 		return err
 	}
-	// The startup default resolves and clamps through the same helper as
-	// per-request overrides, so the two paths cannot drift apart.
-	cfg.parallelism = serve.ClampParallelism(cfg.parallelism, cfg.maxParallelism)
 	if cfg.saveSnapshot != "" {
 		if err := writeSnapshot(g, cfg.saveSnapshot); err != nil {
 			return fmt.Errorf("save snapshot: %w", err)
@@ -243,7 +241,7 @@ func run(cfg serverConfig) error {
 			CostBudget:    cfg.admitBudget,
 		}
 		if cfg.admitSlots <= 0 {
-			scfg.Admission.MaxConcurrent = serve.ClampParallelism(-1, 0)
+			scfg.Admission.MaxConcurrent = runtime.GOMAXPROCS(0)
 		}
 		scfg.Estimator = admission.EstimatorConfig{
 			CheapThreshold: float64(cfg.admitThreshold.Milliseconds()) * admission.UnitsPerMS,

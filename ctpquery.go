@@ -26,20 +26,19 @@ type Options struct {
 	// CTP searches are independent, so this is always safe.
 	Parallel bool
 
-	// Parallelism shards each individual CONNECT search across this many
-	// workers (the GAM-family parallel runtime): 0 keeps the sequential
-	// kernel, negative selects GOMAXPROCS. It composes with Parallel —
-	// Parallel spreads separate CONNECT clauses, Parallelism splits one.
+	// Parallelism bounds the workers each CONNECT search is sharded across
+	// (the GAM-family parallel runtime): 0 keeps the sequential kernel,
+	// negative selects GOMAXPROCS. The engine decides each clause's
+	// schedule from it once, by the rule of DESIGN.md §6 (universal and
+	// skewed seed sets run the Section 4.9 multi-queue instead). It
+	// composes with Parallel — Parallel spreads separate CONNECT clauses,
+	// Parallelism splits one.
 	// Result multisets are unchanged on the paper's completeness envelope
 	// (GAM any m, ESP/LESP m = 2, MoLESP m <= 3; see DESIGN.md §6), and
 	// parallel results are returned in a canonical order (score, then
 	// size, then edge set). LIMIT/TOP may keep a different same-sized
 	// subset than a sequential run when results tie.
 	Parallelism int
-
-	// MultiQueue forces the Section 4.9 multi-queue scheduling; even when
-	// false it is auto-enabled for universal or heavily skewed seed sets.
-	MultiQueue bool
 
 	// DefaultTimeout bounds each CTP search when the query has no TIMEOUT
 	// filter (0 = unbounded). Context deadlines passed to Query/Run clamp
@@ -67,7 +66,6 @@ type Options struct {
 func (o Options) engineOptions(alg core.Algorithm, onResult func(int, core.Result) bool) engine.Options {
 	return engine.Options{
 		Algorithm:      alg,
-		MultiQueue:     o.MultiQueue,
 		DefaultTimeout: o.DefaultTimeout,
 		Parallel:       o.Parallel,
 		Parallelism:    o.Parallelism,

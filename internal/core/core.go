@@ -122,7 +122,9 @@ type Options struct {
 
 	// MultiQueue enables the skewed-seed-set strategy of Section 4.9: one
 	// priority queue per tree signature, always growing from the queue
-	// with the fewest entries.
+	// with the fewest entries. Together with Parallelism it is the
+	// schedule a direct caller picks; the engine picks it per CONNECT
+	// clause by the rule of DESIGN.md §6.
 	MultiQueue bool
 
 	// Parallelism selects how the GAM-family kernel is scheduled: 0 runs
@@ -201,9 +203,11 @@ type Stats struct {
 
 	// Parallel-runtime observability (internal/exec). Parallelism is the
 	// worker count the search actually ran with (0 on the caller's
-	// goroutine); Workers holds one entry per worker.
+	// goroutine); Workers holds one entry per worker. MultiQueue reports a
+	// caller-goroutine GAM-family search that ran the multi-queue.
 	Parallelism int
 	Workers     []WorkerStats
+	MultiQueue  bool
 }
 
 // WorkerStats reports one parallel-search worker's share of the effort.

@@ -306,6 +306,7 @@ func (s *callerSched) search(setup *Setup) (*ResultSet, *Stats) {
 	s.run(setup)
 	st := s.k.Stats
 	st.Duration = time.Since(start)
+	st.MultiQueue = setup.opts.MultiQueue
 	rs := s.collector.finish()
 	st.Results = len(rs.Results)
 	s.reset()

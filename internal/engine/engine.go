@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -38,11 +39,6 @@ type Options struct {
 	// recommended variant.
 	Algorithm core.Algorithm
 
-	// MultiQueue forces the Section 4.9 multi-queue scheduling. When
-	// false, the engine still chooses it for some CTPs by itself; the
-	// rule is Engine.multiQueue.
-	MultiQueue bool
-
 	// DefaultTimeout bounds each CTP evaluation when the query does not
 	// specify TIMEOUT (0 = unbounded).
 	DefaultTimeout time.Duration
@@ -53,14 +49,11 @@ type Options struct {
 	// the J1 shape of Table 1.
 	Parallel bool
 
-	// Parallelism shards each GAM-family CTP search across this many
-	// workers (the internal/exec runtime): 0 keeps the sequential kernel,
+	// Parallelism bounds the workers each CTP search is sharded across
+	// (the internal/exec runtime): 0 keeps the caller's goroutine,
 	// negative means GOMAXPROCS. It composes with Parallel — Parallel
-	// spreads independent CTPs, Parallelism splits one search. Universal
-	// seed sets and a forced MultiQueue still select the sequential
-	// multi-queue path (Section 4.9); the skew-based multi-queue
-	// auto-enable is skipped when a parallel degree is set, since worker
-	// sharding already spreads skewed frontiers.
+	// spreads independent CTPs, Parallelism splits one search. Each
+	// clause's schedule is decided once, by resolveSchedule (DESIGN.md §6).
 	Parallelism int
 
 	// OnCTPResult, when set, streams each CTP result as the search finds
@@ -325,42 +318,60 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *eql.Query) (res *Result,
 	return res, nil
 }
 
-// parallelism resolves Options.Parallelism: negative means GOMAXPROCS.
-func (e *Engine) parallelism() int {
-	if e.opts.Parallelism < 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return e.opts.Parallelism
+// schedule is how one CONNECT clause's search runs: sharded across
+// workers exec workers, or (workers 0) on the caller's goroutine with one
+// queue or the Section 4.9 multi-queue. rule names the rule that decided
+// it. resolveSchedule is its one source: evalCTP applies it and Explain
+// prints it.
+type schedule struct {
+	workers    int
+	multiQueue bool
+	rule       string
 }
 
+// The rules of resolveSchedule, in the order they are tried.
+const (
+	byFamily    = "algorithm family"
+	byUniversal = "universal seed set"
+	byDegree    = "degree"
+	bySkew      = "skew >= 32 at degree 0"
+)
+
 // skewThreshold is the largest-to-smallest seed set size ratio from which
-// multi-queue scheduling is chosen without being asked for.
+// a search at degree 0 runs the multi-queue.
 const skewThreshold = 32
 
-// multiQueue is the Section 4.9 decision for one CTP: multi-queue
-// scheduling when it is forced (Options.MultiQueue), when a seed set is
-// universal, or when the sizes of the other seed sets are heavily skewed
-// (as the paper does for the YAGO queries J2 and J3). A configured
-// parallel degree supersedes the skew heuristic — worker sharding already
-// spreads skewed frontiers — but not the first two, which keep the
-// sequential multi-queue kernel.
-func (e *Engine) multiQueue(universal bool, sizes []int) bool {
-	if e.opts.MultiQueue || universal {
-		return true
-	}
-	if e.parallelism() != 0 || len(sizes) == 0 {
-		return false
+// unknownSize stands for a seed set step (A) binds: Explain plans before
+// the BGPs run.
+const unknownSize = -1
+
+// resolveSchedule decides one clause's schedule by the rule of DESIGN.md
+// §6. parallelism is Options.Parallelism, an upper bound (negative means
+// GOMAXPROCS); universal reports a universal seed set, and sizes holds
+// the sizes of the others. Where the skew rule needs an unknownSize, the
+// decision waits for the run: it returns the single queue under bySkew.
+func resolveSchedule(alg core.Algorithm, parallelism int, universal bool, sizes []int) schedule {
+	switch {
+	case !slices.Contains(core.GAMFamily(), alg):
+		return schedule{rule: byFamily}
+	case universal:
+		return schedule{multiQueue: true, rule: byUniversal}
+	case parallelism < 0:
+		return schedule{workers: runtime.GOMAXPROCS(0), rule: byDegree}
+	case parallelism > 0 || len(sizes) == 0:
+		return schedule{workers: parallelism, rule: byDegree}
 	}
 	lo, hi := sizes[0], sizes[0]
-	for _, s := range sizes[1:] {
-		if s < lo {
-			lo = s
+	for _, s := range sizes {
+		if s == unknownSize {
+			return schedule{rule: bySkew}
 		}
-		if s > hi {
-			hi = s
-		}
+		lo, hi = min(lo, s), max(hi, s)
 	}
-	return lo > 0 && hi/lo >= skewThreshold
+	if lo > 0 && hi/lo >= skewThreshold {
+		return schedule{multiQueue: true, rule: bySkew}
+	}
+	return schedule{rule: byDegree}
 }
 
 // joinAll natural-joins the tables, preferring join partners sharing
@@ -475,8 +486,8 @@ func (e *Engine) evalCTP(ctx context.Context, idx int, c eql.CTP, bgpTables []*s
 		}
 		opts.Score = f
 	}
-	opts.Parallelism = e.parallelism()
-	opts.MultiQueue = e.multiQueue(universal, sizes)
+	sch := resolveSchedule(e.opts.Algorithm, e.opts.Parallelism, universal, sizes)
+	opts.Parallelism, opts.MultiQueue = sch.workers, sch.multiQueue
 
 	rs, stats, err := core.Search(e.g, seeds, opts)
 	if err != nil {

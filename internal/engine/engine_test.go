@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -309,9 +310,9 @@ func TestFormatTreeAndRow(t *testing.T) {
 	}
 }
 
-// Skew auto-enables the multi-queue strategy: a huge seed set against a
-// singleton must still terminate quickly under a tight timeout, finding
-// at least the nearby results first (the J2 scenario).
+// Skew selects the multi-queue strategy: a huge seed set against a
+// singleton must run it, and still terminate quickly under a tight
+// timeout, finding at least the nearby results first (the J2 scenario).
 func TestSkewedSeedSetsUseMultiQueue(t *testing.T) {
 	kg := gen.YAGOLike(300, 7)
 	g := kg.Graph
@@ -326,5 +327,54 @@ func TestSkewedSeedSetsUseMultiQueue(t *testing.T) {
 	}
 	if res.Table.NumRows() == 0 {
 		t.Fatal("skewed query found nothing")
+	}
+	if st := res.CTPStats[0]; !st.MultiQueue || st.Parallelism != 0 {
+		t.Fatalf("skewed query ran multi-queue %v at %d workers, want the multi-queue on the caller's goroutine",
+			st.MultiQueue, st.Parallelism)
+	}
+}
+
+// TestResolveSchedule pins the schedule rule of DESIGN.md §6, each row
+// one rule.
+func TestResolveSchedule(t *testing.T) {
+	gmp := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct {
+		name      string
+		alg       core.Algorithm
+		par       int
+		universal bool
+		sizes     []int
+		want      schedule
+	}{
+		{"single queue at degree 0", core.MoLESP, 0, false, []int{3, 1},
+			schedule{rule: byDegree}},
+		{"universal seed set", core.MoLESP, 0, true, []int{1},
+			schedule{multiQueue: true, rule: byUniversal}},
+		{"universal wins over a degree", core.GAM, 4, true, nil,
+			schedule{multiQueue: true, rule: byUniversal}},
+		{"skew >= 32 at degree 0", core.MoLESP, 0, false, []int{1, 32},
+			schedule{multiQueue: true, rule: bySkew}},
+		{"skew just under 32", core.MoLESP, 0, false, []int{2, 63},
+			schedule{rule: byDegree}},
+		{"an empty seed set is no skew", core.MoLESP, 0, false, []int{0, 500},
+			schedule{rule: byDegree}},
+		{"skew ignored at degree 2", core.MoLESP, 2, false, []int{1, 1000},
+			schedule{workers: 2, rule: byDegree}},
+		{"degree 1", core.ESP, 1, false, []int{1, 1},
+			schedule{workers: 1, rule: byDegree}},
+		{"sentinel is GOMAXPROCS", core.MoLESP, -1, false, []int{1, 1000},
+			schedule{workers: gmp, rule: byDegree}},
+		{"BFT at degree 4", core.BFT, 4, false, []int{1, 1},
+			schedule{rule: byFamily}},
+		{"BFT with a universal seed set", core.BFTAM, 0, true, []int{1},
+			schedule{rule: byFamily}},
+		{"bound size waits for the run", core.MoLESP, 0, false, []int{unknownSize, 1},
+			schedule{rule: bySkew}},
+		{"bound size is moot at a degree", core.MoLESP, 3, false, []int{unknownSize, 1},
+			schedule{workers: 3, rule: byDegree}},
+	} {
+		if got := resolveSchedule(tc.alg, tc.par, tc.universal, tc.sizes); got != tc.want {
+			t.Errorf("%s: got %+v, want %+v", tc.name, got, tc.want)
+		}
 	}
 }

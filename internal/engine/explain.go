@@ -2,20 +2,20 @@ package engine
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"ctpquery/internal/bgp"
-	"ctpquery/internal/core"
 	"ctpquery/internal/eql"
 )
 
 // Explain describes, without executing the query, the plan Execute would
 // follow: per BGP the order its patterns are evaluated in and each one's
 // access path with the estimates behind it (bgp.Plan), and per CTP the
-// derived seed-set strategy (BGP-bound, predicate-selected,
-// or universal), the algorithm, and whether multi-queue scheduling would
-// engage. It is the paper's "adaptive EQL optimization" hook (Section 6's
-// future work) in diagnostic form.
+// derived seed-set strategy (BGP-bound, predicate-selected, or
+// universal), the algorithm, and the schedule resolveSchedule picks. It
+// is the paper's "adaptive EQL optimization" hook (Section 6's future
+// work) in diagnostic form.
 func (e *Engine) Explain(q *eql.Query) (string, error) {
 	if err := q.Validate(); err != nil {
 		return "", err
@@ -51,7 +51,7 @@ func (e *Engine) Explain(q *eql.Query) (string, error) {
 			switch {
 			case m.Var != "" && boundVars[m.Var]:
 				fmt.Fprintf(&sb, "    seed ?%s: bound by BGP\n", m.Var)
-				sizes = append(sizes, e.g.NumNodes()) // unknown until run; conservative
+				sizes = append(sizes, unknownSize)
 			case m.IsEmpty():
 				fmt.Fprintf(&sb, "    seed %s: universal (N) — no Init trees (Sec 4.9)\n", describeTerm(m))
 				universal = true
@@ -61,19 +61,8 @@ func (e *Engine) Explain(q *eql.Query) (string, error) {
 				sizes = append(sizes, n)
 			}
 		}
-		par := e.parallelism()
-		mq := e.multiQueue(universal, sizes)
-		fmt.Fprintf(&sb, "    multi-queue: %v; filters: %s\n", mq, describeFilters(c.Filters))
-		switch {
-		case mq || !isGAMFamily(e.opts.Algorithm):
-			fmt.Fprintf(&sb, "    parallelism: sequential kernel\n")
-		case par > 1:
-			fmt.Fprintf(&sb, "    parallelism: %d workers (sharded exec runtime)\n", par)
-		case par == 1:
-			fmt.Fprintf(&sb, "    parallelism: 1 worker (exec runtime)\n")
-		default:
-			fmt.Fprintf(&sb, "    parallelism: sequential kernel\n")
-		}
+		fmt.Fprintf(&sb, "    filters: %s\n", describeFilters(c.Filters))
+		fmt.Fprintf(&sb, "    %s\n", describeSchedule(resolveSchedule(e.opts.Algorithm, e.opts.Parallelism, universal, sizes)))
 	}
 	fmt.Fprintf(&sb, "  join: natural join of all tables, project %v", q.Head)
 	if q.Limit > 0 {
@@ -81,6 +70,24 @@ func (e *Engine) Explain(q *eql.Query) (string, error) {
 	}
 	sb.WriteString("\n")
 	return sb.String(), nil
+}
+
+// describeSchedule renders a clause's schedule and the rule that decided
+// it. A skew decision that waits on a BGP-bound seed set's size is
+// printed as such: step (A) has not run yet.
+func describeSchedule(sch schedule) string {
+	mq := strconv.FormatBool(sch.multiQueue)
+	if sch.rule == bySkew && !sch.multiQueue {
+		mq = "decided at run time, from the bound seed-set sizes"
+	}
+	par := "sequential kernel"
+	switch {
+	case sch.workers > 1:
+		par = fmt.Sprintf("%d workers (sharded exec runtime)", sch.workers)
+	case sch.workers == 1:
+		par = "1 worker (exec runtime)"
+	}
+	return fmt.Sprintf("multi-queue: %s; parallelism: %s (rule: %s)", mq, par, sch.rule)
 }
 
 // describeStep renders one plan step: its access path and the estimates
@@ -142,15 +149,4 @@ func describeFilters(f eql.Filters) string {
 		parts = append(parts, fmt.Sprintf("TIMEOUT %s", f.Timeout))
 	}
 	return strings.Join(parts, " ")
-}
-
-// isGAMFamily reports whether the algorithm supports the parallel
-// runtime (the grow-and-merge variants; BFT baselines stay sequential).
-func isGAMFamily(a core.Algorithm) bool {
-	for _, g := range core.GAMFamily() {
-		if a == g {
-			return true
-		}
-	}
-	return false
 }

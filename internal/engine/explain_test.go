@@ -7,6 +7,7 @@ import (
 
 	"ctpquery/internal/core"
 	"ctpquery/internal/gen"
+	"ctpquery/internal/graph"
 )
 
 func TestExplain(t *testing.T) {
@@ -59,6 +60,55 @@ func TestExplainBGPPlan(t *testing.T) {
 			if !strings.Contains(plan, want) {
 				t.Errorf("plan of %s missing %q:\n%s", tc.src, want, plan)
 			}
+		}
+	}
+}
+
+// Explain prints the schedule the run takes, never a guess: a skew
+// decision that waits on a BGP-bound seed set says so, and BFT-family
+// algorithms have one queue whatever the seed sets and degree.
+func TestExplainPrintsTheRunSchedule(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		opts Options
+		src  string
+		want []string
+		mq   bool // the run's schedule, on the caller's goroutine
+	}{
+		{"BGP-bound seed set", gen.YAGOLike(300, 7).Graph, Options{},
+			`SELECT ?w WHERE { ?p bornIn city0 . CONNECT ?p org0 AS ?w MAX 3 . }`,
+			[]string{"multi-queue: decided at run time, from the bound seed-set sizes", "rule: skew >= 32 at degree 0"},
+			false},
+		{"BFT at degree 4", gen.Sample(), Options{Algorithm: core.BFT, Parallelism: 4},
+			`SELECT ?t WHERE { CONNECT Alice ?any AS ?t MAX 2 . }`,
+			[]string{"multi-queue: false; parallelism: sequential kernel (rule: algorithm family)"},
+			false},
+		{"universal at degree 4", gen.Sample(), Options{Parallelism: 4},
+			`SELECT ?t WHERE { CONNECT Alice ?any AS ?t MAX 2 . }`,
+			[]string{"multi-queue: true; parallelism: sequential kernel (rule: universal seed set)"},
+			true},
+	} {
+		e := New(tc.g, tc.opts)
+		plan, err := e.Explain(mustParse(t, tc.src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(plan, "multi-queue: true") != tc.mq {
+			t.Errorf("%s: plan prints a multi-queue the run does not take (or the reverse):\n%s", tc.name, plan)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(plan, want) {
+				t.Errorf("%s: plan missing %q:\n%s", tc.name, want, plan)
+			}
+		}
+		res, err := e.Execute(mustParse(t, tc.src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := res.CTPStats[0]; st.MultiQueue != tc.mq || st.Parallelism != 0 {
+			t.Errorf("%s: run took multi-queue %v at %d workers, want %v on the caller's goroutine",
+				tc.name, st.MultiQueue, st.Parallelism, tc.mq)
 		}
 	}
 }

@@ -50,7 +50,9 @@ type Config struct {
 	MaxTimeout time.Duration
 	// MaxRows is the default response row cap (0 = unlimited).
 	MaxRows int
-	// MaxParallelism caps per-request worker counts (0 = no override).
+	// MaxParallelism caps the worker count of every request, the DB's
+	// default included; 0 leaves the default uncapped and ignores
+	// request overrides.
 	MaxParallelism int
 	// Admission, when non-nil, enables the admission layer with the given
 	// controller configuration (zero values select its defaults).
@@ -180,47 +182,39 @@ func (s *Server) noteSearch(st wire.Search) {
 	s.search.PeakTrees = peak
 }
 
-// resolveParallelism resolves a request's worker-count override against
-// the server policy. The order is load-bearing and pinned by tests:
+// parallelism gives a request its worker bound, the one decision on
+// the server's side of the engine (the engine decides each clause's
+// schedule within it). requested is the request's override, nil for
+// none. The order is load-bearing and pinned by tests:
 //
 //  1. the GOMAXPROCS sentinel (negative) resolves FIRST, so a huge
-//     machine cannot turn "-1" into a degree above the cap;
+//     machine cannot turn "-1" into a degree above the cap or ceiling;
 //  2. maxParallelism == 0 means requests may not override at all — the
 //     server default wins regardless of what was asked;
-//  3. otherwise the request clamps to maxParallelism. Each worker pins
-//     an OS thread, so the ceiling is a resource guard, not advice.
-func (s *Server) resolveParallelism(requested, serverDefault int) int {
-	if s.maxParallelism <= 0 {
-		return serverDefault
+//  3. otherwise the bound clamps to maxParallelism. Each worker pins
+//     an OS thread, so the cap is a resource guard, not advice;
+//  4. the watchdog's parCeiling, when set, caps every request, the
+//     server default included, so all requests step down together.
+func (s *Server) parallelism(requested *int) int {
+	k := s.base.Options().Parallelism
+	if requested != nil && s.maxParallelism > 0 {
+		k = *requested
 	}
-	return ClampParallelism(requested, s.maxParallelism)
+	if k < 0 {
+		k = runtime.GOMAXPROCS(0)
+	}
+	if s.maxParallelism > 0 && k > s.maxParallelism {
+		k = s.maxParallelism
+	}
+	if c := int(s.parCeiling.Load()); c > 0 && k > c {
+		k = c
+	}
+	return k
 }
 
-// ClampParallelism is the shared resolve-then-clamp: the GOMAXPROCS
-// sentinel resolves before the cap so it cannot sidestep it. The server
-// startup default (cmd/ctpserve) and per-request overrides both go
-// through it, so the two paths cannot drift apart.
-func ClampParallelism(requested, max int) int {
-	if requested < 0 {
-		requested = runtime.GOMAXPROCS(0)
-	}
-	if max > 0 && requested > max {
-		requested = max
-	}
-	return requested
-}
-
-// New builds a server over db. A GOMAXPROCS default (negative
-// Parallelism) is resolved here, once, so every comparison against the
-// degradation ceiling sees a worker count.
+// New builds a server over db. The base DB runs the server default
+// worker bound, so a request without an override never derives a DB.
 func New(db *ctpquery.DB, cfg Config) (*Server, error) {
-	if opts := db.Options(); opts.Parallelism < 0 {
-		opts.Parallelism = ClampParallelism(opts.Parallelism, 0)
-		var err error
-		if db, err = db.WithOptions(opts); err != nil {
-			return nil, err
-		}
-	}
 	s := &Server{
 		base:           db,
 		defaultTimeout: cfg.DefaultTimeout,
@@ -229,6 +223,13 @@ func New(db *ctpquery.DB, cfg Config) (*Server, error) {
 		maxParallelism: cfg.MaxParallelism,
 		drainGrace:     cfg.DrainGrace,
 		started:        time.Now(),
+	}
+	if opts, k := db.Options(), s.parallelism(nil); k != opts.Parallelism {
+		opts.Parallelism = k
+		var err error
+		if s.base, err = db.WithOptions(opts); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.Admission != nil {
 		g := db.Graph()
@@ -341,16 +342,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	db := s.base
 	baseOpts := s.base.Options()
-	// Effective parallelism: request override (clamped by policy), then
-	// the degradation ceiling — under memory pressure the watchdog caps
-	// even the server default, so every request steps down together.
-	effK := baseOpts.Parallelism
-	if req.Parallelism != nil {
-		effK = s.resolveParallelism(*req.Parallelism, effK)
-	}
-	if c := int(s.parCeiling.Load()); c > 0 && effK > c {
-		effK = c
-	}
+	effK := s.parallelism(req.Parallelism)
 	if req.Algorithm != "" || effK != baseOpts.Parallelism {
 		opts := baseOpts
 		opts.Parallelism = effK

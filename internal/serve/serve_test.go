@@ -608,28 +608,46 @@ func TestCacheNeverServesStalePartial(t *testing.T) {
 	}
 }
 
-// resolveParallelism pins the per-request resolution order: the
-// GOMAXPROCS sentinel resolves before the -max-parallelism clamp, and
-// maxParallelism == 0 means requests cannot override at all.
+// TestResolveParallelism pins Server.parallelism, the one worker-bound
+// decision: the GOMAXPROCS sentinel resolves before the -max-parallelism
+// cap and the watchdog ceiling, maxParallelism == 0 means requests cannot
+// override at all, and the ceiling caps the default and overrides alike.
 func TestResolveParallelism(t *testing.T) {
 	gmp := runtime.GOMAXPROCS(0)
+	g := ctpquery.SampleGraph()
+	seven, eight, twoHundred, neg, negSeven := 7, 8, 200, -1, -7
 	for _, tc := range []struct {
-		name               string
-		maxParallelism     int
-		requested, fallbck int
-		want               int
+		name           string
+		maxParallelism int
+		def, ceiling   int
+		requested      *int
+		want           int
 	}{
-		{"plain request under cap", 16, 4, 0, 4},
-		{"request above cap clamps", 16, 200, 0, 16},
-		{"sentinel resolves before clamp", 2, -1, 0, min(gmp, 2)},
-		{"any negative is the sentinel", 2, -7, 0, min(gmp, 2)},
-		{"cap zero ignores request", 0, 8, 3, 3},
-		{"cap zero ignores sentinel", 0, -1, 3, 3},
+		{"no override keeps the default", 16, 3, 0, nil, 3},
+		{"plain request under cap", 16, 0, 0, &seven, 7},
+		{"request above cap clamps", 16, 0, 0, &twoHundred, 16},
+		{"sentinel resolves before clamp", 2, 0, 0, &neg, min(gmp, 2)},
+		{"any negative is the sentinel", 2, 0, 0, &negSeven, min(gmp, 2)},
+		{"cap zero ignores request", 0, 3, 0, &eight, 3},
+		{"cap zero ignores sentinel", 0, 3, 0, &neg, 3},
+		{"sentinel default resolves", 0, -1, 0, nil, gmp},
+		{"sentinel default clamps to cap", 1, -1, 0, nil, 1},
+		{"default above cap clamps", 4, 9, 0, nil, 4},
+		{"ceiling caps the default", 16, 8, 2, nil, 2},
+		{"ceiling caps a request", 16, 0, 2, &seven, 2},
+		{"ceiling caps a sentinel request", 16, 0, 1, &neg, 1},
+		{"ceiling caps a sentinel default", 0, -1, 1, nil, 1},
+		{"ceiling caps the default a cap-zero request falls back to", 0, -1, 1, &eight, 1},
+		{"ceiling above the bound leaves it", 16, 0, 32, &seven, 7},
 	} {
-		s := &Server{maxParallelism: tc.maxParallelism}
-		if got := s.resolveParallelism(tc.requested, tc.fallbck); got != tc.want {
-			t.Errorf("%s: resolveParallelism(%d, %d) with cap %d = %d, want %d",
-				tc.name, tc.requested, tc.fallbck, tc.maxParallelism, got, tc.want)
+		db, err := ctpquery.Open(g, &ctpquery.Options{Parallelism: tc.def})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := &Server{base: db, maxParallelism: tc.maxParallelism}
+		s.parCeiling.Store(int32(tc.ceiling))
+		if got := s.parallelism(tc.requested); got != tc.want {
+			t.Errorf("%s: got %d, want %d", tc.name, got, tc.want)
 		}
 	}
 }

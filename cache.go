@@ -3,6 +3,8 @@ package ctpquery
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"ctpquery/internal/core"
 	"ctpquery/internal/fault"
@@ -82,4 +84,71 @@ func (db *DB) ShedCache(frac float64) int64 {
 func (o Options) cacheSignature(alg core.Algorithm) string {
 	return fmt.Sprintf("alg=%s to=%d par=%t k=%d",
 		alg, int64(o.DefaultTimeout), o.Parallel, o.Parallelism)
+}
+
+// cacheSlot is a cached result's place in its DB's cache, made when the
+// cache admits the run: the key the result is filed under, and the values
+// hits built from it (Results.Memo), each charged to the entry.
+type cacheSlot struct {
+	cache *qcache.Cache
+	key   qcache.Key
+	mu    sync.Mutex                 // serializes a memo's charge and store
+	memo  atomic.Pointer[[]memoItem] // copied on write; read without mu
+}
+
+type memoItem struct {
+	variant uint64
+	v       any
+}
+
+// memoOverhead is the fixed charge of one memo value beside its size: its
+// item in the slot's list and the list's copy.
+const memoOverhead = 48
+
+// Memo returns the value build made for variant on an earlier call, or
+// calls build and returns what it makes. A result held in a DB's cache
+// keeps that value beside it: size is charged to the cache entry, so the
+// value counts against CacheConfig.MaxBytes and leaves with the entry
+// (eviction, DB.ShedCache). Any other result — an uncached run, or an
+// entry already evicted or too large to grow — keeps nothing and calls
+// build each time. A server memoizes its rendering of a result this way,
+// on the entry's first hit rather than on the run that filled it, so an
+// entry that is never asked for again carries nothing extra. Equal
+// variants must build equal values; concurrent first calls may each
+// build, and one value is kept.
+func (r *Results) Memo(variant uint64, build func() (v any, size int64)) any {
+	s := r.slot
+	if s == nil {
+		v, _ := build()
+		return v
+	}
+	if v, ok := s.find(variant); ok {
+		return v
+	}
+	v, size := build()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if kept, ok := s.find(variant); ok {
+		return kept
+	}
+	if s.cache.Charge(s.key, r, size+memoOverhead) {
+		var items []memoItem
+		if p := s.memo.Load(); p != nil {
+			items = append(items, *p...)
+		}
+		items = append(items, memoItem{variant, v})
+		s.memo.Store(&items)
+	}
+	return v
+}
+
+func (s *cacheSlot) find(variant uint64) (any, bool) {
+	if p := s.memo.Load(); p != nil {
+		for _, m := range *p {
+			if m.variant == variant {
+				return m.v, true
+			}
+		}
+	}
+	return nil, false
 }

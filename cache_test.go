@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ctpquery"
+	"ctpquery/internal/qcache"
 )
 
 func mustCacheStats(t *testing.T, db *ctpquery.DB) ctpquery.CacheStats {
@@ -376,5 +377,129 @@ func TestStreamBypassesCache(t *testing.T) {
 	st := mustCacheStats(t, db)
 	if st.Misses != 1 || st.Hits != 0 {
 		t.Fatalf("RunStream touched the cache: %+v", st)
+	}
+}
+
+// A cached result's hits may derive values from it — a server's
+// rendering (Results.Memo), the spelling of the text it was asked by
+// (Peek files it as an alias) — and they are charged to the entry: not on
+// the run that fills it, once per variant, and freed with it.
+func TestHitDerivedValuesChargedToEntry(t *testing.T) {
+	g := ctpquery.RandomGraph(300, 900, []string{"knows", "cites"}, 7)
+	db, err := ctpquery.Open(g, nil, ctpquery.WithCache(16<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+
+	// One-shot entries cost their admission charge and nothing else: the
+	// charge less the result's size and its key text is the same fixed
+	// amount for two queries.
+	var fixed []int64
+	var before int64
+	texts := []string{
+		"SELECT ?w WHERE { CONNECT n1 n200 AS ?w MAX 5 . }",
+		"SELECT ?w WHERE { CONNECT n2 n201 AS ?w MAX 5 . }",
+	}
+	for _, text := range texts {
+		res, err := db.Query(ctx, text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, _ := ctpquery.ParseQuery(text)
+		after := mustCacheStats(t, db).Bytes
+		fixed = append(fixed, after-before-res.ApproxSize()-int64(len(q.String())))
+		before = after
+	}
+	if fixed[0] != fixed[1] {
+		t.Fatalf("one-shot entries charged %v beyond result and key, want one fixed amount", fixed)
+	}
+
+	// A hit through Peek files the text as an alias, once.
+	q, _ := ctpquery.ParseQuery(texts[0])
+	res, ok := db.Peek(q)
+	if !ok {
+		t.Fatal("Peek missed a cached query")
+	}
+	aliased := mustCacheStats(t, db).Bytes
+	if want := before + int64(len(texts[0])) + qcache.AliasOverhead; aliased != want {
+		t.Fatalf("after the aliasing hit: %d bytes, want %d", aliased, want)
+	}
+	if got, ok := db.PeekText(texts[0]); !ok || got != res {
+		t.Fatal("PeekText did not find the entry by its alias")
+	}
+	if got, ok := db.PeekText(q.String()); !ok || got != res {
+		t.Fatal("PeekText did not find the entry by its canonical text")
+	}
+	db.Peek(q)
+	if b := mustCacheStats(t, db).Bytes; b != aliased {
+		t.Fatalf("a repeated hit charged %d bytes", b-aliased)
+	}
+
+	// Memo builds once per variant and charges the entry.
+	builds := 0
+	build := func() (any, int64) { builds++; return builds, 1000 }
+	if v := res.Memo(1, build); v != 1 {
+		t.Fatalf("first Memo = %v", v)
+	}
+	memoed := mustCacheStats(t, db).Bytes
+	overhead := memoed - aliased - 1000
+	if overhead <= 0 || overhead > 128 {
+		t.Fatalf("a 1000-byte memo charged %d bytes", memoed-aliased)
+	}
+	if v := res.Memo(1, build); v != 1 || builds != 1 {
+		t.Fatalf("second Memo = %v after %d builds, want the kept value", v, builds)
+	}
+
+	// Concurrent first uses of other variants keep one value each.
+	var wg sync.WaitGroup
+	kept := make([][4]any, 8)
+	for w := range kept {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				v := uint64(2 + (w+i)%4)
+				kept[w][v-2] = res.Memo(v, func() (any, int64) { return new(int), 1000 })
+			}
+		}(w)
+	}
+	wg.Wait()
+	for v := uint64(2); v < 6; v++ {
+		stored := res.Memo(v, func() (any, int64) { t.Fatal("rebuilt a kept variant"); return nil, 0 })
+		for w := range kept {
+			if kept[w][v-2] != stored {
+				t.Fatalf("variant %d: a late caller got another value than the kept one", v)
+			}
+		}
+	}
+	if b := mustCacheStats(t, db).Bytes; b != memoed+4*(1000+overhead) {
+		t.Fatalf("four variants charged %d bytes, want %d", b-memoed, 4*(1000+overhead))
+	}
+
+	// Shedding frees the entry with everything charged to it.
+	db.ShedCache(0)
+	if st := mustCacheStats(t, db); st.Bytes != 0 || st.Entries != 0 {
+		t.Fatalf("after shedding: %+v", st)
+	}
+	if _, ok := db.PeekText(texts[0]); ok {
+		t.Fatal("an alias outlived its entry")
+	}
+	// An evicted result keeps nothing new.
+	if v := res.Memo(9, build); v != 2 || res.Memo(9, build) != 3 {
+		t.Fatal("an evicted result kept a memo")
+	}
+
+	// So does a result no cache holds.
+	plain, err := ctpquery.Open(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = plain.Query(ctx, texts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Memo(1, build) == res.Memo(1, build) {
+		t.Fatal("an uncached result kept a memo")
 	}
 }

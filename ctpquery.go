@@ -123,6 +123,10 @@ func WithAlgorithm(name string) QueryOption {
 // executed any number of times, concurrently, against any DB.
 type Query struct {
 	q *eql.Query
+	// text is the canonical rendering, made once (it is the query part of
+	// every cache key); src is the text the query was parsed from, which a
+	// cache hit files as an alias of its entry (DB.Peek).
+	text, src string
 }
 
 // ParseQuery parses and validates the textual form of an EQL query, e.g.
@@ -139,12 +143,12 @@ func ParseQuery(text string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Query{q: q}, nil
+	return &Query{q: q, text: q.String(), src: text}, nil
 }
 
 // String renders the query in the surface syntax accepted by ParseQuery,
 // so ParseQuery(q.String()) round-trips.
-func (q *Query) String() string { return q.q.String() }
+func (q *Query) String() string { return q.text }
 
 // Variables returns the query's projected head variables, in order.
 func (q *Query) Variables() []string { return append([]string(nil), q.q.Head...) }
@@ -299,7 +303,7 @@ func (db *DB) RunWithInfo(ctx context.Context, q *Query) (*Results, CacheInfo, e
 		return res, CacheInfo{}, err
 	}
 	info := CacheInfo{Enabled: true}
-	key := qcache.Key{Graph: pg.Fingerprint(), Query: q.String(), Opts: db.optsSig}
+	key := db.cacheKey(pg, q.text)
 	// Cache span: covers the lookup, a coalesced waiter's wait on the
 	// leader, or the leader's own execution (whose engine.eval span nests
 	// under it). Role attrs are attached once the outcome is known.
@@ -329,6 +333,9 @@ func (db *DB) RunWithInfo(ctx context.Context, q *Query) (*Results, CacheInfo, e
 		// flags are trustworthy.
 		admit := !res.TimedOut() && ctx.Err() == nil &&
 			(!res.Truncated() || queryHasLimit(q))
+		if admit {
+			res.slot = &cacheSlot{cache: db.cache, key: key}
+		}
 		return res, res.ApproxSize(), admit, nil
 	})
 	info.Hit, info.Coalesced = hit, coalesced
@@ -385,20 +392,52 @@ func (db *DB) runUncached(ctx context.Context, pg *Graph, q *Query) (*Results, e
 // Peek reports whether a complete cached result for q is already stored,
 // returning it without executing, waiting, or coalescing with in-flight
 // runs. ok is false when the DB has no cache or the entry is absent — the
-// caller then proceeds through Run/RunWithInfo as usual. Servers with
-// admission control peek before queuing so warm requests are answered in
+// caller then proceeds through Run/RunWithInfo as usual. Servers peek
+// before arming a deadline or queuing, so warm requests are answered in
 // microseconds instead of waiting behind analytical work; a successful
 // peek counts as a cache hit in CacheStats.
+//
+// A hit also files the text q was parsed from as an alias of the entry,
+// charged to it, so PeekText finds the entry from that text without
+// parsing it again.
 func (db *DB) Peek(q *Query) (*Results, bool) {
 	if db.cache == nil {
 		return nil, false
 	}
-	key := qcache.Key{Graph: db.g.Snapshot().Fingerprint(), Query: q.String(), Opts: db.optsSig}
+	key := db.cacheKey(db.g.Snapshot(), q.text)
 	v, ok := db.cache.Peek(key)
 	if !ok {
 		return nil, false
 	}
+	if q.src != q.text {
+		alias := key
+		alias.Query = q.src
+		db.cache.Alias(alias, key, v)
+	}
 	return v.(*Results), true
+}
+
+// PeekText is Peek for a query text, without parsing it: it finds an
+// entry whose canonical text is text, or one an earlier Peek filed text
+// under as an alias. ok false means neither (the text may still be
+// cached under its canonical form): parse it and Peek. Aliases need no
+// invalidation, because the graph fingerprint is part of their key, and
+// they are evicted with their entry.
+func (db *DB) PeekText(text string) (*Results, bool) {
+	if db.cache == nil {
+		return nil, false
+	}
+	v, ok := db.cache.Peek(db.cacheKey(db.g.Snapshot(), text))
+	if !ok {
+		return nil, false
+	}
+	return v.(*Results), true
+}
+
+// cacheKey is the key of a query with canonical (or alias) text over the
+// view pg.
+func (db *DB) cacheKey(pg *Graph, text string) qcache.Key {
+	return qcache.Key{Graph: pg.Fingerprint(), Query: text, Opts: db.optsSig}
 }
 
 // CacheStats returns a snapshot of the DB's query-result cache counters;

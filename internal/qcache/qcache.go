@@ -16,6 +16,13 @@
 // query's own text cannot explain) must never be cached, because serving
 // a stale partial as if it were the full answer would be a correctness
 // bug, not a performance one.
+//
+// An entry may grow after admission. A caller that derives something from
+// a stored value on a hit (a rendering of it, an alias of its query text)
+// charges it to the entry with Charge or Alias: the bytes count against
+// the same budget, and they leave with the entry when it is evicted or
+// shed. Nothing is charged on the miss, so an entry that is never hit
+// costs what it did at admission.
 package qcache
 
 import (
@@ -64,17 +71,20 @@ type Cache struct {
 	mu       sync.Mutex
 	ll       *list.List // front = most recently used; values are *entry
 	entries  map[Key]*list.Element
+	aliases  map[Key]*list.Element // second keys of stored entries (Alias)
 	inflight map[Key]*call
 	bytes    int64
 
 	hits, misses, coalesced, evictions, rejected int64
 }
 
-// entry is one stored result.
+// entry is one stored result. size includes what Charge and Alias added
+// after admission; aliases are removed with the entry.
 type entry struct {
-	key  Key
-	val  any
-	size int64
+	key     Key
+	val     any
+	size    int64
+	aliases []Key
 }
 
 // call is one in-flight execution; waiters block on done. admitted
@@ -103,6 +113,7 @@ func New(maxBytes int64) *Cache {
 		maxBytes: maxBytes,
 		ll:       list.New(),
 		entries:  make(map[Key]*list.Element),
+		aliases:  make(map[Key]*list.Element),
 		inflight: make(map[Key]*call),
 	}
 }
@@ -217,20 +228,92 @@ func (c *Cache) lead(key Key, cl *call, exec func() (val any, size int64, admit 
 }
 
 // Peek returns the stored value for key without executing or waiting on
-// anything. A successful peek counts as a hit (it IS a serve from the
-// cache — admission control uses it to let warm requests bypass the
-// wait queue entirely); a miss counts nothing, because the caller's
-// follow-up Do accounts for how the request was ultimately served.
+// anything. key may also be an alias of a stored entry (see Alias). A
+// successful peek counts as a hit (it IS a serve from the cache —
+// admission control uses it to let warm requests bypass the wait queue
+// entirely); a miss counts nothing, because the caller's follow-up Do
+// accounts for how the request was ultimately served.
 func (c *Cache) Peek(key Key) (val any, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		return nil, false
+		if el, ok = c.aliases[key]; !ok {
+			return nil, false
+		}
 	}
 	c.ll.MoveToFront(el)
 	c.hits++
 	return el.Value.(*entry).val, true
+}
+
+// AliasOverhead is the fixed charge of one alias on top of its query
+// text: its map slot and its place in the entry's alias list.
+const AliasOverhead = 96
+
+// maxAliases bounds the aliases of one entry, so texts that differ only in
+// spelling cannot grow one entry at the expense of the rest of the cache.
+const maxAliases = 4
+
+// Charge adds n bytes to the entry stored under key, provided it still
+// holds val (compared with ==: the entry a caller was served, not a later
+// one under the same key), marks it most recently used, and evicts from the LRU back
+// until the budget holds. It reports false, charging nothing, when the
+// entry is gone or would outgrow the whole budget; the caller then keeps
+// nothing on the entry's behalf.
+func (c *Cache) Charge(key Key, val any, n int64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.holding(key, val)
+	if !ok || el.Value.(*entry).size+n > c.maxBytes {
+		return false
+	}
+	c.growLocked(el, n)
+	return true
+}
+
+// Alias files alias as a second key of the entry stored under key, so
+// Peek(alias) finds it, provided the entry still holds val. The alias is
+// charged to the entry (its query text plus AliasOverhead) and removed
+// with it. It reports whether alias now names the entry.
+func (c *Cache) Alias(alias, key Key, val any) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.holding(key, val)
+	if !ok {
+		return false
+	}
+	if cur, ok := c.aliases[alias]; ok {
+		return cur == el
+	}
+	e := el.Value.(*entry)
+	n := int64(len(alias.Query)) + AliasOverhead
+	if len(e.aliases) == maxAliases || e.size+n > c.maxBytes {
+		return false
+	}
+	e.aliases = append(e.aliases, alias)
+	c.aliases[alias] = el
+	c.growLocked(el, n)
+	return true
+}
+
+// holding returns the element stored under key if its value is val.
+func (c *Cache) holding(key Key, val any) (*list.Element, bool) {
+	el, ok := c.entries[key]
+	if !ok || el.Value.(*entry).val != val {
+		return nil, false
+	}
+	return el, true
+}
+
+// growLocked adds n bytes to el's entry and evicts from the back until the
+// budget holds. el moves to the front first, so the eviction cannot reach
+// it: its own size is within the budget.
+func (c *Cache) growLocked(el *list.Element, n int64) {
+	c.ll.MoveToFront(el)
+	el.Value.(*entry).size += n
+	c.bytes += n
+	c.evictLocked()
 }
 
 // get returns the stored value for key without executing anything. It is
@@ -319,6 +402,11 @@ func (c *Cache) addLocked(key Key, val any, size int64) {
 	}
 	c.entries[key] = c.ll.PushFront(&entry{key: key, val: val, size: size})
 	c.bytes += size
+	c.evictLocked()
+}
+
+// evictLocked evicts from the LRU back until the budget holds.
+func (c *Cache) evictLocked() {
 	for c.bytes > c.maxBytes {
 		back := c.ll.Back()
 		if back == nil {
@@ -329,10 +417,14 @@ func (c *Cache) addLocked(key Key, val any, size int64) {
 	}
 }
 
-// removeLocked unlinks one entry and returns its bytes to the budget.
+// removeLocked unlinks one entry and its aliases and returns its bytes to
+// the budget.
 func (c *Cache) removeLocked(el *list.Element) {
 	e := el.Value.(*entry)
 	c.ll.Remove(el)
 	delete(c.entries, e.key)
+	for _, a := range e.aliases {
+		delete(c.aliases, a)
+	}
 	c.bytes -= e.size
 }

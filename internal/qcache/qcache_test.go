@@ -351,3 +351,63 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		t.Fatalf("budget exceeded: %+v", st)
 	}
 }
+
+// Charge and Alias grow a stored entry: the bytes count against the
+// budget, the LRU makes room for them from its back, never by evicting
+// the entry that grows, and they are returned with the entry.
+func TestChargeAndAlias(t *testing.T) {
+	perEntry := charge(key("a"), 40)
+	c := New(3 * perEntry)
+	doVal(t, c, key("a"), "a", 40)
+	doVal(t, c, key("b"), "b", 40)
+	doVal(t, c, key("c"), "c", 40)
+
+	// Only the value a caller was served may be charged for.
+	if c.Charge(key("a"), "not a", 1) || c.Charge(key("gone"), "a", 1) {
+		t.Fatal("charged an entry that does not hold the value")
+	}
+	if c.Charge(key("a"), "a", 3*perEntry) {
+		t.Fatal("charged an entry past the whole budget")
+	}
+	// a is the LRU back; growing it moves it to the front and evicts b.
+	if !c.Charge(key("a"), "a", 10) {
+		t.Fatal("charge refused")
+	}
+	st := c.Stats()
+	if st.Bytes != 2*perEntry+10 || st.Evictions != 1 || st.Entries != 2 {
+		t.Fatalf("after the charge: %+v", st)
+	}
+	if _, ok := c.get(key("b")); ok {
+		t.Fatal("b survived, want it evicted for a's charge")
+	}
+
+	alias := Key{Graph: 1, Query: "a, spelled otherwise", Opts: "o"}
+	if !c.Alias(alias, key("a"), "a") || !c.Alias(alias, key("a"), "a") {
+		t.Fatal("alias refused")
+	}
+	if c.Alias(alias, key("c"), "c") {
+		t.Fatal("one alias named two entries")
+	}
+	wantBytes := 2*perEntry + 10 + int64(len(alias.Query)) + AliasOverhead
+	if v, ok := c.Peek(alias); !ok || v != "a" || c.Stats().Bytes != wantBytes {
+		t.Fatalf("Peek(alias) = %v, %t with %d bytes, want a and %d", v, ok, c.Stats().Bytes, wantBytes)
+	}
+
+	held := c.Stats().Bytes
+	if freed := c.Shed(0); freed != held || c.Stats().Bytes != 0 {
+		t.Fatalf("shed freed %d of %d bytes", freed, held)
+	}
+	if _, ok := c.Peek(alias); ok || len(c.aliases) != 0 {
+		t.Fatalf("aliases outlived their entry: %d left", len(c.aliases))
+	}
+
+	// However much budget is left, one entry keeps at most maxAliases.
+	c = New(1 << 20)
+	doVal(t, c, key("a"), "a", 40)
+	for i := 0; i <= maxAliases; i++ {
+		c.Alias(Key{Graph: 1, Query: fmt.Sprint("a#", i), Opts: "o"}, key("a"), "a")
+	}
+	if n := len(c.aliases); n != maxAliases {
+		t.Fatalf("%d aliases of one entry, want %d", n, maxAliases)
+	}
+}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"ctpquery"
@@ -28,6 +29,73 @@ type serveMetrics struct {
 	// (ok, bad_request, internal_error), so write-path slowdowns — say a
 	// compaction replay storm — are visible next to the read-path p99s.
 	ingestDur *obs.HistogramVec
+
+	// The cells the query path observes, each resolved from its vec on
+	// first use and kept, so a request pays an atomic load instead of a
+	// label join and the vec's mutex. Resolving on first use, not in
+	// advance, keeps a cell nothing observed off /metrics.
+	responseCells [len(classNames)][len(statusNames)]atomic.Pointer[obs.Counter]
+	reqDurCells   [len(classNames)]atomic.Pointer[obs.Histogram]
+	stageCells    [len(stageNames)]atomic.Pointer[obs.Histogram]
+}
+
+// The label values of the query path's cells, indexed by the constants
+// below: a response's admission class (none without admission; classOf
+// maps the rest), its terminal status, and a query stage.
+var (
+	classNames  = [...]string{"none", "cheap", "analytical"}
+	statusNames = [...]string{"ok", "bad_request", "shed", "canceled", "internal_error"}
+	stageNames  = [...]string{"parse", "admission_wait", "bgp", "ctp", "join", "encode"}
+)
+
+const classNone = 0
+
+// classOf is the class index of an admission class.
+func classOf(c admission.Class) int { return 1 + int(c) }
+
+const (
+	statusOK = iota
+	statusBadRequest
+	statusShed
+	statusCanceled
+	statusInternalError
+)
+
+const (
+	stageParse = iota
+	stageAdmissionWait
+	stageBGP
+	stageCTP
+	stageJoin
+	stageEncode
+)
+
+// cell returns *p, resolving it with with on first use. Concurrent first
+// uses resolve the same cell: a vec hands out one cell per label set.
+func cell[T any](p *atomic.Pointer[T], with func() *T) *T {
+	if c := p.Load(); c != nil {
+		return c
+	}
+	c := with()
+	p.Store(c)
+	return c
+}
+
+// response is the responses counter of a class and status.
+func (m *serveMetrics) response(class, status int) *obs.Counter {
+	return cell(&m.responseCells[class][status], func() *obs.Counter {
+		return m.responses.With(classNames[class], statusNames[status])
+	})
+}
+
+// latency is the reqDur histogram of a class.
+func (m *serveMetrics) latency(class int) *obs.Histogram {
+	return cell(&m.reqDurCells[class], func() *obs.Histogram { return m.reqDur.With(classNames[class]) })
+}
+
+// stage is the stageDur histogram of a stage.
+func (m *serveMetrics) stage(stage int) *obs.Histogram {
+	return cell(&m.stageCells[stage], func() *obs.Histogram { return m.stageDur.With(stageNames[stage]) })
 }
 
 func newServeMetrics(reg *obs.Registry) *serveMetrics {
@@ -50,11 +118,11 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 // observeStages feeds one executed query's stage timings into the
 // per-stage histograms.
 func (m *serveMetrics) observeStages(parse, wait, bgp, ctp, join time.Duration) {
-	m.stageDur.With("parse").Observe(parse.Seconds())
-	m.stageDur.With("admission_wait").Observe(wait.Seconds())
-	m.stageDur.With("bgp").Observe(bgp.Seconds())
-	m.stageDur.With("ctp").Observe(ctp.Seconds())
-	m.stageDur.With("join").Observe(join.Seconds())
+	m.stage(stageParse).Observe(parse.Seconds())
+	m.stage(stageAdmissionWait).Observe(wait.Seconds())
+	m.stage(stageBGP).Observe(bgp.Seconds())
+	m.stage(stageCTP).Observe(ctp.Seconds())
+	m.stage(stageJoin).Observe(join.Seconds())
 }
 
 // table is the server's counter table (obs.Stat): /stats renders its

@@ -311,15 +311,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// idempotent), so a client that follows trace_id the moment it reads
 	// the response finds the trace recorded.
 	sp := s.tracer.Start("query", parentContext(r.Header.Get(obs.TraceHeader)))
-	class, status := "none", "ok"
+	class, status := classNone, statusOK
 	defer func() {
 		s.inFlight.Add(-1)
 		elapsed := time.Since(start)
 		s.busyNS.Add(int64(elapsed))
-		s.met.responses.With(class, status).Inc()
-		s.met.reqDur.With(class).Observe(elapsed.Seconds())
-		if status != "ok" {
-			sp.Status(status)
+		s.met.response(class, status).Inc()
+		s.met.latency(class).Observe(elapsed.Seconds())
+		if status != statusOK {
+			sp.Status(statusNames[status])
 		}
 		sp.End()
 	}()
@@ -328,13 +328,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req wire.Request
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err := dec.Decode(&req); err != nil {
-		status = "bad_request"
+		status = statusBadRequest
 		parseSpan.Error(err).End()
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	if req.Query == "" {
-		status = "bad_request"
+		status = statusBadRequest
 		err := errors.New("missing \"query\"")
 		parseSpan.Error(err).End()
 		s.fail(w, http.StatusBadRequest, err)
@@ -351,25 +351,46 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		var err error
 		if db, err = s.base.WithOptions(opts); err != nil {
-			status = "bad_request"
+			status = statusBadRequest
 			parseSpan.Error(err).End()
 			s.fail(w, http.StatusBadRequest, err)
 			return
 		}
 	}
 
-	// Parse before admission: malformed queries are the caller's mistake
-	// and answer 400 immediately — they never cost a queue slot.
-	q, err := ctpquery.ParseQuery(req.Query)
-	if err != nil {
-		status = "bad_request"
-		parseSpan.Error(err).End()
-		s.fail(w, http.StatusBadRequest, err)
-		return
+	// A warm entry answers first, before a deadline or an admission slot
+	// is arranged: a text an earlier hit saw needs no parse, and a hit
+	// writes the entry's stored rendering. Letting a hit wait in the
+	// admission queue would invert the point of the two-class split, so
+	// it bypasses admission entirely. Otherwise parse before admission:
+	// malformed queries are the caller's mistake and answer 400
+	// immediately — they never cost a queue slot.
+	var q *ctpquery.Query
+	res, hit := db.PeekText(req.Query)
+	if !hit {
+		var err error
+		if q, err = ctpquery.ParseQuery(req.Query); err != nil {
+			status = statusBadRequest
+			parseSpan.Error(err).End()
+			s.fail(w, http.StatusBadRequest, err)
+			return
+		}
+		res, hit = db.Peek(q)
 	}
 	parseSpan.End()
 	parseDur := time.Since(start)
 	sp.Attr("algorithm", db.Options().Algorithm)
+	if hit {
+		sp.AttrBool("cache_hit", true)
+		var adm []byte
+		if s.ctrl != nil {
+			class = classOf(admission.Cheap)
+			sp.AttrBool("cache_bypass", true)
+			adm = bypassAdmission
+		}
+		s.answer(w, res, db, req, start, sp, true, hitCache, adm)
+		return
+	}
 
 	ctx := obs.With(r.Context(), sp)
 	timeout := s.defaultTimeout
@@ -389,25 +410,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var estSig uint64
 	var waited time.Duration
 	if s.ctrl != nil {
-		// A warm cache entry answers in microseconds; letting it wait in
-		// the queue would invert the whole point of the two-class split,
-		// so peek first and bypass admission entirely on a hit.
-		if res, ok := db.Peek(q); ok {
-			class = admission.Cheap.String()
-			sp.AttrBool("cache_bypass", true)
-			resp := s.finishResponse(res, res.SearchStats(), ctpquery.CacheInfo{Enabled: true, Hit: true}, db, req, start, sp)
-			resp.Admission = &wire.Admission{Class: admission.Cheap.String(), CacheBypass: true}
-			sp.End()
-			wire.WriteJSON(w, http.StatusOK, resp)
-			return
-		}
 		est := s.est.Estimate(q.Shape(), timeout)
 		estSig = est.Sig
-		class = est.Class.String()
-		sp.Attr("class", class)
+		class = classOf(est.Class)
+		sp.Attr("class", est.Class.String())
 		release, w8, aerr := s.ctrl.Acquire(ctx, est.Class, est.Units)
 		if aerr != nil {
-			status = "shed"
+			status = statusShed
 			s.shed(w, r, est.Class, aerr)
 			return
 		}
@@ -429,7 +438,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, context.Canceled):
 		// Client went away; nothing useful to write.
-		status = "canceled"
+		status = statusCanceled
 		s.failures.Add(1)
 		return
 	case err != nil:
@@ -437,12 +446,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// singleflight leader) are OUR fault and answer 500; everything
 		// else the engine reports is a problem with the query — 400.
 		if ctpquery.IsInternalError(err) {
-			status = "internal_error"
+			status = statusInternalError
 			s.internalErrors.Add(1)
 			s.fail(w, http.StatusInternalServerError, err)
 			return
 		}
-		status = "bad_request"
+		status = statusBadRequest
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
@@ -451,12 +460,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		sp.AttrBool("timed_out", true)
 	}
 	sp.AttrBool("cache_hit", cinfo.Hit).AttrBool("coalesced", cinfo.Coalesced)
-	st := res.SearchStats()
 	// Feed the estimator and the /stats effort aggregates only when this
 	// request actually executed a search: a cache hit (or a coalesced
 	// waiter) re-reports the leader's SearchStats and would inflate both
 	// with work that never happened.
 	if !cinfo.Hit && !cinfo.Coalesced {
+		st := res.SearchStats()
 		s.noteSearch(st)
 		if s.est != nil {
 			actual := admission.CostUnits(st)
@@ -470,33 +479,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	sp.AttrInt("rows", int64(res.Len()))
 
-	resp := s.finishResponse(res, st, cinfo, db, req, start, sp)
-	resp.Admission = adm
-	sp.End()
-	wire.WriteJSON(w, http.StatusOK, resp)
-}
-
-// finishResponse encodes results with the request's row cap and cache
-// report applied, under an "encode" child span of the request's root.
-func (s *Server) finishResponse(res *ctpquery.Results, st wire.Search, cinfo ctpquery.CacheInfo, db *ctpquery.DB, req wire.Request, start time.Time, sp *obs.Span) wire.Response[wire.Row] {
-	maxRows := s.maxRows
-	if req.MaxRows > 0 && (maxRows == 0 || req.MaxRows < maxRows) {
-		maxRows = req.MaxRows
-	}
-	encSpan := sp.Child("encode")
-	// Deferred (End is idempotent): a panic inside the encode — the
-	// serve.query.encode probe is armed exactly there — must not leak
-	// the span past the containment middleware.
-	defer encSpan.End()
-	encStart := time.Now()
-	resp := s.encodeResults(res, st, db.Options().Algorithm, maxRows, req.OmitTrees, req.IncludeKeys, time.Since(start))
-	s.met.stageDur.With("encode").Observe(time.Since(encStart).Seconds())
-	encSpan.End()
+	var cacheJSON []byte
 	if cinfo.Enabled {
-		resp.Cache = &wire.Cache{Hit: cinfo.Hit, Coalesced: cinfo.Coalesced}
+		cacheJSON = encodeJSON(wire.Cache{Hit: cinfo.Hit, Coalesced: cinfo.Coalesced})
 	}
-	resp.TraceID = sp.TraceID()
-	return resp
+	var admJSON []byte
+	if adm != nil {
+		admJSON = encodeJSON(adm)
+	}
+	s.answer(w, res, db, req, start, sp, cinfo.Hit, cacheJSON, admJSON)
 }
 
 // drainRetrySeconds derives the Retry-After of draining 503s (and the
@@ -561,60 +552,6 @@ func (s *Server) shed(w http.ResponseWriter, r *http.Request, class admission.Cl
 		Error:       fmt.Sprintf("overloaded (%s class): %v", class, err),
 		RetryAfterS: retry,
 	})
-}
-
-func (s *Server) encodeResults(res *ctpquery.Results, st wire.Search, algorithm string, maxRows int, omitTrees, includeKeys bool, total time.Duration) wire.Response[wire.Row] {
-	probeQueryEncode.Hit()
-	resp := wire.Response[wire.Row]{
-		Columns:   res.Columns(),
-		Rows:      []wire.Row{},
-		RowCount:  res.Len(),
-		TimedOut:  res.TimedOut(),
-		Truncated: res.Truncated(),
-		Algorithm: algorithm,
-		Search:    &st,
-	}
-	bgp, ctp, join := res.Timings()
-	resp.TimingsMS = wire.Timings{BGP: ms(bgp), CTP: ms(ctp), Join: ms(join), Total: ms(total)}
-
-	n := res.Len()
-	if maxRows > 0 && n > maxRows {
-		n = maxRows
-		resp.RowsTruncated = true
-	}
-	for i := 0; i < n; i++ {
-		if includeKeys {
-			resp.RowKeys = append(resp.RowKeys, res.MergeKey(i))
-		}
-		row := res.Row(i)
-		out := make(wire.Row, len(resp.Columns))
-		for _, col := range resp.Columns {
-			if !res.IsTreeColumn(col) {
-				id, _ := row.Node(col)
-				v := int32(id)
-				out[col] = wire.Cell{ID: &v, Label: row.Label(col)}
-				continue
-			}
-			t := row.Tree(col)
-			if t == nil {
-				out[col] = wire.Cell{}
-				continue
-			}
-			tj := &wire.Tree{Size: t.Size()}
-			if !omitTrees {
-				// Render against the run's own pinned view, not the server's
-				// live graph: a mutation landing between execution and
-				// encoding must not relabel (or misname) this result's nodes.
-				tj.Root = res.Graph().NodeLabel(t.Root())
-				for _, e := range t.Edges() {
-					tj.Edges = append(tj.Edges, wire.Edge{Src: e.SrcLabel, Label: e.Label, Dst: e.DstLabel})
-				}
-			}
-			out[col] = wire.Cell{Tree: tj}
-		}
-		resp.Rows = append(resp.Rows, out)
-	}
-	return resp
 }
 
 // handleHealth reports the degradation-ladder state: "ok" and

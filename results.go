@@ -24,6 +24,9 @@ type Results struct {
 	res *engine.Result
 
 	treeCols map[string]bool
+
+	// slot is set when the DB's cache admits the run (Memo).
+	slot *cacheSlot
 }
 
 func newResults(g *Graph, q *eql.Query, res *engine.Result) *Results {
@@ -75,7 +78,7 @@ func (r *Results) Each(fn func(Row) bool) {
 // accounting — the query-result cache uses it to budget entries.
 func (r *Results) ApproxSize() int64 {
 	const (
-		resultsOverhead = 256 // Results + engine.Result + slice headers
+		resultsOverhead = 256 // Results + engine.Result + slice headers + cache slot
 		rowOverhead     = 24  // []int32 header per row
 		// A detached tree.Tree: the 112-byte struct (slice headers
 		// included), one 8-byte Sat word (m <= 64), and ~16 bytes the

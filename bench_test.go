@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -117,12 +118,13 @@ func BenchmarkFig11StarVariants(b *testing.B) {
 }
 
 // The parallel runtime (internal/exec) across worker counts on a
-// merge-heavy Figure 11 star: wall time on a single-core runner stays
-// flat (workers timeslice). ctpmark's exec.* metrics on kg-explore set
-// K = 2 against the sequential kernel on millisecond-scale searches,
-// which the exchange and worker start-up still cost more than they gain
-// (DESIGN.md §6), so neither shows scaling; this benchmark keeps the
-// runtime itself from rotting.
+// merge-heavy Figure 11 star, which this package's TestMain turns on for
+// every search with a worker bound (production searches never use it,
+// DESIGN.md §6): it keeps the runtime itself from rotting. Star(10,2) is a
+// shape where K = 2 never pays, so it shows no scaling, and wall time on a
+// single-core runner stays flat (workers timeslice).
+// BenchmarkParallelRuntimeKG times the runtime where it comes closest to
+// paying.
 func BenchmarkParallelRuntimeStar(b *testing.B) {
 	w := gen.Star(10, 2, gen.Alternate)
 	for _, k := range []int{1, 2, 4} {
@@ -138,6 +140,58 @@ func BenchmarkParallelRuntimeStar(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// The parallel runtime against the caller's goroutine on the kind of
+// search where the runtime gains most (DESIGN.md §6): a three-member
+// MoLESP `MAX 4` search on YAGOLike(5000) of 120,000–300,000 created
+// trees, at K = 0 and at K = 2 on two workers from its start. No ctpmark
+// workload runs a search this large. The graph and the draw are outside
+// the timer.
+func BenchmarkParallelRuntimeKG(b *testing.B) {
+	const minTrees, maxTrees = 120000, 300000
+	g := gen.YAGOLike(5000, 1).Graph
+	rng := rand.New(rand.NewSource(4))
+	opts := core.Options{Algorithm: core.MoLESP, Filters: eql.Filters{MaxEdges: 4}, MaxTrees: maxTrees}
+	var seeds []core.SeedSet
+	for try := 0; seeds == nil; try++ {
+		if try == 100 {
+			b.Fatal("no MAX 4 search of 120,000-300,000 trees")
+		}
+		hub := graph.NodeID(rng.Intn(g.NumNodes()))
+		var around []graph.NodeID
+		for _, e := range g.IncidentEdges(hub) {
+			if o := g.Other(e, hub); o != hub && !slices.Contains(around, o) {
+				around = append(around, o)
+			}
+		}
+		if len(around) < 3 {
+			continue
+		}
+		cand := core.Explicit(around[0:1], around[1:2], around[2:3])
+		_, st, err := core.Search(g, cand, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !st.Truncated && st.Created >= minTrees {
+			seeds = cand
+		}
+	}
+	opts.MaxTrees = 0
+	for _, k := range []int{0, 2} {
+		opts.Parallelism = k
+		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
+			var st *core.Stats
+			for i := 0; i < b.N; i++ {
+				var err error
+				if _, st, err = core.Search(g, seeds, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(st.Created), "trees/op")
+			b.ReportMetric(float64(st.Parallelism), "workers")
 		})
 	}
 }

@@ -41,8 +41,9 @@
 // -max-timeout) bounds the CTP searches and an expiring budget returns
 // the partial results found so far with "timed_out": true, per the
 // paper's TIMEOUT semantics. -algo sets the default CTP algorithm and
-// -parallelism the default per-search worker count (0 = the sequential
-// kernel, -1 = GOMAXPROCS); requests may override both per query.
+// -parallelism the default per-search worker bound (0 = the sequential
+// kernel, -1 = GOMAXPROCS; not used yet: every search runs the sequential
+// kernel, DESIGN.md §6); requests may override both per query.
 // -cache-bytes enables a query-result cache (keyed on the immutable
 // graph's fingerprint + canonical query text + effective options):
 // repeated queries are answered without searching, concurrent identical
@@ -82,8 +83,8 @@ func main() {
 		seed           = flag.Int64("seed", 1, "random graph seed")
 		algoName       = flag.String("algo", "MoLESP", "default CTP algorithm")
 		parallel       = flag.Bool("parallel", true, "evaluate a query's CTPs concurrently")
-		parallelism    = flag.Int("parallelism", 0, "default workers per CONNECT search (0 = sequential kernel, -1 = GOMAXPROCS); requests may override via \"parallelism\"")
-		maxParallelism = flag.Int("max-parallelism", 16, "cap on per-request worker counts (each worker pins an OS thread; 0 = requests may not override)")
+		parallelism    = flag.Int("parallelism", 0, "default worker bound per CONNECT search, not used yet: every search runs the sequential kernel (0 = sequential kernel, -1 = GOMAXPROCS); requests may override via \"parallelism\"")
+		maxParallelism = flag.Int("max-parallelism", 16, "cap on per-request worker bounds (0 = requests may not override)")
 		saveSnapshot   = flag.String("save-snapshot", "", "after loading, write the graph as a binary snapshot to FILE and continue serving")
 		defaultTimeout = flag.Duration("default-timeout", 10*time.Second, "per-request budget when the request sets no timeout_ms (0 = none)")
 		maxTimeout     = flag.Duration("max-timeout", time.Minute, "cap on requested timeouts (0 = uncapped)")
@@ -103,7 +104,7 @@ func main() {
 		memSoftMB      = flag.Int64("mem-soft-mb", 0, "live-heap soft watermark in MiB: above it the server degrades (sheds half the cache, halves parallelism, tightens the admission budget) and /healthz reports \"degraded\" (0 = watchdog off)")
 		memHardMB      = flag.Int64("mem-hard-mb", 0, "live-heap hard watermark in MiB: cache emptied, parallelism capped at 1, admission budget quartered (0 = 2x the soft watermark)")
 		wdInterval     = flag.Duration("watchdog-interval", 5*time.Second, "how often the memory watchdog samples the heap")
-		faultSpec      = flag.String("fault", "", "DEV ONLY: arm fault-injection points, comma-separated point:kind[=duration][@hit[xcount]] specs (e.g. exec.worker.process_op:panic@100)")
+		faultSpec      = flag.String("fault", "", "DEV ONLY: arm fault-injection points, comma-separated point:kind[=duration][@hit[xcount]] specs (e.g. core.gam.pop:panic@100)")
 		drainGrace     = flag.Duration("drain-grace", 0, "on SIGTERM, keep serving (with /healthz answering 503 draining) this long before closing the listener, so load-balancer health checks observe the drain (0 = shut down immediately)")
 		traceOn        = flag.Bool("trace", true, "record per-query traces into the flight recorder at /debug/traces; off reduces every span to one atomic load")
 		traceRing      = flag.Int("trace-ring", 256, "completed traces kept in the flight-recorder ring")

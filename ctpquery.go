@@ -26,18 +26,20 @@ type Options struct {
 	// CTP searches are independent, so this is always safe.
 	Parallel bool
 
-	// Parallelism bounds the workers each CONNECT search is sharded across
-	// (the GAM-family parallel runtime): 0 keeps the sequential kernel,
-	// negative selects GOMAXPROCS. The engine decides each clause's
-	// schedule from it once, by the rule of DESIGN.md §6 (universal and
-	// skewed seed sets run the Section 4.9 multi-queue instead). It
-	// composes with Parallel — Parallel spreads separate CONNECT clauses,
-	// Parallelism splits one.
-	// Result multisets are unchanged on the paper's completeness envelope
-	// (GAM any m, ESP/LESP m = 2, MoLESP m <= 3; see DESIGN.md §6), and
-	// parallel results are returned in a canonical order (score, then
-	// size, then edge set). LIMIT/TOP may keep a different same-sized
-	// subset than a sequential run when results tie.
+	// Parallelism bounds the workers each CONNECT search may be sharded
+	// across (the GAM-family parallel runtime): 0 keeps the sequential
+	// kernel, negative selects GOMAXPROCS. No measured search repays the
+	// workers yet, so the bound is not used: every search runs the
+	// sequential kernel on the caller's goroutine, as at 0 (DESIGN.md §6).
+	// The engine decides each clause's schedule from it once, by the rule
+	// of DESIGN.md §6 (universal and skewed seed sets run the Section 4.9
+	// multi-queue instead). It composes with Parallel — Parallel spreads
+	// separate CONNECT clauses, Parallelism bounds one.
+	// Where the runtime runs (in tests), result multisets are unchanged on
+	// the paper's completeness envelope (GAM any m, ESP/LESP m = 2, MoLESP
+	// m <= 3; see DESIGN.md §6), and results are returned in a canonical
+	// order (score, then size, then edge set). LIMIT/TOP may keep a
+	// different same-sized subset than a sequential run when results tie.
 	Parallelism int
 
 	// DefaultTimeout bounds each CTP search when the query has no TIMEOUT
@@ -106,9 +108,9 @@ func parseAlgorithm(name string) (core.Algorithm, error) {
 // the base Options) or derive a DB with DB.With.
 type QueryOption func(*Options)
 
-// WithParallelism shards each CONNECT search across workers workers; 0
-// restores the sequential kernel and negative values select GOMAXPROCS.
-// See Options.Parallelism for the equivalence guarantees.
+// WithParallelism bounds the workers each CONNECT search may be sharded
+// across; 0 restores the sequential kernel and negative values select
+// GOMAXPROCS. See Options.Parallelism: the bound is not used yet.
 func WithParallelism(workers int) QueryOption {
 	return func(o *Options) { o.Parallelism = workers }
 }

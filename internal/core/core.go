@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime/metrics"
+	"sync/atomic"
 	"time"
 
 	"ctpquery/internal/fault"
@@ -127,16 +128,15 @@ type Options struct {
 	// clause by the rule of DESIGN.md §6.
 	MultiQueue bool
 
-	// Parallelism selects how the GAM-family kernel is scheduled: 0 runs
-	// the kernel on the caller's goroutine with unsynchronised state; K ≥ 1
-	// runs K root-sharded workers (the internal/exec runtime; K = 1 is its
-	// overhead baseline). Both schedule the same Kernel. BFT-family
-	// algorithms and MultiQueue scheduling always run on the caller's
-	// goroutine, as does any build that never linked the runtime (the
-	// engine links it; direct core users import internal/exec for its
-	// side effect). With Parallelism > 1, Priority and Score callbacks may
-	// be invoked from several goroutines and must be pure; OnResult is
-	// serialized but its invocation order is schedule-dependent.
+	// Parallelism bounds the workers a GAM-family search may be sharded
+	// across (the internal/exec runtime). No measured search repays them
+	// yet (DESIGN.md §6), so the bound is not used: at every K the kernel
+	// runs on the caller's goroutine with unsynchronised state, exactly as
+	// at 0. Only tests reach the runtime (ShardedForTesting), where K ≥ 1
+	// runs K root-sharded workers around the same Kernel (K = 1 is its
+	// overhead baseline); there Priority and Score callbacks may be invoked
+	// from several goroutines and must be pure, and OnResult is serialized
+	// but its invocation order is schedule-dependent.
 	Parallelism int
 
 	// MaxTrees aborts the search (reporting Stats.Truncated) once this
@@ -202,9 +202,11 @@ type Stats struct {
 	Duration  time.Duration
 
 	// Parallel-runtime observability (internal/exec). Parallelism is the
-	// worker count the search actually ran with (0 on the caller's
-	// goroutine); Workers holds one entry per worker. MultiQueue reports a
-	// caller-goroutine GAM-family search that ran the multi-queue.
+	// worker count of a search that ran sharded (0 on the caller's
+	// goroutine, where every search runs outside tests: see
+	// Options.Parallelism); Workers holds one entry per worker.
+	// MultiQueue reports a caller-goroutine GAM-family search that ran the
+	// multi-queue.
 	Parallelism int
 	Workers     []WorkerStats
 	MultiQueue  bool
@@ -285,7 +287,7 @@ func Search(g *graph.Graph, seeds []SeedSet, opts Options) (*ResultSet, *Stats, 
 			return bftSearch(g, seeds, opts)
 		})
 	case GAM, ESP, MoESP, LESP, MoLESP:
-		if opts.Parallelism > 0 && !opts.MultiQueue && parallelKernel != nil {
+		if Sharded(opts) {
 			// The parallel runtime has its own containment boundaries (one
 			// per worker, one around the coordinator).
 			rs, st, err = parallelKernel(g, seeds, opts)
@@ -331,12 +333,31 @@ func contained(name string, kernel func() (*ResultSet, *Stats, error)) (rs *Resu
 // back.
 var parallelKernel func(g *graph.Graph, seeds []SeedSet, opts Options) (*ResultSet, *Stats, error)
 
-// RegisterParallelKernel installs the Options.Parallelism runtime. It is
-// called from internal/exec's init and must not be called concurrently
+// RegisterParallelKernel installs the runtime Sharded searches run on. It
+// is called from internal/exec's init and must not be called concurrently
 // with searches.
 func RegisterParallelKernel(fn func(g *graph.Graph, seeds []SeedSet, opts Options) (*ResultSet, *Stats, error)) {
 	parallelKernel = fn
 }
+
+// shardedForTesting is set only by ShardedForTesting.
+var shardedForTesting atomic.Bool
+
+// Sharded reports whether a GAM-family search with these options runs on
+// the sharded runtime rather than on the caller's goroutine. Outside tests
+// it never does: the runtime costs more than it gains on every search
+// measured so far (DESIGN.md §6), so Options.Parallelism is a bound that
+// is not used. Engine.Explain prints what it reports.
+func Sharded(opts Options) bool {
+	return opts.Parallelism > 0 && !opts.MultiQueue && parallelKernel != nil && shardedForTesting.Load()
+}
+
+// ShardedForTesting turns the sharded runtime on (or back off) for every
+// later search with Options.Parallelism ≥ 1 and a single queue, so that
+// the tests of parallel schedules keep reaching it. It returns the
+// previous setting: `defer core.ShardedForTesting(core.ShardedForTesting(false))`
+// scopes a change. Test code only: CI fails a non-test caller.
+func ShardedForTesting(on bool) (previous bool) { return shardedForTesting.Swap(on) }
 
 // heapAllocObjects reads the cumulative heap allocation count without
 // stopping the world (unlike runtime.ReadMemStats).

@@ -79,3 +79,24 @@ func TestKGExplorationPinned(t *testing.T) {
 		}
 	}
 }
+
+// A bound of K = 2 is not used: kgSearch, a kg-explore-sized search, runs
+// on the caller's goroutine exactly as at K = 0, every field of its Stats
+// equal but the time it took.
+func TestKGSearchAtK2StaysOnCaller(t *testing.T) {
+	defer core.ShardedForTesting(core.ShardedForTesting(false))
+	g, seeds, opts := kgSearch(t)
+	var counters []string
+	for _, k := range []int{0, 2} {
+		opts.Parallelism = k
+		rs, st, err := core.Search(g, seeds, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Duration = 0
+		counters = append(counters, fmt.Sprintf("%d results %+v", rs.Len(), *st))
+	}
+	if counters[0] != counters[1] {
+		t.Fatalf("K=2 differs from K=0\nK=0: %s\nK=2: %s", counters[0], counters[1])
+	}
+}

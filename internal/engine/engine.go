@@ -22,7 +22,7 @@ import (
 	"ctpquery/internal/core"
 	"ctpquery/internal/eql"
 	// Linked for its side effect: registers the parallel CTP search
-	// runtime that Options.Parallelism selects.
+	// runtime, which only tests reach (core.Sharded).
 	_ "ctpquery/internal/exec"
 	"ctpquery/internal/fault"
 	"ctpquery/internal/graph"
@@ -49,11 +49,13 @@ type Options struct {
 	// the J1 shape of Table 1.
 	Parallel bool
 
-	// Parallelism bounds the workers each CTP search is sharded across
-	// (the internal/exec runtime): 0 keeps the caller's goroutine,
-	// negative means GOMAXPROCS. It composes with Parallel — Parallel
-	// spreads independent CTPs, Parallelism splits one search. Each
-	// clause's schedule is decided once, by resolveSchedule (DESIGN.md §6).
+	// Parallelism bounds the workers each CTP search may be sharded
+	// across (the internal/exec runtime): 0 keeps the caller's goroutine,
+	// negative means GOMAXPROCS. No measured search repays the workers
+	// yet, so core runs every search on the caller's goroutine whatever
+	// the bound (core.Sharded, DESIGN.md §6). It composes with Parallel —
+	// Parallel spreads independent CTPs, Parallelism bounds one search.
+	// Each clause's schedule is decided once, by resolveSchedule.
 	Parallelism int
 
 	// OnCTPResult, when set, streams each CTP result as the search finds
@@ -318,10 +320,11 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *eql.Query) (res *Result,
 	return res, nil
 }
 
-// schedule is how one CONNECT clause's search runs: sharded across
-// workers exec workers, or (workers 0) on the caller's goroutine with one
-// queue or the Section 4.9 multi-queue. rule names the rule that decided
-// it. resolveSchedule is its one source: evalCTP applies it and Explain
+// schedule is how one CONNECT clause's search runs: on the caller's
+// goroutine with one queue or the Section 4.9 multi-queue, under a bound
+// of workers exec workers (0: none), which core uses only where
+// core.Sharded says so. rule names the rule that decided it.
+// resolveSchedule is its one source: evalCTP applies it and Explain
 // prints it.
 type schedule struct {
 	workers    int

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"ctpquery/internal/bgp"
+	"ctpquery/internal/core"
 	"ctpquery/internal/eql"
 )
 
@@ -73,8 +74,9 @@ func (e *Engine) Explain(q *eql.Query) (string, error) {
 }
 
 // describeSchedule renders a clause's schedule and the rule that decided
-// it. A skew decision that waits on a BGP-bound seed set's size is
-// printed as such: step (A) has not run yet.
+// it, with a worker bound as core.Sharded uses it. A skew decision that
+// waits on a BGP-bound seed set's size is printed as such: step (A) has
+// not run yet.
 func describeSchedule(sch schedule) string {
 	mq := strconv.FormatBool(sch.multiQueue)
 	if sch.rule == bySkew && !sch.multiQueue {
@@ -82,6 +84,8 @@ func describeSchedule(sch schedule) string {
 	}
 	par := "sequential kernel"
 	switch {
+	case sch.workers > 0 && !core.Sharded(core.Options{Parallelism: sch.workers}):
+		par = fmt.Sprintf("sequential kernel (worker bound %d, not used: DESIGN.md §6)", sch.workers)
 	case sch.workers > 1:
 		par = fmt.Sprintf("%d workers (sharded exec runtime)", sch.workers)
 	case sch.workers == 1:

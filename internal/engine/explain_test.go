@@ -68,6 +68,8 @@ func TestExplainBGPPlan(t *testing.T) {
 // decision that waits on a BGP-bound seed set says so, and BFT-family
 // algorithms have one queue whatever the seed sets and degree.
 func TestExplainPrintsTheRunSchedule(t *testing.T) {
+	// The production schedule: no search runs sharded (core.Sharded).
+	defer core.ShardedForTesting(core.ShardedForTesting(false))
 	for _, tc := range []struct {
 		name string
 		g    *graph.Graph
@@ -88,6 +90,14 @@ func TestExplainPrintsTheRunSchedule(t *testing.T) {
 			`SELECT ?t WHERE { CONNECT Alice ?any AS ?t MAX 2 . }`,
 			[]string{"multi-queue: true; parallelism: sequential kernel (rule: universal seed set)"},
 			true},
+		{"MoLESP at degree 2", gen.Sample(), Options{Parallelism: 2},
+			`SELECT ?t WHERE { CONNECT Alice Bob AS ?t MAX 3 . }`,
+			[]string{"multi-queue: false; parallelism: sequential kernel (worker bound 2, not used: DESIGN.md §6) (rule: degree)"},
+			false},
+		{"MoLESP at degree 1", gen.Sample(), Options{Parallelism: 1},
+			`SELECT ?t WHERE { CONNECT Alice Bob AS ?t MAX 3 . }`,
+			[]string{"multi-queue: false; parallelism: sequential kernel (worker bound 1, not used: DESIGN.md §6) (rule: degree)"},
+			false},
 	} {
 		e := New(tc.g, tc.opts)
 		plan, err := e.Explain(mustParse(t, tc.src))
@@ -110,6 +120,24 @@ func TestExplainPrintsTheRunSchedule(t *testing.T) {
 			t.Errorf("%s: run took multi-queue %v at %d workers, want %v on the caller's goroutine",
 				tc.name, st.MultiQueue, st.Parallelism, tc.mq)
 		}
+	}
+	// Where tests turn the runtime on, the run is sharded and Explain says so.
+	core.ShardedForTesting(true)
+	e := New(gen.Sample(), Options{Parallelism: 2})
+	src := `SELECT ?t WHERE { CONNECT Alice Bob AS ?t MAX 3 . }`
+	plan, err := e.Explain(mustParse(t, src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "multi-queue: false; parallelism: 2 workers (sharded exec runtime) (rule: degree)"; !strings.Contains(plan, want) {
+		t.Errorf("sharded: plan missing %q:\n%s", want, plan)
+	}
+	res, err := e.Execute(mustParse(t, src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res.CTPStats[0]; st.Parallelism != 2 {
+		t.Errorf("sharded: run took %d workers, want 2", st.Parallelism)
 	}
 }
 

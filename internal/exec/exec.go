@@ -4,6 +4,11 @@
 // algorithms live once, in core; this package holds what a sharded
 // schedule needs around them.
 //
+// No production search runs here: core.Sharded sends a search to the
+// runtime only under a test hook, because on every search measured so
+// far two workers either lose to the caller's goroutine or gain only on
+// searches far larger than any benchmark workload runs (DESIGN.md §6).
+//
 // # Architecture
 //
 // The search space is sharded by tree root: worker owner(n) (a hash of n
@@ -86,7 +91,8 @@ const maxWorkers = 256
 
 // search evaluates the CTP across opts.Parallelism workers. It is reached
 // only through core.Search, which validates the inputs, resolves the
-// algorithm to one of the GAM family and routes Parallelism > 0 here.
+// algorithm to one of the GAM family and routes here what core.Sharded
+// selects.
 func search(g *graph.Graph, seeds []core.SeedSet, opts core.Options) (*core.ResultSet, *core.Stats, error) {
 	st := statePool.Get()
 	rs, stats, err := st.search(g, seeds, opts)
